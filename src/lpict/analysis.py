@@ -23,7 +23,7 @@ from .kmp import kmp_match
 from .logic.formulas import Atom, Implies
 from .logic.proofs import Proof, Sequent, check_proof
 from .logic.search import search_contradiction, search_forward_chain
-from .models.core import IDEAL, NONIDEAL, EventAssignment, ProtocolModel, apply_environment
+from .models.core import IDEAL, NONIDEAL, ProtocolModel, apply_environment
 from .trees import EventLeaf, StateTreeNode, bfs_traverse, eval_event_tree, event_leaves
 
 SECURE = "secure"
@@ -52,22 +52,24 @@ class Judgments:
 
 
 @dataclass(frozen=True)
+class EntailmentResult:
+    sequent: Sequent
+    forward: Proof | None
+    contradiction: Proof | None
+    holds: bool
+
+
+@dataclass(frozen=True)
 class AnalysisOutcome:
     verdict: str
     trace: tuple[TraceSymbol, ...]
     failing: tuple[str, str] | None
     judgments: Judgments
+    entailment: EntailmentResult | None  # None when the walk stopped at a false tree
 
     @property
     def secure(self) -> bool:
         return self.verdict == SECURE
-
-
-@dataclass(frozen=True)
-class EntailmentResult:
-    forward: Proof | None
-    contradiction: Proof | None
-    holds: bool
 
 
 @dataclass(frozen=True)
@@ -173,25 +175,22 @@ def entailment_judgment(lts: GuardedLTS) -> EntailmentResult:
         and check_proof(sequent, forward).valid
         and check_proof(sequent, contradiction).valid
     )
-    return EntailmentResult(forward, contradiction, holds)
+    return EntailmentResult(sequent, forward, contradiction, holds)
 
 
-def analyze_protocol(model: ProtocolModel, env) -> AnalysisOutcome:
-    """Walk the state tree under the environment's event assignment.
-
-    The two judgments are only established when every state's event tree
-    evaluates true; a run stopped at a false tree reports them as not
-    holding."""
-    assignment: EventAssignment = apply_environment(model, env)
-    lts = model.lts
+def _walk(model: ProtocolModel, env) -> tuple[tuple[TraceSymbol, ...], tuple[str, str] | None]:
+    """Walk the state tree under the environment's event assignment, up to
+    and including the first state whose event tree is false; that state and
+    its first false leaf are the failing pair."""
+    assignment = apply_environment(model, env)
     trace: list[TraceSymbol] = []
-    node: StateTreeNode | None = build_state_tree(lts)
+    node: StateTreeNode | None = build_state_tree(model.lts)
     while node is not None:
         if node.events is None:  # event-less terminal passes trivially
             trace.append(TraceSymbol(node.state, True, ()))
             node = node.next
             continue
-        valuation = assignment.valuation(node.state)
+        valuation = assignment[node.state]
         leaves = event_leaves(node.events)
         value = eval_event_tree(node.events, valuation)
         trace.append(
@@ -202,24 +201,40 @@ def analyze_protocol(model: ProtocolModel, env) -> AnalysisOutcome:
             )
         )
         if not value:
-            failing = (node.state, _first_false_leaf(node.events, valuation))
-            return AnalysisOutcome(FLAWED, tuple(trace), failing, Judgments(False, False))
+            return tuple(trace), (node.state, _first_false_leaf(node.events, valuation))
         node = node.next
-    judgments = Judgments(
-        partial_order=partial_order_check(trace, lts),
-        entailment=entailment_judgment(lts).holds,
-    )
+    return tuple(trace), None
+
+
+def _judge(lts: GuardedLTS, trace, failing, entailment: EntailmentResult | None) -> AnalysisOutcome:
+    if failing is not None:
+        return AnalysisOutcome(FLAWED, trace, failing, Judgments(False, False), None)
+    judgments = Judgments(partial_order_check(trace, lts), entailment.holds)
     verdict = SECURE if judgments.partial_order and judgments.entailment else FLAWED
-    return AnalysisOutcome(verdict, tuple(trace), None, judgments)
+    return AnalysisOutcome(verdict, trace, None, judgments, entailment)
+
+
+def analyze_protocol(model: ProtocolModel, env) -> AnalysisOutcome:
+    """Walk the state tree under the environment's event assignment.
+
+    The two judgments are only established when every state's event tree
+    evaluates true; a run stopped at a false tree reports them as not
+    holding."""
+    trace, failing = _walk(model, env)
+    return _judge(model.lts, trace, failing, None if failing else entailment_judgment(model.lts))
 
 
 def dual_environment_verdict(model: ProtocolModel) -> DualVerdict:
     """Analyse under both environments and match the traces.
 
-    Secure means: the ideal run is secure, the non-ideal trace matches it in
-    full, and the non-ideal judgments hold."""
-    ideal = analyze_protocol(model, model.environment(IDEAL))
-    nonideal = analyze_protocol(model, model.environment(NONIDEAL))
+    Entailment does not depend on the environment, so it is judged once, and
+    only if some walk reaches the terminal state. Secure means: the ideal run
+    is secure, the non-ideal trace matches it in full, and the non-ideal
+    judgments hold."""
+    walks = [_walk(model, model.environment(kind)) for kind in (IDEAL, NONIDEAL)]
+    reached = any(failing is None for _, failing in walks)
+    entailment = entailment_judgment(model.lts) if reached else None
+    ideal, nonideal = (_judge(model.lts, trace, failing, entailment) for trace, failing in walks)
     matched = (
         len(nonideal.trace) == len(ideal.trace)
         and kmp_match(nonideal.trace, ideal.trace, 1) is not None

@@ -10,6 +10,7 @@ Set LPICT_COLOR=1 for ANSI color in text output.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -104,25 +105,20 @@ def _cmd_analyze(args, color: bool) -> int:
 
 
 def _cmd_prove(args, color: bool) -> int:
-    from .analysis import entailment_sequent
-
     model = _resolve_model(args.model)
     result = entailment_judgment(model.lts)
     proof = result.forward if args.style == "forward" else result.contradiction
-    sequent = entailment_sequent(model.lts)
     if proof is None:
         sys.stdout.write("no proof found\n")
         return 1
-    valid = check_proof(sequent, proof).valid
+    valid = check_proof(result.sequent, proof).valid
     if args.format == "json":
-        import json
-
         sys.stdout.write(
             json.dumps(
                 {
                     "model": model.name,
                     "style": args.style,
-                    "sequent": render_sequent(sequent),
+                    "sequent": render_sequent(result.sequent),
                     "valid": valid,
                     "lines": proof_records(proof),
                 },
@@ -135,7 +131,7 @@ def _cmd_prove(args, color: bool) -> int:
         if color:
             tint = "\x1b[32m" if valid else "\x1b[31m"
             verdict = f"{tint}{verdict}\x1b[0m"
-        sys.stdout.write(f"sequent: {render_sequent(sequent)}\n")
+        sys.stdout.write(f"sequent: {render_sequent(result.sequent)}\n")
         sys.stdout.write(f"{args.style} proof ({len(proof)} lines):\n")
         sys.stdout.write(render_proof_table(proof) + "\n")
         sys.stdout.write(f"valid: {verdict}\n")
@@ -210,6 +206,9 @@ def run_cli(argv) -> int:
             return _cmd_models()
     except LpictError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except RecursionError:
+        sys.stderr.write("error: input is nested too deeply\n")
         return 2
     return 2  # pragma: no cover
 

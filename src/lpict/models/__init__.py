@@ -1,17 +1,22 @@
 from ..guarded import ResistTag
-from .builtins import BUILTIN_MODELS, builtin_dh, builtin_tls13
 from .core import (
     CAPABILITY_COUNTERS,
     IDEAL,
     NONIDEAL,
     AttackerCapability,
     EnvironmentConfig,
-    EventAssignment,
     ProtocolModel,
     apply_environment,
     with_attackers,
 )
-from .modelfile import bundled_model_text, load_model, render_model
+from .modelfile import (
+    BUILTIN_MODELS,
+    builtin_dh,
+    builtin_tls13,
+    bundled_model_text,
+    load_model,
+    render_model,
+)
 
 __all__ = [
     "BUILTIN_MODELS",
@@ -20,7 +25,6 @@ __all__ = [
     "NONIDEAL",
     "AttackerCapability",
     "EnvironmentConfig",
-    "EventAssignment",
     "ProtocolModel",
     "ResistTag",
     "apply_environment",

@@ -66,28 +66,10 @@ class ProtocolModel:
                 return env
         raise MissingEnvironmentError(f"model {self.name!r} declares no {kind!r} environment")
 
-    def has_environment(self, kind: str) -> bool:
-        return any(env.kind == kind for env in self.environments)
 
-
-@dataclass(frozen=True)
-class EventAssignment:
-    """Per-state truth value of every declared event."""
-
-    values: tuple[tuple[str, tuple[tuple[str, bool], ...]], ...]
-
-    def value(self, state_id: str, event_name: str) -> bool:
-        return dict(self.valuation(state_id))[event_name]
-
-    def valuation(self, state_id: str) -> dict[str, bool]:
-        for sid, events in self.values:
-            if sid == state_id:
-                return dict(events)
-        raise KeyError(state_id)
-
-
-def apply_environment(model: ProtocolModel, env: EnvironmentConfig) -> EventAssignment:
-    """Resolve every event to a boolean under the environment.
+def apply_environment(model: ProtocolModel, env: EnvironmentConfig) -> dict[str, dict[str, bool]]:
+    """Resolve every event to a boolean under the environment, as
+    `{state_id: {event_name: value}}`.
 
     Ideal: everything true. Non-ideal: an event is false iff some attacker
     capability is not countered by one of the event's resistance tags.
@@ -95,17 +77,10 @@ def apply_environment(model: ProtocolModel, env: EnvironmentConfig) -> EventAssi
     if env not in model.environments:
         raise ValidationError(f"environment {env.kind!r} does not belong to model {model.name!r}")
     broken = {CAPABILITY_COUNTERS[cap] for cap in env.attackers}
-    rows = []
-    for state in model.lts.states:
-        rows.append(
-            (
-                state.id,
-                tuple(
-                    (e.name, not bool(broken - e.resists)) for e in state.events
-                ),
-            )
-        )
-    return EventAssignment(tuple(rows))
+    return {
+        state.id: {e.name: not (broken - e.resists) for e in state.events}
+        for state in model.lts.states
+    }
 
 
 def with_attackers(model: ProtocolModel, attackers) -> ProtocolModel:

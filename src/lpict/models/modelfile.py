@@ -23,6 +23,7 @@ The default transition guard is the source-state atom; the default action is
 
 from __future__ import annotations
 
+import functools
 import re
 from importlib import resources
 
@@ -108,11 +109,8 @@ class _ModelReader:
             self.fail("missing protocol declaration", 1)
         if self.initial is None or self.terminal is None:
             self.fail("missing initial or terminal declaration", 1)
-        try:
-            lts = build_guarded_lts(self.states, self.transitions, self.initial, self.terminal)
-            return ProtocolModel(self.protocol, lts, tuple(self.environments))
-        except ValidationError:
-            raise
+        lts = build_guarded_lts(self.states, self.transitions, self.initial, self.terminal)
+        return ProtocolModel(self.protocol, lts, tuple(self.environments))
 
     def line(self, text: str, lineno: int) -> None:
         words = text.split()
@@ -285,17 +283,6 @@ def load_model(source: str) -> ProtocolModel:
     return _ModelReader(source).read()
 
 
-def _default_tree(state: StateNode) -> EventTree | None:
-    """The tree `combine <ops>` (or a bare single leaf) would produce, used to
-    decide whether rendering needs the explicit expr form."""
-    if not state.events:
-        return None
-    ops = _left_deep_ops(state.combine, [e.name for e in state.events])
-    if ops is None:
-        return None
-    return build_event_tree(state.events, ops)
-
-
 def _left_deep_ops(tree: EventTree | None, names: list[str]) -> list[str] | None:
     leaves = []
     ops: list[str] = []
@@ -329,8 +316,8 @@ def _render_state(state: StateNode, seen: dict) -> list[str]:
             parts.append("payload " + " ".join(e.payload.items))
         lines.append(" ".join(parts))
     if state.events and state.combine != EventLeaf(state.events[0].name):
-        if state.combine == _default_tree(state):
-            ops = _left_deep_ops(state.combine, [e.name for e in state.events])
+        ops = _left_deep_ops(state.combine, [e.name for e in state.events])
+        if ops is not None:
             lines.append("  combine " + " ".join(ops))
         else:
             lines.append("  combine expr " + format_formula(_tree_to_formula(state.combine)))
@@ -366,3 +353,22 @@ def bundled_model_text(name: str) -> str:
     """Text of a model file shipped with the package (tls13, dh)."""
     path = resources.files(__package__).joinpath("data").joinpath(f"{name}.model")
     return path.read_text(encoding="utf-8")
+
+
+# Models are frozen, so every caller can share one parse of each file.
+@functools.cache
+def builtin_tls13() -> ProtocolModel:
+    """The TLS 1.3 handshake model, `data/tls13.model`."""
+    return load_model(bundled_model_text("tls13"))
+
+
+@functools.cache
+def builtin_dh() -> ProtocolModel:
+    """The Diffie-Hellman exchange model, `data/dh.model`."""
+    return load_model(bundled_model_text("dh"))
+
+
+BUILTIN_MODELS = {
+    "tls13": builtin_tls13,
+    "dh": builtin_dh,
+}

@@ -62,46 +62,29 @@ def _env_report(env: EnvironmentConfig, outcome: AnalysisOutcome) -> Environment
     )
 
 
-def _proofs_report(entailment: EntailmentResult, sequent_text: str) -> ProofsReport | None:
-    if entailment.forward is None or entailment.contradiction is None:
+def _proofs_report(entailment: EntailmentResult | None) -> ProofsReport | None:
+    if entailment is None or not entailment.holds:
         return None
     return ProofsReport(
-        sequent=sequent_text,
+        sequent=render_sequent(entailment.sequent),
         forward=render_proof_table(entailment.forward),
         contradiction=render_proof_table(entailment.contradiction),
     )
 
 
-def build_single_report(model, env, outcome, entailment=None, duration_ms=None) -> AnalysisReport:
-    from .analysis import entailment_judgment
-
-    proofs = None
-    if outcome.judgments.entailment:
-        ent = entailment if entailment is not None else entailment_judgment(model.lts)
-        proofs = _proofs_report(ent, _sequent_text(model))
+def build_single_report(model, env, outcome: AnalysisOutcome, duration_ms=None) -> AnalysisReport:
     return AnalysisReport(
         model=model.name,
         mode=env.kind,
         environments=(_env_report(env, outcome),),
         matched=None,
         secure=outcome.secure,
-        proofs=proofs,
+        proofs=_proofs_report(outcome.entailment),
         duration_ms=duration_ms,
     )
 
 
-def _sequent_text(model) -> str:
-    from .analysis import entailment_sequent
-
-    return render_sequent(entailment_sequent(model.lts))
-
-
 def build_dual_report(model, verdict: DualVerdict, duration_ms=None) -> AnalysisReport:
-    from .analysis import entailment_judgment
-
-    proofs = None
-    if verdict.ideal.judgments.entailment or verdict.nonideal.judgments.entailment:
-        proofs = _proofs_report(entailment_judgment(model.lts), _sequent_text(model))
     return AnalysisReport(
         model=model.name,
         mode="dual",
@@ -111,7 +94,7 @@ def build_dual_report(model, verdict: DualVerdict, duration_ms=None) -> Analysis
         ),
         matched=verdict.matched,
         secure=verdict.secure,
-        proofs=proofs,
+        proofs=_proofs_report(verdict.ideal.entailment or verdict.nonideal.entailment),
         duration_ms=duration_ms,
     )
 

@@ -88,6 +88,20 @@ def test_reduce_steps(capsys):
     assert "(stuck)" in out
 
 
+def test_deep_nesting_is_exit_2(tmp_path, capsys):
+    # exit 1 means "flawed", so a crash on deeply nested input must not exit 1
+    term = "(" * 1200 + "0" + ")" * 1200
+    code, out, err = run(capsys, "reduce", "--term", term)
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    path = tmp_path / "deep_guard.model"
+    text = render_model(builtin_dh())
+    path.write_text(text.replace("action exchange1", "action exchange1 when " + "!" * 1500 + "Init"), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--model", str(path), "--dual")
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_reduce_parse_error(capsys):
     code, _, err = run(capsys, "reduce", "--term", "x((")
     assert code == 2

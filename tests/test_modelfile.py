@@ -4,7 +4,6 @@ from lpict.errors import ParseError, ValidationError
 from lpict.models import (
     builtin_dh,
     builtin_tls13,
-    bundled_model_text,
     load_model,
     render_model,
 )
@@ -33,11 +32,6 @@ def test_load_minimal():
     assert [s.id for s in model.lts.states] == ["A", "B"]
     assert model.lts.transitions[0].action == "A->B"
     assert model.environment("nonideal").attackers
-
-
-def test_bundled_files_equal_builtins():
-    assert load_model(bundled_model_text("tls13")) == builtin_tls13()
-    assert load_model(bundled_model_text("dh")) == builtin_dh()
 
 
 def test_render_load_roundtrip():

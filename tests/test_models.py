@@ -11,6 +11,44 @@ from lpict.models import (
     with_attackers,
 )
 from lpict.models.core import CAPABILITY_COUNTERS
+from lpict.trees import EventLeaf, EventOp, build_event_tree
+
+_HELLO = {"replay", "mitm", "forward_secrecy", "integrity", "identity_auth", "selection_sync"}
+_SERVER = _HELLO | {"confidentiality", "verification"}
+_CERT = {"replay", "mitm", "identity_auth", "verification"}
+_DATA = {"replay", "mitm", "verification"}
+_AND = "every event joined by and, left-deep"
+_TAUTOLOGY = EventOp("or", EventLeaf("ApplicationData"), EventLeaf("ApplicationData", negated=True))
+
+# Every state of the built-in models: the resist tags of each of its events
+# and its event tree.
+BUILTIN_STATES = [
+    (builtin_tls13, "S1", _HELLO, _AND),
+    (builtin_tls13, "S2", _SERVER, _AND),
+    (builtin_tls13, "S3", _SERVER, _AND),
+    (builtin_tls13, "S4", _CERT, _AND),
+    (builtin_tls13, "S5", _CERT, _AND),
+    (builtin_tls13, "S6", _DATA, _TAUTOLOGY),
+    (builtin_tls13, "S_end", _DATA, _TAUTOLOGY),
+    (builtin_dh, "Init", {"confidentiality", "identity_auth", "integrity", "mitm"}, EventLeaf("random_nonce")),
+    (builtin_dh, "ExchangeA", {"confidentiality"}, EventLeaf("public_value_send")),
+    (builtin_dh, "ExchangeB", {"confidentiality"}, EventLeaf("public_value_receive")),
+    (builtin_dh, "Done", {"confidentiality", "integrity"}, EventLeaf("shared_secret_derive")),
+]
+
+
+@pytest.mark.parametrize(
+    "model_ctor, state_id, resists, tree",
+    BUILTIN_STATES,
+    ids=[f"{ctor.__name__}-{sid}" for ctor, sid, _, _ in BUILTIN_STATES],
+)
+def test_builtin_state_tags_and_trees(model_ctor, state_id, resists, tree):
+    state = model_ctor().lts.state(state_id)
+    for event in state.events:
+        assert {tag.value for tag in event.resists} == resists, event.name
+    if tree == _AND:
+        tree = build_event_tree(state.events, ["and"] * (len(state.events) - 1))
+    assert state.combine == tree
 
 
 def test_tls_state_layout():
@@ -62,27 +100,27 @@ def test_ideal_assignment_all_true():
     for model in (builtin_tls13(), builtin_dh()):
         assignment = apply_environment(model, model.environment("ideal"))
         for state in model.lts.states:
-            assert all(assignment.valuation(state.id).values())
+            assert all(assignment[state.id].values())
 
 
 def test_tls_nonideal_replay_mitm_all_true():
     model = builtin_tls13()
     assignment = apply_environment(model, model.environment("nonideal"))
     for state in model.lts.states:
-        assert all(assignment.valuation(state.id).values())
+        assert all(assignment[state.id].values())
 
 
 def test_dh_mitm_falsifies_exchange():
     model = builtin_dh()
     assignment = apply_environment(model, model.environment("nonideal"))
-    assert assignment.value("Init", "random_nonce") is True
-    assert assignment.value("ExchangeA", "public_value_send") is False
+    assert assignment["Init"]["random_nonce"] is True
+    assert assignment["ExchangeA"]["public_value_send"] is False
 
 
 def test_dh_replay_falsifies_nonce():
     model = with_attackers(builtin_dh(), ["replay"])
     assignment = apply_environment(model, model.environment("nonideal"))
-    assert assignment.value("Init", "random_nonce") is False
+    assert assignment["Init"]["random_nonce"] is False
 
 
 def test_dh_has_no_forward_secrecy_anywhere():
@@ -103,9 +141,9 @@ def test_attacker_monotonicity():
         a_small = apply_environment(small, small.environment("nonideal"))
         a_large = apply_environment(large, large.environment("nonideal"))
         for state in model.lts.states:
-            for name, value in a_small.valuation(state.id).items():
+            for name, value in a_small[state.id].items():
                 if not value:
-                    assert a_large.value(state.id, name) is False
+                    assert a_large[state.id][name] is False
 
 
 def test_capability_counter_map():

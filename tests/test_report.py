@@ -1,4 +1,6 @@
+import lpict.analysis
 from lpict.analysis import analyze_protocol, dual_environment_verdict
+from lpict.cli import run_cli
 from lpict.models import builtin_dh, builtin_tls13
 from lpict.report import (
     build_dual_report,
@@ -108,3 +110,25 @@ def test_machine_and_human_forms_carry_same_facts():
         assert " ".join(env.trace) in text
     assert rebuilt.proofs.forward in text
     assert rebuilt.proofs.contradiction in text
+
+
+def test_entailment_judged_once_per_dual_command(monkeypatch, capsys):
+    calls = []
+    judge = lpict.analysis.entailment_judgment
+
+    def counting(lts):
+        calls.append(lts)
+        return judge(lts)
+
+    monkeypatch.setattr(lpict.analysis, "entailment_judgment", counting)
+    assert run_cli(["analyze", "--model", "tls13", "--dual"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    model = builtin_tls13()
+    env = model.environment("ideal")
+    verdict = dual_environment_verdict(model)
+    outcome = analyze_protocol(model, env)
+    calls.clear()
+    render_report(build_dual_report(model, verdict), "text")
+    render_report(build_single_report(model, env, outcome), "structured")
+    assert calls == []
