@@ -13,7 +13,6 @@ and non-ideal runs is a substring match over the recorded trace symbols.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -82,31 +81,15 @@ class DualVerdict:
 
 def chain_states(lts: GuardedLTS) -> list[str]:
     """State ids along the single transition chain from initial to terminal."""
-    order = [lts.initial]
-    seen = {lts.initial}
-    cur = lts.initial
-    while cur != lts.terminal:
-        outs = lts.outgoing(cur)
-        if len(outs) > 1:
-            raise BranchingPathError(f"state {cur!r} has {len(outs)} outgoing transitions")
-        if not outs:
-            raise BranchingPathError(f"chain breaks at {cur!r} before reaching the terminal")
-        cur = outs[0].target
-        if cur in seen:
-            raise BranchingPathError(f"transition cycle through {cur!r}")
-        seen.add(cur)
-        order.append(cur)
-    if lts.outgoing(cur):
-        raise BranchingPathError(f"terminal state {cur!r} has outgoing transitions")
-    return order
+    return [s.id for s in lts.chain]
 
 
 def build_state_tree(lts: GuardedLTS) -> StateTreeNode:
     """Right-spine tree in chain order; each spine node carries its state's
     event tree."""
     node: StateTreeNode | None = None
-    for sid in reversed(chain_states(lts)):
-        node = StateTreeNode(sid, lts.state(sid).combine, node)
+    for state in reversed(lts.chain):
+        node = StateTreeNode(state.id, state.combine, node)
     assert node is not None
     return node
 
@@ -118,42 +101,28 @@ def _first_false_leaf(tree, valuation) -> str:
     raise ValidationError("no false leaf in a false tree")  # pragma: no cover
 
 
-def _reachability(lts: GuardedLTS) -> dict[str, set[str]]:
-    reach: dict[str, set[str]] = {s.id: set() for s in lts.states}
-    for t in lts.transitions:
-        reach[t.source].add(t.target)
-    for mid in reach:
-        for src in reach:
-            if mid in reach[src]:
-                reach[src] |= reach[mid]
-    return reach
-
-
 def partial_order_check(trace: Sequence, lts: GuardedLTS) -> bool:
     """The visited sequence is strictly increasing under the reflexive
     transitive closure of the transition relation: no repeats, every later
-    state reachable from every earlier one, never the other way round."""
+    state reachable from every earlier one, never the other way round. On a
+    chain that is strictly increasing chain position, so consecutive pairs
+    decide it. Raises BranchingPathError when the transitions are not a
+    chain, ValidationError for a state that is not on it."""
     ids = [sym.state if isinstance(sym, TraceSymbol) else sym for sym in trace]
-    known = set(lts.state_ids)
+    position = {state.id: i for i, state in enumerate(lts.chain)}
     for sid in ids:
-        if sid not in known:
-            raise ValidationError(f"trace mentions unknown state {sid!r}")
-    reach = _reachability(lts)
-    for i, j in itertools.combinations(range(len(ids)), 2):
-        a, b = ids[i], ids[j]
-        if a == b or b not in reach[a] or a in reach[b]:
-            return False
-    return True
+        if sid not in position:
+            raise ValidationError(f"trace mentions state {sid!r}, which is not on the chain")
+    return all(position[a] < position[b] for a, b in zip(ids, ids[1:]))
 
 
 def entailment_sequent(lts: GuardedLTS) -> Sequent:
     """The chain encoded as a sequent: the initial state plus one implication
     per transition entail the terminal state."""
     for state in lts.states:
-        if len(lts.outgoing(state.id)) > 1:
-            raise BranchingPathError(
-                f"state {state.id!r} has {len(lts.outgoing(state.id))} outgoing transitions"
-            )
+        outs = lts.outgoing(state.id)
+        if len(outs) > 1:
+            raise BranchingPathError(f"state {state.id!r} has {len(outs)} outgoing transitions")
     premises = tuple(
         [Atom(lts.initial)]
         + [Implies(Atom(t.source), Atom(t.target)) for t in lts.transitions]

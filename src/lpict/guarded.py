@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
-from .errors import ValidationError
+from .errors import BranchingPathError, ValidationError
 from .logic.formulas import Atom, Formula, Valuation, atoms, eval_formula
 from .logic.search import search_forward_chain
 from .logic.semantics import semantic_entails
@@ -75,23 +76,57 @@ class GuardedTransition:
 
 @dataclass(frozen=True)
 class GuardedLTS:
+    """The indexes below are built on first use and cached on the instance;
+    they take no part in equality or hashing."""
+
     states: tuple[StateNode, ...]
     transitions: tuple[GuardedTransition, ...]
     initial: str
     terminal: str
 
+    @cached_property
+    def _by_id(self) -> dict[str, StateNode]:
+        return {s.id: s for s in self.states}
+
+    @cached_property
+    def _outgoing(self) -> dict[str, tuple[GuardedTransition, ...]]:
+        out: dict[str, list[GuardedTransition]] = {}
+        for t in self.transitions:
+            out.setdefault(t.source, []).append(t)
+        return {source: tuple(ts) for source, ts in out.items()}
+
     def state(self, state_id: str) -> StateNode:
-        for s in self.states:
-            if s.id == state_id:
-                return s
-        raise KeyError(state_id)
+        return self._by_id[state_id]
 
     def outgoing(self, state_id: str) -> tuple[GuardedTransition, ...]:
-        return tuple(t for t in self.transitions if t.source == state_id)
+        return self._outgoing.get(state_id, ())
 
     @property
     def state_ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.states)
+
+    @cached_property
+    def chain(self) -> tuple[StateNode, ...]:
+        """States along the single transition chain from initial to terminal.
+        Raises BranchingPathError when the transitions do not form one."""
+        outgoing = self._outgoing
+        order = [self.initial]
+        seen = {self.initial}
+        cur = self.initial
+        while cur != self.terminal:
+            outs = outgoing.get(cur, ())
+            if len(outs) > 1:
+                raise BranchingPathError(f"state {cur!r} has {len(outs)} outgoing transitions")
+            if not outs:
+                raise BranchingPathError(f"chain breaks at {cur!r} before reaching the terminal")
+            cur = outs[0].target
+            if cur in seen:
+                raise BranchingPathError(f"transition cycle through {cur!r}")
+            seen.add(cur)
+            order.append(cur)
+        if cur in outgoing:
+            raise BranchingPathError(f"terminal state {cur!r} has outgoing transitions")
+        return tuple(self._by_id[sid] for sid in order)
 
 
 def build_guarded_lts(states, transitions, initial: str, terminal: str) -> GuardedLTS:
@@ -143,19 +178,18 @@ def build_guarded_lts(states, transitions, initial: str, terminal: str) -> Guard
                 f"guard of {t.source}->{t.target} references unknown atom {sorted(loose)[0]!r}"
             )
 
+    lts = GuardedLTS(states, transitions, initial, terminal)
     reached = {initial}
     frontier = [initial]
     while frontier:
-        cur = frontier.pop()
-        for t in transitions:
-            if t.source == cur and t.target not in reached:
+        for t in lts._outgoing.get(frontier.pop(), ()):
+            if t.target not in reached:
                 reached.add(t.target)
                 frontier.append(t.target)
     unreachable = known - reached
     if unreachable:
         raise ValidationError(f"state {sorted(unreachable)[0]!r} is unreachable from {initial!r}")
-
-    return GuardedLTS(states, transitions, initial, terminal)
+    return lts
 
 
 def _derivable(facts: tuple[Formula, ...], goal: Formula) -> bool:

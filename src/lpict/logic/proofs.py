@@ -67,9 +67,8 @@ def check_proof(sequent: Sequent, proof: Proof) -> CheckResult:
     refutation = isinstance(proof.lines[-1].formula, Falsum) and not isinstance(
         sequent.conclusion, Falsum
     )
-    allowed_assumptions = set(sequent.premises)
-    if refutation:
-        allowed_assumptions.add(Not(sequent.conclusion))
+    premises = set(sequent.premises)
+    allowed_assumptions = premises | {Not(sequent.conclusion)} if refutation else premises
 
     by_index: dict[int, ProofLine] = {}
     for pos, line in enumerate(proof.lines, start=1):
@@ -77,7 +76,7 @@ def check_proof(sequent: Sequent, proof: Proof) -> CheckResult:
             return _invalid(line.index, f"line numbered {line.index}, expected {pos}")
         if any(r >= line.index or r < 1 for r in line.refs):
             return _invalid(line.index, "references must point to earlier lines")
-        verdict = _check_line(line, sequent, allowed_assumptions, by_index)
+        verdict = _check_line(line, premises, allowed_assumptions, by_index)
         if verdict is not None:
             return verdict
         by_index[line.index] = line
@@ -92,10 +91,10 @@ def check_proof(sequent: Sequent, proof: Proof) -> CheckResult:
     return CheckResult(True)
 
 
-def _check_line(line, sequent, allowed_assumptions, by_index) -> CheckResult | None:
+def _check_line(line, premises, allowed_assumptions, by_index) -> CheckResult | None:
     rule = line.rule
     if rule is Rule.PREMISE:
-        if line.formula not in sequent.premises:
+        if line.formula not in premises:
             return _invalid(line.index, "premise not among the sequent's premises")
         return None
     if rule is Rule.ASSUMPTION:

@@ -17,8 +17,6 @@ from .formulas import FALSUM, Atom, Formula, Implies, Not
 from .proofs import Proof, ProofLine, Rule, Sequent, check_proof
 from .semantics import semantic_entails
 
-DEPTH_BOUND = 64
-
 
 def _chain_to(premises: tuple[Formula, ...], goal: Formula) -> list[Implies] | None:
     """Shortest implication path from some premise to the goal.
@@ -33,12 +31,10 @@ def _chain_to(premises: tuple[Formula, ...], goal: Formula) -> list[Implies] | N
         if isinstance(p, Implies):
             edges.setdefault(p.left, []).append(p)
     back: dict[Formula, Implies] = {}
-    queue: deque[tuple[Formula, int]] = deque((p, 0) for p in premises)
+    queue: deque[Formula] = deque(premises)
     seen = set(premises)
     while queue:
-        fact, depth = queue.popleft()
-        if depth >= DEPTH_BOUND:
-            continue
+        fact = queue.popleft()
         for imp in edges.get(fact, ()):
             if imp.right in seen:
                 continue
@@ -52,7 +48,7 @@ def _chain_to(premises: tuple[Formula, ...], goal: Formula) -> list[Implies] | N
                 path.reverse()
                 return path
             seen.add(imp.right)
-            queue.append((imp.right, depth + 1))
+            queue.append(imp.right)
     return None
 
 

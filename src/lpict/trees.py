@@ -9,6 +9,7 @@ event-tree nodes.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Union
 
@@ -86,9 +87,9 @@ def eval_event_tree(tree: EventTree, valuation) -> bool:
 def bfs_traverse(tree) -> list:
     """Level-order traversal of an event tree or a state tree."""
     out = []
-    queue = [tree]
+    queue = deque([tree])
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         out.append(node)
         if isinstance(node, StateTreeNode):
             if node.events is not None:

@@ -11,10 +11,13 @@ from lpict.analysis import (
     trace_line,
 )
 from lpict.errors import BranchingPathError, ValidationError
-from lpict.guarded import Event, Guard, GuardedTransition, StateNode, build_guarded_lts
+from lpict.guarded import Event, Guard, GuardedTransition, ResistTag, StateNode, build_guarded_lts
 from lpict.logic.formulas import Atom
+from lpict.logic.proofs import check_proof
 from lpict.models import (
+    AttackerCapability,
     EnvironmentConfig,
+    ProtocolModel,
     builtin_dh,
     builtin_tls13,
     with_attackers,
@@ -67,6 +70,8 @@ def test_branching_rejected():
     with pytest.raises(BranchingPathError):
         build_state_tree(lts)
     with pytest.raises(BranchingPathError):
+        partial_order_check(["A", "B", "C"], lts)
+    with pytest.raises(BranchingPathError):
         entailment_judgment(lts)
 
 
@@ -76,6 +81,9 @@ def test_partial_order_check():
     assert partial_order_check(ids, lts) is True
     assert partial_order_check(["S1", "S3", "S2"], lts) is False
     assert partial_order_check(["S1", "S1"], lts) is False
+    assert partial_order_check(["S1", "S3", "S7"], lts) is True  # skipping keeps the order
+    assert partial_order_check(["S2", "S5", "S4", "S6"], lts) is False
+    assert partial_order_check([], lts) is True
     with pytest.raises(ValidationError):
         partial_order_check(["S1", "S99"], lts)
 
@@ -244,3 +252,51 @@ def test_tautology_tree_keeps_verdict_but_breaks_match():
     assert s6.value is True and s6.event_values == (False, True)
     assert verdict.matched is False
     assert verdict.secure is False
+
+
+def chain_model(n, planted_at=None):
+    """An n-state chain whose events resist replay and mitm, except the one
+    event of state `planted_at`, which lacks mitm resistance."""
+    full = frozenset({ResistTag.REPLAY, ResistTag.MITM})
+    ids = [f"C{i}" for i in range(1, n + 1)]
+    states = [
+        StateNode(
+            s,
+            (Event(f"ev_{s}", full - {ResistTag.MITM} if s == planted_at else full),),
+            EventLeaf(f"ev_{s}"),
+        )
+        for s in ids
+    ]
+    transitions = [
+        GuardedTransition(a, f"{a}->{b}", b, Guard(Atom(a))) for a, b in zip(ids, ids[1:])
+    ]
+    attackers = frozenset({AttackerCapability.REPLAY, AttackerCapability.MITM})
+    return ProtocolModel(
+        f"chain{n}",
+        build_guarded_lts(states, transitions, ids[0], ids[-1]),
+        (EnvironmentConfig("ideal"), EnvironmentConfig("nonideal", attackers)),
+    )
+
+
+@pytest.mark.parametrize("n", [66, 1000])
+def test_long_chain_is_secure_with_full_proofs(n):
+    # no depth limit: a chain of n states is proved through k = n - 1 implications
+    verdict = dual_environment_verdict(chain_model(n))
+    assert verdict.secure is True
+    entailment = verdict.ideal.entailment
+    assert verdict.nonideal.entailment is entailment and entailment.holds
+    k = n - 1
+    assert len(entailment.forward) == 2 * k + 1
+    assert len(entailment.contradiction) == 2 * k + 3
+    assert check_proof(entailment.sequent, entailment.forward).valid
+    assert check_proof(entailment.sequent, entailment.contradiction).valid
+    assert verdict.ideal.judgments.partial_order and verdict.nonideal.judgments.partial_order
+
+
+def test_planted_long_chain_names_failing_state():
+    verdict = dual_environment_verdict(chain_model(400, planted_at="C237"))
+    assert verdict.ideal.secure and verdict.ideal.entailment.holds
+    assert verdict.nonideal.verdict == "flawed"
+    assert verdict.nonideal.failing == ("C237", "ev_C237")
+    assert len(verdict.nonideal.trace) == 237
+    assert verdict.matched is False and verdict.secure is False

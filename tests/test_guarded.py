@@ -202,3 +202,23 @@ def test_event_tree_fold_exhaustive(rng):
             for op, name in zip(ops, names[1:]):
                 direct = (direct and valuation[name]) if op == "and" else (direct or valuation[name])
             assert eval_event_tree(tree, valuation) == direct
+
+
+def test_index_contract():
+    lts = chain_lts(4)
+    with pytest.raises(KeyError):
+        lts.state("nope")
+    assert lts.state("S3").id == "S3"
+    assert lts.outgoing("S4") == ()  # the terminal state
+    assert lts.outgoing("nope") == ()
+    assert [s.id for s in lts.chain] == ["S1", "S2", "S3", "S4"]
+
+
+def test_index_leaves_equality_and_hash_alone():
+    queried, fresh = chain_lts(4), chain_lts(4)
+    queried.state("S2")
+    queried.outgoing("S1")
+    assert queried.chain
+    assert queried == fresh
+    assert hash(queried) == hash(fresh)
+    assert {queried: 1}[fresh] == 1
