@@ -4,12 +4,13 @@ A term is normalized into prenex shape: restrictions hoisted to the front of
 each parallel level (scope extrusion), nil components dropped, parallel
 compositions flattened, and any component that duplicates the body of a
 sibling replication absorbed back into it (the unfolding law read
-right-to-left). Canonical comparison keys are alpha-invariant (bound names
-become binder indices) and minimize over permutations of each level's
-binders, so congruent terms get equal keys.
+right-to-left). Canonical keys are alpha-invariant (bound names become
+binder indices) and label each level's restrictions by
+individualization-refinement, so two terms get equal keys exactly when they
+are congruent, whatever the number of binders.
 
-`standard_form` rebuilds a concrete term from the normalized structure with
-sorted components and canonically renamed binders.
+`standard_form` decodes the canonical key back into a term, with sorted
+components and canonically named binders.
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ from .terms import (
     fresh_name,
     substitute,
 )
-
-_PERM_CAP = 6  # brute-force binder permutations per level up to this many
-
 
 def level_parts(p: Process, keep_nil: bool = False) -> tuple[tuple[str, ...], tuple[Process, ...]]:
     """Split a term into its restriction prefix and flattened parallel components."""
@@ -72,38 +70,135 @@ def assemble(binders, comps) -> Process:
 
 # ---------------------------------------------------------------------------
 # Canonical keys
+#
+# A key is the term with every name replaced by its key in `env`: ("b", i)
+# for a name bound at depth i, ("f", n) for a free name n. Receive
+# parameters take the next depths; the restrictions of a level are labelled
+# by `_canon_parts`.
 
 
-def _name_key(n: str, env: dict[str, int]):
-    if n in env:
-        return ("b", env[n])
-    return ("f", n)
+def _name_key(n: str, env: dict[str, tuple]):
+    return env.get(n) or ("f", n)
 
 
-def _level_key(p: Process, env: dict[str, int], depth: int):
-    binders, comps = level_parts(p)
-    fn = set().union(*(free_names(c) for c in comps)) if comps else set()
-    binders = tuple(b for b in binders if b in fn)
-    k = len(binders)
-    if k == 0:
-        return ("lvl", 0, tuple(sorted(_comp_key(c, env, depth) for c in comps)))
-    best = None
-    perms = (
-        itertools.permutations(range(k))
-        if k <= _PERM_CAP
-        else [tuple(range(k))]  # beyond the cap, keep declaration order
-    )
-    for perm in perms:
-        env2 = dict(env)
-        for i, b in enumerate(binders):
-            env2[b] = depth + perm[i]
-        cand = ("lvl", k, tuple(sorted(_comp_key(c, env2, depth + k) for c in comps)))
-        if best is None or cand < best:
-            best = cand
-    return best
+def _level_key(p: Process, env: dict[str, tuple], depth: int):
+    if isinstance(p, Nil):
+        return ()
+    return tuple(key for key, _, _ in _canon_parts(*level_parts(p), env, depth))
 
 
-def _comp_key(c: Process, env: dict[str, int], depth: int):
+def _canon_parts(binders, comps, env: dict[str, tuple], depth: int):
+    """Canonically label the binders over the components. Components are
+    linked when they share one of the binders; each connected group is
+    labelled on its own and the groups come out ordered by key, as (key,
+    binders, components)."""
+    bset = set(binders)
+    uses = [free_names(c) & bset for c in comps] if bset else [frozenset()] * len(comps)
+    by_binder: dict[str, list[int]] = {b: [] for b in binders}
+    for i, cb in enumerate(uses):
+        for b in cb:
+            by_binder[b].append(i)
+    groups = []
+    seen: set[int] = set()
+    for i, c in enumerate(comps):
+        if not uses[i]:
+            groups.append(((0, (_comp_key(c, env, depth),)), [], [c]))
+            continue
+        if i in seen:
+            continue
+        seen.add(i)
+        members, gb, stack = [i], set(uses[i]), list(uses[i])
+        while stack:
+            for j in by_binder[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    members.append(j)
+                    stack.extend(uses[j] - gb)
+                    gb |= uses[j]
+        bs = [b for b in binders if b in gb]
+        cs = [comps[j] for j in members]
+        groups.append((_canon_group(bs, cs, [uses[j] for j in members], env, depth), bs, cs))
+    return sorted(groups, key=lambda g: g[0])
+
+
+def _canon_group(bs, cs, uses, env, depth):
+    """Individualization-refinement labelling of one connected group
+    (McKay and Piperno, Practical Graph Isomorphism II, 2014). Binders are
+    colour-refined by the keys of the components they occur in; a tied
+    binder is individualized and the partition refined again, down to
+    discrete labellings, and the least certificate among these leaves
+    labels the group. A tied binder is skipped when an automorphism of the
+    group that fixes the individualized binders maps one already explored
+    to it, since both subtrees then give the same leaves: a swap of the two
+    that is an automorphism, or one composed of those that two leaves with
+    equal certificates have shown."""
+    inner = depth + len(bs)
+    occ = {b: [i for i, cb in enumerate(uses) if b in cb] for b in bs}
+    base = {**env, **{b: ("b", depth + i) for i, b in enumerate(bs)}}
+    base_keys: dict[int, tuple] = {}
+    best: list = []  # [certificate, binders in label order]
+    autos: list[dict[str, str]] = []
+
+    def refine(colour):
+        while True:
+            env2 = {**env, **{b: ("c", colour[b]) for b in bs}}
+            sig = {}
+            for b in bs:
+                env2[b] = ("*",)
+                sig[b] = (colour[b], tuple(sorted(_comp_key(cs[i], env2, inner) for i in occ[b])))
+                env2[b] = ("c", colour[b])
+            rank = {s: r for r, s in enumerate(sorted(set(sig.values())))}
+            refined = {b: rank[sig[b]] for b in bs}
+            if len(rank) == len(set(colour.values())):
+                return refined
+            colour = refined
+
+    def swap_is_automorphism(u, v):
+        affected = set(occ[u]) | set(occ[v])
+        for i in affected - base_keys.keys():
+            base_keys[i] = _comp_key(cs[i], base, inner)
+        swapped = {**base, u: base[v], v: base[u]}
+        return sorted(base_keys[i] for i in affected) == sorted(_comp_key(cs[i], swapped, inner) for i in affected)
+
+    def orbit(seeds, path):
+        gens = [g for g in autos if all(g[x] == x for x in path)]
+        seen, stack = set(seeds), list(seeds)
+        while stack:
+            x = stack.pop()
+            for g in gens:
+                if g[x] not in seen:
+                    seen.add(g[x])
+                    stack.append(g[x])
+        return seen
+
+    def search(colour, path):
+        if len(set(colour.values())) < len(bs):
+            colour = refine(colour)
+        cells: dict[int, list[str]] = {}
+        for b in bs:
+            cells.setdefault(colour[b], []).append(b)
+        if len(cells) == len(bs):
+            order = sorted(bs, key=colour.__getitem__)
+            leaf = {**env, **{b: ("b", depth + i) for i, b in enumerate(order)}}
+            cert = tuple(sorted(_comp_key(c, leaf, inner) for c in cs))
+            if best and cert == best[0]:
+                autos.append(dict(zip(best[1], order)))
+            elif not best or cert < best[0]:
+                best[:] = [cert, order]
+            return
+        target = min((len(cell), col) for col, cell in cells.items() if len(cell) > 1)[1]
+        explored: list[str] = []
+        for v in cells[target]:
+            if any(swap_is_automorphism(u, v) for u in explored) or v in orbit(explored, path):
+                continue
+            explored.append(v)
+            search({b: 2 * colour[b] + (b != v) for b in bs}, path + [v])
+
+    search({b: 0 for b in bs}, [])
+    return (len(bs), best[0])
+
+
+def _comp_key(c: Process, env: dict[str, tuple], depth: int):
     if isinstance(c, Sum):
         return (0, tuple(sorted(_branch_key(pi, cont, env, depth) for pi, cont in c.branches)))
     if isinstance(c, Bang):
@@ -111,7 +206,7 @@ def _comp_key(c: Process, env: dict[str, int], depth: int):
     raise TypeError(f"unnormalized component: {c!r}")
 
 
-def _branch_key(pi, cont: Process, env: dict[str, int], depth: int):
+def _branch_key(pi, cont: Process, env: dict[str, tuple], depth: int):
     if isinstance(pi, Tau):
         return (("t",), _level_key(cont, env, depth))
     if isinstance(pi, Send):
@@ -119,7 +214,7 @@ def _branch_key(pi, cont: Process, env: dict[str, int], depth: int):
         return (pk, _level_key(cont, env, depth))
     env2 = dict(env)
     for i, prm in enumerate(pi.params):
-        env2[prm] = depth + i
+        env2[prm] = ("b", depth + i)
     pk = ("r", _name_key(pi.channel, env), len(pi.params))
     return (pk, _level_key(cont, env2, depth + len(pi.params)))
 
@@ -135,6 +230,8 @@ def normalize(p: Process) -> Process:
 
 
 def _norm_term(p: Process, used: set[str]) -> Process:
+    if isinstance(p, Nil):
+        return p
     binders, comps = _prenex(p, used)
     binders, comps = _finalize_level(binders, comps)
     return assemble(binders, comps)
@@ -154,12 +251,13 @@ def _prenex(p: Process, used: set[str]) -> tuple[list[str], list[Process]]:
         return lb + rb, lc + rc
     if isinstance(p, Restrict):
         bb, cc = _prenex(p.body, used)
-        if not any(p.name in free_names(c) for c in cc):
+        holders = [i for i, c in enumerate(cc) if p.name in free_names(c)]
+        if not holders:
             return bb, cc
         nx = fresh_name(p.name, used)
         used.add(nx)
-        if nx != p.name:
-            cc = [substitute(c, {p.name: nx}) for c in cc]
+        for i in holders:
+            cc[i] = substitute(cc[i], {p.name: nx})
         return [nx] + bb, cc
     raise TypeError(f"not a process term: {p!r}")
 
@@ -174,48 +272,39 @@ def _finalize_level(binders: list[str], comps: list[Process]) -> tuple[list[str]
 
 
 def _drop_unused(binders, comps):
-    fn = set().union(*(free_names(c) for c in comps)) if comps else set()
+    fn = set().union(*(free_names(c) for c in comps)) if binders and comps else set()
     return [b for b in binders if b in fn], list(comps)
 
 
 def _absorb_once(binders: list[str], comps: list[Process]):
     """Remove one replication copy: new B' (!Q | Q') == !Q when Q' is Q with
-    its own restrictions extruded as B'. Returns the reduced level or None."""
-    env0 = {b: i for i, b in enumerate(binders)}
+    its own restrictions extruded as B'. Returns the reduced level or None.
+
+    The level binders free in !Q stay; any other binder that Q' uses is one
+    of B' and occurs nowhere else. So Q' is a union of the groups that the
+    other binders link, and Q is found when the keys of some of these groups
+    match the keys of the groups of Q."""
+    env = {b: ("b", i) for i, b in enumerate(binders)}
     depth = len(binders)
     for gi, g in enumerate(comps):
-        if not isinstance(g, Bang):
+        if not isinstance(g, Bang) or isinstance(g.body, Nil):
             continue
-        gb, gc = level_parts(g.body)
-        if not gc:
-            continue
-        others = [(j, c) for j, c in enumerate(comps) if j != gi]
-        if len(gb) > len(binders) or len(gc) > len(others):
-            continue
-        for chosen in itertools.permutations(range(len(binders)), len(gb)):
-            env_t = dict(env0)
-            for i, name in enumerate(gb):
-                env_t[name] = chosen[i]
-            targets = [_comp_key(c, env_t, depth) for c in gc]
-            available: dict = {}
-            for j, c in others:
-                available.setdefault(_comp_key(c, env0, depth), []).append(j)
-            removed: list[int] = []
-            ok = True
-            for t in targets:
-                slots = available.get(t)
-                if not slots:
-                    ok = False
-                    break
-                removed.append(slots.pop())
-            if not ok:
-                continue
-            prime = {binders[i] for i in chosen}
-            keep = [c for j, c in enumerate(comps) if j not in removed]
-            if any(prime & free_names(c) for c in keep):
-                continue
-            new_binders = [b for b in binders if b not in prime]
-            return new_binders, keep
+        others = comps[:gi] + comps[gi + 1 :]
+        free = free_names(g)
+        available: dict = {}
+        for group in _canon_parts([b for b in binders if b not in free], others, env, depth):
+            available.setdefault(group[0], []).append(group)
+        chosen = []
+        for key, _, _ in _canon_parts(*level_parts(g.body), env, depth):
+            if not available.get(key):
+                break
+            chosen.append(available[key].pop())
+        else:
+            prime = {b for _, bs, _ in chosen for b in bs}
+            for _, _, cs in chosen:
+                for c in cs:
+                    others.remove(c)
+            return [b for b in binders if b not in prime], others + [g]
     return None
 
 
@@ -223,104 +312,61 @@ def _absorb_once(binders: list[str], comps: list[Process]):
 # Public operations
 
 
+def canonical_key(p: Process):
+    """A hashable key that two terms share exactly when they are
+    structurally congruent."""
+    return _level_key(normalize(p), {}, 0)
+
+
 def structurally_congruent(p: Process, q: Process) -> bool:
     """Decide p == q under alpha-conversion, the parallel/sum monoid laws,
     scope extrusion, and replication unfolding."""
-    return _level_key(normalize(p), {}, 0) == _level_key(normalize(q), {}, 0)
+    return canonical_key(p) == canonical_key(q)
 
 
 def standard_form(p: Process) -> Process:
     """A congruent term shaped new a1..an (M1 | .. | Mm | !Q1 | .. | !Qn),
-    with sorted components and canonically renamed binders."""
-    built = _build(normalize(p), {}, 0)
-    return _rename_canonical(built, free_names(p))
-
-
-def _build(p: Process, env: dict[str, int], depth: int) -> Process:
-    binders, comps = level_parts(p)
-    fn = set().union(*(free_names(c) for c in comps)) if comps else set()
-    binders = tuple(b for b in binders if b in fn)
-    k = len(binders)
-    best_perm = tuple(range(k))
-    if 0 < k <= _PERM_CAP:
-        best = None
-        for perm in itertools.permutations(range(k)):
-            env2 = dict(env)
-            for i, b in enumerate(binders):
-                env2[b] = depth + perm[i]
-            cand = tuple(sorted(_comp_key(c, env2, depth + k) for c in comps))
-            if best is None or cand < best:
-                best, best_perm = cand, perm
-    env2 = dict(env)
-    for i, b in enumerate(binders):
-        env2[b] = depth + best_perm[i]
-    ordered_binders = [b for _, b in sorted((env2[b], b) for b in binders)]
-    items = sorted(((_comp_key(c, env2, depth + k), c) for c in comps), key=lambda kv: kv[0])
-    rebuilt = [_build_comp(c, env2, depth + k) for _, c in items]
-    return assemble(ordered_binders, rebuilt)
-
-
-def _build_comp(c: Process, env: dict[str, int], depth: int) -> Process:
-    if isinstance(c, Bang):
-        return Bang(_build(c.body, env, depth))
-    branches = sorted(c.branches, key=lambda br: _branch_key(br[0], br[1], env, depth))
-    out = []
-    for pi, cont in branches:
-        if isinstance(pi, Receive) and pi.params:
-            env2 = dict(env)
-            for i, prm in enumerate(pi.params):
-                env2[prm] = depth + i
-            out.append((pi, _build(cont, env2, depth + len(pi.params))))
-        else:
-            out.append((pi, _build(cont, env, depth)))
-    return Sum(tuple(out))
-
-
-def _rename_canonical(p: Process, avoid) -> Process:
-    avoid = set(avoid)
+    with sorted components and canonically renamed binders: the term that
+    the canonical key describes."""
+    avoid = free_names(p)
     counter = itertools.count()
 
-    def gen() -> str:
+    def fresh() -> str:
         while True:
             name = f"v{next(counter)}"
             if name not in avoid:
                 return name
 
-    def walk(t: Process, env: dict[str, str]) -> Process:
-        if isinstance(t, Nil):
-            return t
-        if isinstance(t, Sum):
-            out = []
-            for pi, cont in t.branches:
-                if isinstance(pi, Tau):
-                    out.append((pi, walk(cont, env)))
-                elif isinstance(pi, Send):
-                    out.append(
-                        (
-                            Send(env.get(pi.channel, pi.channel), tuple(env.get(a, a) for a in pi.args)),
-                            walk(cont, env),
-                        )
-                    )
-                else:
-                    fresh = [gen() for _ in pi.params]
-                    env2 = dict(env)
-                    env2.update(zip(pi.params, fresh))
-                    out.append(
-                        (Receive(env.get(pi.channel, pi.channel), tuple(fresh)), walk(cont, env2))
-                    )
-            return Sum(tuple(out))
-        if isinstance(t, Par):
-            return Par(walk(t.left, env), walk(t.right, env))
-        if isinstance(t, Restrict):
-            nx = gen()
-            env2 = dict(env)
-            env2[t.name] = nx
-            return Restrict(nx, walk(t.body, env2))
-        if isinstance(t, Bang):
-            return Bang(walk(t.body, env))
-        raise TypeError(f"not a process term: {t!r}")
+    return _decode(canonical_key(p), [], fresh)
 
-    return walk(p, {})
+
+def _decode(key, names: list[str], fresh) -> Process:
+    """Rebuild a level from its key; names[i] is the name bound at depth i.
+    Binders are named in the order they are printed."""
+    binders, items = [], []
+    for gi, (m, cert) in enumerate(key):
+        local = [fresh() for _ in range(m)]
+        binders += local
+        items += [((ck[0], gi), ck, names + local) for ck in cert]
+    items.sort(key=lambda item: item[0])
+    return assemble(binders, [_decode_comp(ck, scope, fresh) for _, ck, scope in items])
+
+
+def _decode_comp(ck, names: list[str], fresh) -> Process:
+    kind, body = ck
+    if kind == 1:
+        return Bang(_decode(body, names, fresh))
+    name = lambda nk: names[nk[1]] if nk[0] == "b" else nk[1]  # noqa: E731
+    branches = []
+    for pk, cont in body:
+        if pk[0] == "t":
+            branches.append((Tau(), _decode(cont, names, fresh)))
+        elif pk[0] == "s":
+            branches.append((Send(name(pk[1]), tuple(map(name, pk[2]))), _decode(cont, names, fresh)))
+        else:
+            params = [fresh() for _ in range(pk[2])]
+            branches.append((Receive(name(pk[1]), tuple(params)), _decode(cont, names + params, fresh)))
+    return Sum(tuple(branches))
 
 
 def is_standard_form(p: Process) -> bool:

@@ -4,13 +4,17 @@ restriction and structural congruence.
 Successors are enumerated on the normalized form, so the closure rules are
 implicit: redexes hidden behind restriction or reordered parallels are found
 after hoisting, and each replication is unfolded `unfold` times to expose the
-redexes of its body. Successors are returned in standard form.
+redexes of its body. Interchangeable components give congruent successors,
+so only one representative of each class of them takes part in a reaction.
+Successors are returned in standard form.
 """
 
 from __future__ import annotations
 
-from .congruence import assemble, level_parts, normalize, standard_form, _level_key
-from .terms import Bang, Process, Receive, Send, Sum, Tau, all_names, fresh_name, substitute
+from collections import Counter
+
+from .congruence import assemble, canonical_key, level_parts, normalize, standard_form
+from .terms import Bang, Process, Receive, Send, Sum, Tau, all_names, free_names, fresh_name, substitute
 
 TAU = "TAU"
 REACT = "REACT"
@@ -46,7 +50,25 @@ def reduce_step(p: Process, unfold: int = 1) -> frozenset[tuple[str, Process]]:
                     if isinstance(cp, Sum):
                         pool.append((("copy", i, j, idx), cp))
 
-    found: dict[tuple, tuple[str, Process]] = {}
+    # Two real components are interchangeable when they are congruent and
+    # every level binder they use is their own: swapping them, with those
+    # binders, maps the term to itself. Every other entry is its own class.
+    # A class keeps two members, enough for a reaction inside it.
+    fns = [free_names(c) for c in comps]
+    level = set(binders)
+    users = Counter(b for fn in fns for b in fn & level)
+    classes: dict = {}
+    for owner, comp in pool:
+        cls = owner
+        if owner[0] == "real":
+            own = [b for b in binders if b in fns[owner[1]]]
+            if all(users[b] == 1 for b in own):
+                cls = canonical_key(assemble(own, [comp]))
+        members = classes.setdefault(cls, [])
+        if len(members) < 2:
+            members.append((owner, comp))
+
+    found: set[tuple[str, Process]] = set()
 
     def emit(tag: str, replacements: dict[tuple, Process]) -> None:
         # Replacements map owner ids to the continuation that replaces them.
@@ -54,29 +76,28 @@ def reduce_step(p: Process, unfold: int = 1) -> frozenset[tuple[str, Process]]:
         new_comps: list[Process] = []
         touched_copies = {owner[1:3] for owner in replacements if owner[0] == "copy"}
         for i, c in enumerate(comps):
-            owner = ("real", i)
-            if owner in replacements:
-                new_comps.append(replacements[owner])
-            else:
-                new_comps.append(c)
+            new_comps.append(replacements.get(("real", i), c))
         for key in sorted(touched_copies):
             cb, cc = copies[key]
             new_binders.extend(cb)
             for idx, cp in enumerate(cc):
-                owner = ("copy", key[0], key[1], idx)
-                new_comps.append(replacements.get(owner, cp))
-        successor = standard_form(assemble(new_binders, new_comps))
-        found[(tag, _level_key(successor, {}, 0))] = (tag, successor)
+                new_comps.append(replacements.get(("copy", key[0], key[1], idx), cp))
+        found.add((tag, standard_form(assemble(new_binders, new_comps))))
 
-    for owner, comp in pool:
+    for members in classes.values():
+        owner, comp = members[0]
         for pi, cont in comp.branches:
             if isinstance(pi, Tau):
                 emit(TAU, {owner: cont})
 
-    for r_owner, r_comp in pool:
-        for s_owner, s_comp in pool:
-            if r_owner == s_owner:
-                continue
+    for r_members in classes.values():
+        for s_members in classes.values():
+            if r_members is s_members:
+                if len(r_members) < 2:
+                    continue
+                (r_owner, r_comp), (s_owner, s_comp) = r_members
+            else:
+                (r_owner, r_comp), (s_owner, s_comp) = r_members[0], s_members[0]
             for rpi, rcont in r_comp.branches:
                 if not isinstance(rpi, Receive):
                     continue
@@ -89,4 +110,4 @@ def reduce_step(p: Process, unfold: int = 1) -> frozenset[tuple[str, Process]]:
                     tag = REACT if not rpi.params else REACT_POLYADIC
                     emit(tag, {r_owner: cont, s_owner: scont})
 
-    return frozenset(found.values())
+    return frozenset(found)

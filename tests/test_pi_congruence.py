@@ -1,3 +1,8 @@
+import random
+import re
+
+import pytest
+
 from lpict.pi.congruence import (
     is_standard_form,
     level_parts,
@@ -178,3 +183,111 @@ def test_congruent_terms_print_differently_but_normalize_equal():
     assert cong(a, b)
     assert standard_form(a) == standard_form(b)
     assert pretty_print(standard_form(a)) == pretty_print(standard_form(b))
+
+
+def _one_level(binders, comps):
+    return P("".join(f"new {b} " for b in binders) + "(" + " | ".join(comps) + ")")
+
+
+def _renamed_copy(binders, comps, order, comp_order):
+    """The level with its restrictions declared in `order`, its components
+    listed in `comp_order` and every binder renamed."""
+    fresh = {b: f"z{i}" for i, b in enumerate(reversed(binders))}
+    rename = lambda text: re.sub(r"\b[bk]\d+\b", lambda m: fresh.get(m.group(0), m.group(0)), text)  # noqa: E731
+    return _one_level([fresh[binders[i]] for i in order], [rename(comps[i]) for i in comp_order])
+
+
+def _assert_congruent_copies(binders, comps, seed):
+    rng = random.Random(seed)
+    k, n = len(binders), len(comps)
+    shuffled, comp_shuffle = list(range(k)), list(range(n))
+    rng.shuffle(shuffled)
+    rng.shuffle(comp_shuffle)
+    p = _one_level(binders, comps)
+    for order, comp_order in (
+        (list(reversed(range(k))), list(reversed(range(n)))),
+        (shuffled, comp_shuffle),
+    ):
+        q = _renamed_copy(binders, comps, order, comp_order)
+        assert cong(p, q)
+        assert standard_form(p) == standard_form(q)
+        assert is_standard_form(standard_form(q))
+
+
+@pytest.mark.parametrize("k", [7, 8, 9, 10])
+def test_restriction_reordering_many_binders(k):
+    # each binder is told apart only through the free name it is linked to
+    binders = [f"b{i}" for i in range(k)]
+    link = list(range(k))
+    random.Random(k).shuffle(link)
+    comps = [f"b{i}(y).y<f{i}>.0" for i in range(k)] + [f"f{link[i]}<b{i}>.0" for i in range(k)]
+    _assert_congruent_copies(binders, comps, seed=k)
+    sf = standard_form(_one_level(binders, comps))
+    assert len(level_parts(sf)[0]) == k
+    assert standard_form(sf) == sf
+
+
+def test_directed_ring_of_eight_binders():
+    # every binder looks alike until one is individualized
+    binders = [f"b{i}" for i in range(8)]
+    comps = [f"b{i}<b{(i + 1) % 8}>.0" for i in range(8)]
+    _assert_congruent_copies(binders, comps, seed=8)
+    reversed_ring = _one_level(binders, [f"b{(i + 1) % 8}<b{i}>.0" for i in range(8)])
+    assert cong(_one_level(binders, comps), reversed_ring)  # relabelling b_i -> b_-i
+    two_rings = [f"b{i}<b{(i + 1) % 4 + 4 * (i // 4)}>.0" for i in range(8)]
+    assert not cong(_one_level(binders, comps), _one_level(binders, two_rings))
+
+
+def test_clique_of_eight_binders_with_one_marked():
+    # every swap of two unmarked binders is an automorphism
+    binders = [f"b{i}" for i in range(8)]
+    comps = [f"b{i}<b{j}>.0" for i in range(8) for j in range(8) if i != j] + ["f<b3>.0"]
+    _assert_congruent_copies(binders, comps, seed=56)
+    assert not cong(_one_level(binders, comps), _one_level(binders, comps[1:]))
+
+
+def _cubic(edges, n=8):
+    binders = [f"b{i}" for i in range(n)]
+    comps = [f"e<b{i},b{j}>.0 + e<b{j},b{i}>.0" for i, j in edges]
+    return binders, comps
+
+
+def test_regular_graphs_that_refinement_cannot_split():
+    # the cube and the Moebius ladder on 8 vertices are both connected and
+    # 3-regular, so colour refinement alone leaves every binder tied
+    cube = _cubic([(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4), (0, 4), (1, 5), (2, 6), (3, 7)])
+    ladder = _cubic([(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
+    _assert_congruent_copies(*cube, seed=3)
+    _assert_congruent_copies(*ladder, seed=4)
+    assert not cong(_one_level(*cube), _one_level(*ladder))
+    assert standard_form(_one_level(*cube)) != standard_form(_one_level(*ladder))
+
+
+def test_random_cubic_graphs_keep_their_key_under_relabelling():
+    # a cycle with random chords is regular, so refinement alone splits
+    # nothing, and mostly has few automorphisms, so the labelling depends on
+    # which binders are individualized
+    rng = random.Random(1212)
+    for trial in range(8):
+        n = 10
+        cycle = {frozenset((i, (i + 1) % n)) for i in range(n)}
+        while True:
+            ends = rng.sample(range(n), n)
+            chords = [(ends[i], ends[i + 1]) for i in range(0, n, 2)]
+            if not any(frozenset(c) in cycle for c in chords):
+                break
+        edges = [tuple(sorted(e)) for e in cycle] + chords
+        _assert_congruent_copies(*_cubic(edges, n), seed=trial)
+
+
+def test_replication_absorbs_its_copy_among_many_binders():
+    others = " | ".join(f"new k{i} c<k{i}>.k{i}.0" for i in range(8))
+    bang = "!(new x new y (a<x,y>.0 | x.y.0))"
+    assert cong(P(f"{others} | {bang} | new u new v (a<u,v>.0 | u.v.0)"), P(f"{others} | {bang}"))
+    assert not cong(P(f"{others} | {bang} | new u new v (a<u,v>.0 | v.u.0)"), P(f"{others} | {bang}"))
+    # a level binder free in the replication stays bound around it
+    assert cong(P("new k (!k<a>.0 | k<a>.0)"), P("new k !k<a>.0"))
+    # a binder the copy shares with another component cannot be taken
+    shared = standard_form(P("new u (a<u>.0 | b<u>.0) | !(new y a<y>.0)"))
+    binders, comps = level_parts(shared)
+    assert len(binders) == 1 and len(comps) == 3

@@ -5,13 +5,15 @@ rewrites applied at every position and demands that every reachable variant
 be judged congruent. The reduction oracle is a second reducer written
 against the raw syntax tree (explicit parallel/restriction contexts, no
 canonicalization) for replication-free terms; successor sets must agree up
-to congruence.
+to congruence. The labelling oracle is a brute-force canonical key, the
+least key over every order of each level's binders: on terms with a few
+binders per level it must agree with congruence and standard forms.
 """
 
 import itertools
 import random
 
-from lpict.pi.congruence import _level_key, normalize, structurally_congruent
+from lpict.pi.congruence import canonical_key, level_parts, normalize, standard_form, structurally_congruent
 from lpict.pi.reduction import reduce_step
 from lpict.pi.terms import (
     NIL,
@@ -27,7 +29,7 @@ from lpict.pi.terms import (
     substitute,
 )
 
-from conftest import random_term
+from conftest import random_prefix, random_term
 
 
 def _root_rewrites(t):
@@ -140,10 +142,6 @@ def _ref_successors(t):
     return out
 
 
-def _key(t):
-    return _level_key(normalize(t), {}, 0)
-
-
 def _replication_free(t):
     if isinstance(t, Bang):
         return False
@@ -164,6 +162,146 @@ def test_reduction_agrees_with_reference_reducer():
         if not _replication_free(term):
             continue
         trials += 1
-        mine = {(tag, _key(s)) for tag, s in reduce_step(term)}
-        reference = {(tag, _key(s)) for tag, s in _ref_successors(term)}
+        mine = {(tag, canonical_key(s)) for tag, s in reduce_step(term)}
+        reference = {(tag, canonical_key(s)) for tag, s in _ref_successors(term)}
         assert mine == reference
+
+
+# ---------------------------------------------------------------------------
+# Many restrictions at one level
+
+WIDE_POOL = [f"k{i}" for i in range(10)]
+
+
+def _wide_level(rng, k):
+    """k binders from a pool of ten names and k..2k prefixed components,
+    each drawing names from one or two of the binders and a free name, so that
+    binders are linked into groups. Returns the binders and the components.
+    Restrictions occur only at the top or under a prefix, where the
+    reference reducer reaches them."""
+    binders = rng.sample(WIDE_POOL, k)
+    comps = []
+    for i in range(rng.randrange(k, 2 * k + 1)):
+        names = ["a", binders[i % k]] + rng.sample(binders, rng.randrange(0, 2))
+        prefix, inner = random_prefix(rng, names)
+        comps.append(Sum(((prefix, random_term(rng, rng.randrange(0, 2), inner)),)))
+    return binders, comps
+
+
+def _close(rng, binders, comps):
+    """The components in a random parallel tree under all the restrictions."""
+    parts = list(comps)
+    while len(parts) > 1:
+        i = rng.randrange(len(parts) - 1)
+        parts[i : i + 2] = [Par(parts[i], parts[i + 1])]
+    body = parts[0]
+    for b in reversed(binders):
+        body = Restrict(b, body)
+    return body
+
+
+def _wide_term(rng, k):
+    return _close(rng, *_wide_level(rng, k))
+
+
+def _random_rewrite(rng, t):
+    """One rewrite of `_root_rewrites` at a random position of t."""
+    if rng.random() < 0.85:
+        if isinstance(t, Par):
+            if rng.random() < 0.5:
+                return Par(_random_rewrite(rng, t.left), t.right)
+            return Par(t.left, _random_rewrite(rng, t.right))
+        if isinstance(t, Restrict):
+            return Restrict(t.name, _random_rewrite(rng, t.body))
+        if isinstance(t, Bang):
+            return Bang(_random_rewrite(rng, t.body))
+        if isinstance(t, Sum):
+            branches = list(t.branches)
+            i = rng.randrange(len(branches))
+            branches[i] = (branches[i][0], _random_rewrite(rng, branches[i][1]))
+            return Sum(tuple(branches))
+    return rng.choice(sorted(_root_rewrites(t), key=repr))
+
+
+def test_wide_level_law_walk_stays_congruent():
+    # the full closure of a wide term is too large; walk through it instead
+    rng = random.Random(8128)
+    for _ in range(20):
+        origin = _wide_term(rng, rng.randrange(5, 10))
+        variant = origin
+        for _ in range(15):
+            variant = _random_rewrite(rng, variant)
+            assert structurally_congruent(origin, variant)
+        assert standard_form(origin) == standard_form(variant)
+
+
+def test_wide_level_reduction_agrees_with_reference_reducer():
+    rng = random.Random(4096)
+    trials = 0
+    while trials < 60:
+        term = _wide_term(rng, rng.randrange(5, 10))
+        if not _replication_free(term):
+            continue
+        trials += 1
+        mine = {(tag, canonical_key(s)) for tag, s in reduce_step(term)}
+        reference = {(tag, canonical_key(s)) for tag, s in _ref_successors(term)}
+        assert mine == reference
+
+
+def _brute_key(p, env, depth):
+    binders, comps = level_parts(p)
+    best = None
+    for perm in itertools.permutations(range(len(binders))):
+        env2 = {**env, **{b: depth + perm[i] for i, b in enumerate(binders)}}
+        inner = depth + len(binders)
+        cand = (len(binders), tuple(sorted(_brute_comp_key(c, env2, inner) for c in comps)))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def _brute_comp_key(c, env, depth):
+    if isinstance(c, Bang):
+        return (1, _brute_key(c.body, env, depth))
+    name = lambda n: ("b", env[n]) if n in env else ("f", n)  # noqa: E731
+    branches = []
+    for pi, cont in c.branches:
+        if isinstance(pi, Tau):
+            branches.append((("t",), _brute_key(cont, env, depth)))
+        elif isinstance(pi, Send):
+            branches.append((("s", name(pi.channel), tuple(map(name, pi.args))), _brute_key(cont, env, depth)))
+        else:
+            env2 = {**env, **{prm: depth + i for i, prm in enumerate(pi.params)}}
+            inner = _brute_key(cont, env2, depth + len(pi.params))
+            branches.append((("r", name(pi.channel), len(pi.params)), inner))
+    return (0, tuple(sorted(branches)))
+
+
+def test_standard_forms_equal_exactly_when_congruent():
+    # q is a renamed, reordered copy of p (congruent by construction), p
+    # with two binders swapped in one component, or an unrelated level of
+    # the same size; the brute-force key decides the last two
+    rng = random.Random(6174)
+    verdicts = []
+    for _ in range(40):
+        k = rng.randrange(3, 6)
+        binders, comps = _wide_level(rng, k)
+        p = _close(rng, binders, comps)
+        fresh = dict(zip(binders, rng.sample(WIDE_POOL, k)))
+        copy = rng.sample([substitute(c, fresh) for c in comps], len(comps))
+        swapped = list(comps)
+        i = rng.randrange(len(comps))
+        swapped[i] = substitute(comps[i], dict(zip(binders[:2], binders[1::-1])))
+        candidates = [
+            (_close(rng, rng.sample(list(fresh.values()), k), copy), True),
+            (_close(rng, binders, swapped), None),
+            (_wide_term(rng, k), None),
+        ]
+        p_brute = _brute_key(normalize(p), {}, 0)
+        for q, expected in candidates:
+            congruent = structurally_congruent(p, q)
+            assert congruent == (standard_form(p) == standard_form(q))
+            assert congruent == (p_brute == _brute_key(normalize(q), {}, 0))
+            assert expected in (None, congruent)
+            verdicts.append(congruent)
+    assert 40 < sum(verdicts) < len(verdicts)

@@ -1,4 +1,4 @@
-from lpict.pi.congruence import structurally_congruent
+from lpict.pi.congruence import standard_form, structurally_congruent
 from lpict.pi.parser import parse_process
 from lpict.pi.reduction import REACT, REACT_POLYADIC, TAU, reduce_step
 from lpict.pi.terms import free_names, substitute
@@ -98,3 +98,32 @@ def test_struct_closure(rng):
         term = random_term(rng, rng.randrange(0, 4))
         variant = Par(NIL, Par(term, NIL))
         assert reduce_step(term) == reduce_step(variant)
+
+
+def test_interchangeable_restricted_senders_react_once_each():
+    # the eight senders are congruent and own their binder, so the eight
+    # receivers give one successor each, not one per sender
+    n = 8
+    senders = ["new k x<k>.k(v).0"] * n
+    receivers = [f"x(y).y<b{i}>.0" for i in range(n)]
+    outs = reduce_step(P(" | ".join(senders + receivers)))
+    assert len(outs) == n
+    assert {tag for tag, _ in outs} == {REACT_POLYADIC}
+    for i in range(n):
+        rest = senders[1:] + receivers[:i] + receivers[i + 1 :]
+        expected = P(" | ".join(rest + [f"new k (k<b{i}>.0 | k(v).0)"]))
+        assert (REACT_POLYADIC, standard_form(expected)) in outs
+
+
+def test_two_members_of_one_class_react_with_each_other():
+    outs = reduce_step(P("(a.p<>.0 + a<>.0) | (a.p<>.0 + a<>.0) | q(z).0"))
+    assert outs == {(REACT, standard_form(P("p<>.0 | q(z).0")))}
+
+
+def test_components_sharing_a_binder_are_not_interchangeable():
+    # the two senders are alike, but only k1 is also heard by k1(z), so the
+    # receiver gives two different successors
+    term = P("new k1 new k2 (x<k1>.0 | k1(z).z<>.0 | x<k2>.0 | x(y).y<b>.0)")
+    outs = reduce_step(term)
+    assert len(outs) == 2
+    assert (REACT_POLYADIC, standard_form(P("new k (k<b>.0 | k(z).z<>.0) | new k x<k>.0"))) in outs
