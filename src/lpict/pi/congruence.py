@@ -74,7 +74,7 @@ def assemble(binders, comps) -> Process:
 # A key is the term with every name replaced by its key in `env`: ("b", i)
 # for a name bound at depth i, ("f", n) for a free name n. Receive
 # parameters take the next depths; the restrictions of a level are labelled
-# by `_canon_parts`.
+# by `level_groups`.
 
 
 def _name_key(n: str, env: dict[str, tuple]):
@@ -84,14 +84,14 @@ def _name_key(n: str, env: dict[str, tuple]):
 def _level_key(p: Process, env: dict[str, tuple], depth: int):
     if isinstance(p, Nil):
         return ()
-    return tuple(key for key, _, _ in _canon_parts(*level_parts(p), env, depth))
+    return tuple(key for key, _, _ in level_groups(*level_parts(p), env, depth))
 
 
-def _canon_parts(binders, comps, env: dict[str, tuple], depth: int):
-    """Canonically label the binders over the components. Components are
-    linked when they share one of the binders; each connected group is
-    labelled on its own and the groups come out ordered by key, as (key,
-    binders, components)."""
+def level_groups(binders, comps, env: dict[str, tuple], depth: int):
+    """Canonically label the binders of a normalized level over its
+    components. Components are linked when they share one of the binders;
+    each connected group is labelled on its own and the groups come out
+    ordered by key, as (key, binders, component indices)."""
     bset = set(binders)
     uses = [free_names(c) & bset for c in comps] if bset else [frozenset()] * len(comps)
     by_binder: dict[str, list[int]] = {b: [] for b in binders}
@@ -102,7 +102,7 @@ def _canon_parts(binders, comps, env: dict[str, tuple], depth: int):
     seen: set[int] = set()
     for i, c in enumerate(comps):
         if not uses[i]:
-            groups.append(((0, (_comp_key(c, env, depth),)), [], [c]))
+            groups.append(((0, (_comp_key(c, env, depth),)), [], [i]))
             continue
         if i in seen:
             continue
@@ -117,7 +117,7 @@ def _canon_parts(binders, comps, env: dict[str, tuple], depth: int):
                     gb |= uses[j]
         bs = [b for b in binders if b in gb]
         cs = [comps[j] for j in members]
-        groups.append((_canon_group(bs, cs, [uses[j] for j in members], env, depth), bs, cs))
+        groups.append((_canon_group(bs, cs, [uses[j] for j in members], env, depth), bs, members))
     return sorted(groups, key=lambda g: g[0])
 
 
@@ -127,17 +127,14 @@ def _canon_group(bs, cs, uses, env, depth):
     colour-refined by the keys of the components they occur in; a tied
     binder is individualized and the partition refined again, down to
     discrete labellings, and the least certificate among these leaves
-    labels the group. A tied binder is skipped when an automorphism of the
-    group that fixes the individualized binders maps one already explored
-    to it, since both subtrees then give the same leaves: a swap of the two
-    that is an automorphism, or one composed of those that two leaves with
-    equal certificates have shown."""
+    labels the group. A tied binder is skipped when swapping it with one
+    already explored is an automorphism of the group, since both subtrees
+    then give the same leaves."""
     inner = depth + len(bs)
     occ = {b: [i for i, cb in enumerate(uses) if b in cb] for b in bs}
     base = {**env, **{b: ("b", depth + i) for i, b in enumerate(bs)}}
     base_keys: dict[int, tuple] = {}
-    best: list = []  # [certificate, binders in label order]
-    autos: list[dict[str, str]] = []
+    best = None  # the least leaf certificate so far
 
     def refine(colour):
         while True:
@@ -160,18 +157,8 @@ def _canon_group(bs, cs, uses, env, depth):
         swapped = {**base, u: base[v], v: base[u]}
         return sorted(base_keys[i] for i in affected) == sorted(_comp_key(cs[i], swapped, inner) for i in affected)
 
-    def orbit(seeds, path):
-        gens = [g for g in autos if all(g[x] == x for x in path)]
-        seen, stack = set(seeds), list(seeds)
-        while stack:
-            x = stack.pop()
-            for g in gens:
-                if g[x] not in seen:
-                    seen.add(g[x])
-                    stack.append(g[x])
-        return seen
-
-    def search(colour, path):
+    def search(colour):
+        nonlocal best
         if len(set(colour.values())) < len(bs):
             colour = refine(colour)
         cells: dict[int, list[str]] = {}
@@ -181,21 +168,19 @@ def _canon_group(bs, cs, uses, env, depth):
             order = sorted(bs, key=colour.__getitem__)
             leaf = {**env, **{b: ("b", depth + i) for i, b in enumerate(order)}}
             cert = tuple(sorted(_comp_key(c, leaf, inner) for c in cs))
-            if best and cert == best[0]:
-                autos.append(dict(zip(best[1], order)))
-            elif not best or cert < best[0]:
-                best[:] = [cert, order]
+            if best is None or cert < best:
+                best = cert
             return
         target = min((len(cell), col) for col, cell in cells.items() if len(cell) > 1)[1]
         explored: list[str] = []
         for v in cells[target]:
-            if any(swap_is_automorphism(u, v) for u in explored) or v in orbit(explored, path):
+            if any(swap_is_automorphism(u, v) for u in explored):
                 continue
             explored.append(v)
-            search({b: 2 * colour[b] + (b != v) for b in bs}, path + [v])
+            search({b: 2 * colour[b] + (b != v) for b in bs})
 
-    search({b: 0 for b in bs}, [])
-    return (len(bs), best[0])
+    search({b: 0 for b in bs})
+    return (len(bs), best)
 
 
 def _comp_key(c: Process, env: dict[str, tuple], depth: int):
@@ -292,19 +277,18 @@ def _absorb_once(binders: list[str], comps: list[Process]):
         others = comps[:gi] + comps[gi + 1 :]
         free = free_names(g)
         available: dict = {}
-        for group in _canon_parts([b for b in binders if b not in free], others, env, depth):
+        for group in level_groups([b for b in binders if b not in free], others, env, depth):
             available.setdefault(group[0], []).append(group)
         chosen = []
-        for key, _, _ in _canon_parts(*level_parts(g.body), env, depth):
+        for key, _, _ in level_groups(*level_parts(g.body), env, depth):
             if not available.get(key):
                 break
             chosen.append(available[key].pop())
         else:
             prime = {b for _, bs, _ in chosen for b in bs}
-            for _, _, cs in chosen:
-                for c in cs:
-                    others.remove(c)
-            return [b for b in binders if b not in prime], others + [g]
+            taken = {j for _, _, members in chosen for j in members}
+            rest = [c for j, c in enumerate(others) if j not in taken]
+            return [b for b in binders if b not in prime], rest + [g]
     return None
 
 

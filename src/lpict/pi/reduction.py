@@ -11,10 +11,8 @@ Successors are returned in standard form.
 
 from __future__ import annotations
 
-from collections import Counter
-
-from .congruence import assemble, canonical_key, level_parts, normalize, standard_form
-from .terms import Bang, Process, Receive, Send, Sum, Tau, all_names, free_names, fresh_name, substitute
+from .congruence import assemble, level_groups, level_parts, normalize, standard_form
+from .terms import Bang, Process, Receive, Send, Sum, Tau, all_names, fresh_name, substitute
 
 TAU = "TAU"
 REACT = "REACT"
@@ -51,19 +49,14 @@ def reduce_step(p: Process, unfold: int = 1) -> frozenset[tuple[str, Process]]:
                         pool.append((("copy", i, j, idx), cp))
 
     # Two real components are interchangeable when they are congruent and
-    # every level binder they use is their own: swapping them, with those
-    # binders, maps the term to itself. Every other entry is its own class.
-    # A class keeps two members, enough for a reaction inside it.
-    fns = [free_names(c) for c in comps]
-    level = set(binders)
-    users = Counter(b for fn in fns for b in fn & level)
+    # every level binder they use is their own, that is when each is a group
+    # of one with the same key: swapping them, with those binders, maps the
+    # term to itself. Every other entry is its own class. A class keeps two
+    # members, enough for a reaction inside it.
+    alone = {members[0]: key for key, _, members in level_groups(binders, comps, {}, 0) if len(members) == 1}
     classes: dict = {}
     for owner, comp in pool:
-        cls = owner
-        if owner[0] == "real":
-            own = [b for b in binders if b in fns[owner[1]]]
-            if all(users[b] == 1 for b in own):
-                cls = canonical_key(assemble(own, [comp]))
+        cls = alone.get(owner[1], owner) if owner[0] == "real" else owner
         members = classes.setdefault(cls, [])
         if len(members) < 2:
             members.append((owner, comp))
