@@ -4,32 +4,44 @@ A model's states are laid out as a state tree and walked in transition
 order. Each state's event tree is evaluated under the environment's event
 assignment; the first state whose tree comes out false stops the walk with a
 flawed verdict and the first false leaf (in breadth-first order) as the
-failing event. When every state passes, two judgments decide the verdict:
-the visited sequence must be a repeat-free linear extension of transition
-reachability, and the terminal state must be derivable from the chain both
-by forward implication elimination and by refutation. Comparing the ideal
-and non-ideal runs is a substring match over the recorded trace symbols.
+failing event. Before the walk takes a transition it evaluates the
+transition's guard over the facts of the run so far; a false guard stops the
+walk with a flawed verdict and the transition's source and action as the
+failing pair. When the walk reaches the terminal state, two judgments
+decide the verdict: the visited sequence must be a repeat-free linear
+extension of transition reachability, and the terminal state must be
+derivable from the chain both by forward implication elimination and by
+refutation. The non-ideal run
+matches the ideal one when its trace is the ideal trace in full: a
+substring match at the first position of two traces of equal length, which
+is their equality.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import BranchingPathError, ValidationError
 from .guarded import GuardedLTS
-from .kmp import kmp_match
-from .logic.formulas import Atom, Implies
+from .logic.formulas import Atom, Implies, eval_formula
 from .logic.proofs import Proof, Sequent, check_proof
-from .logic.search import search_contradiction, search_forward_chain
+from .logic.search import search_both
 from .models.core import IDEAL, NONIDEAL, ProtocolModel, apply_environment
-from .trees import EventLeaf, StateTreeNode, bfs_traverse, eval_event_tree, event_leaves
+from .trees import EventLeaf, StateTreeNode, bfs_traverse, eval_event_leaves, eval_event_tree
+
+# Not called here any more, but bench/tracing.py wraps them by these names
+# in this module.
+from .kmp import kmp_match  # noqa: F401
+from .logic.search import search_contradiction, search_forward_chain  # noqa: F401
+from .trees import event_leaves  # noqa: F401
 
 SECURE = "secure"
 FLAWED = "flawed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceSymbol:
     """One analysed state: its event-tree outcome and the leaf outcomes in
     leaf order."""
@@ -43,14 +55,14 @@ class TraceSymbol:
         return f"{self.state}:{bits}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Judgments:
     partial_order: bool
     entailment: bool
     matching: bool | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntailmentResult:
     sequent: Sequent
     forward: Proof | None
@@ -58,7 +70,7 @@ class EntailmentResult:
     holds: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnalysisOutcome:
     verdict: str
     trace: tuple[TraceSymbol, ...]
@@ -71,7 +83,7 @@ class AnalysisOutcome:
         return self.verdict == SECURE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DualVerdict:
     ideal: AnalysisOutcome
     nonideal: AnalysisOutcome
@@ -123,55 +135,57 @@ def entailment_sequent(lts: GuardedLTS) -> Sequent:
         outs = lts.outgoing(state.id)
         if len(outs) > 1:
             raise BranchingPathError(f"state {state.id!r} has {len(outs)} outgoing transitions")
+    atom = {sid: Atom(sid) for sid in lts.state_ids}
     premises = tuple(
-        [Atom(lts.initial)]
-        + [Implies(Atom(t.source), Atom(t.target)) for t in lts.transitions]
+        [atom[lts.initial]]
+        + [Implies(atom[t.source], atom[t.target]) for t in lts.transitions]
     )
-    return Sequent(premises, Atom(lts.terminal))
+    return Sequent(premises, atom[lts.terminal])
 
 
 def entailment_judgment(lts: GuardedLTS) -> EntailmentResult:
     """Encode the transitions as implications and derive the terminal state
-    twice: forward and by contradiction. Holds when both proofs check; a
-    broken chain simply yields no derivation."""
+    twice, forward and by contradiction, from one search of the implication
+    path. Holds when both proofs check; a broken chain simply yields no
+    derivation."""
     sequent = entailment_sequent(lts)
-    premises, goal = sequent.premises, sequent.conclusion
-    forward = search_forward_chain(premises, goal)
-    contradiction = search_contradiction(premises, goal)
-    holds = (
-        forward is not None
-        and contradiction is not None
-        and check_proof(sequent, forward).valid
-        and check_proof(sequent, contradiction).valid
-    )
+    proofs = search_both(sequent.premises, sequent.conclusion)
+    if proofs is None:
+        return EntailmentResult(sequent, None, None, False)
+    forward, contradiction = proofs
+    holds = check_proof(sequent, forward).valid and check_proof(sequent, contradiction).valid
     return EntailmentResult(sequent, forward, contradiction, holds)
 
 
 def _walk(model: ProtocolModel, env) -> tuple[tuple[TraceSymbol, ...], tuple[str, str] | None]:
-    """Walk the state tree under the environment's event assignment, up to
-    and including the first state whose event tree is false; that state and
-    its first false leaf are the failing pair."""
+    """Walk the chain under the environment's event assignment, up to and
+    including the first state whose event tree is false (the failing pair is
+    that state and its first false leaf) or the source of the first transition
+    whose guard is false (the failing pair is that state and the action).
+
+    A guard is evaluated over the facts of the run so far: the atoms of the
+    visited states, the source included, are true and those of the other
+    states false; an event name has its value in the latest visited state that
+    declares it, and is false if no visited state does."""
+    lts = model.lts
     assignment = apply_environment(model, env)
+    facts = dict.fromkeys(itertools.chain.from_iterable(assignment.values()), False)
+    facts.update(dict.fromkeys(assignment, False))
     trace: list[TraceSymbol] = []
-    node: StateTreeNode | None = build_state_tree(model.lts)
-    while node is not None:
-        if node.events is None:  # event-less terminal passes trivially
-            trace.append(TraceSymbol(node.state, True, ()))
-            node = node.next
-            continue
-        valuation = assignment[node.state]
-        leaves = event_leaves(node.events)
-        value = eval_event_tree(node.events, valuation)
-        trace.append(
-            TraceSymbol(
-                node.state,
-                value,
-                tuple(eval_event_tree(leaf, valuation) for leaf in leaves),
-            )
-        )
-        if not value:
-            return tuple(trace), (node.state, _first_false_leaf(node.events, valuation))
-        node = node.next
+    for state in lts.chain:
+        valuation = assignment[state.id]
+        if state.combine is None:  # event-less terminal passes trivially
+            trace.append(TraceSymbol(state.id, True, ()))
+        else:
+            value, leaf_values = eval_event_leaves(state.combine, valuation)
+            trace.append(TraceSymbol(state.id, value, leaf_values))
+            if not value:
+                return tuple(trace), (state.id, _first_false_leaf(state.combine, valuation))
+        facts.update(valuation)
+        facts[state.id] = True
+        for t in lts.outgoing(state.id):
+            if not eval_formula(t.guard.formula, facts):
+                return tuple(trace), (t.source, t.action)
     return tuple(trace), None
 
 
@@ -187,8 +201,8 @@ def analyze_protocol(model: ProtocolModel, env) -> AnalysisOutcome:
     """Walk the state tree under the environment's event assignment.
 
     The two judgments are only established when every state's event tree
-    evaluates true; a run stopped at a false tree reports them as not
-    holding."""
+    and every transition guard on the way evaluate true; a run stopped at a
+    false tree or guard reports them as not holding."""
     trace, failing = _walk(model, env)
     return _judge(model.lts, trace, failing, None if failing else entailment_judgment(model.lts))
 
@@ -204,10 +218,7 @@ def dual_environment_verdict(model: ProtocolModel) -> DualVerdict:
     reached = any(failing is None for _, failing in walks)
     entailment = entailment_judgment(model.lts) if reached else None
     ideal, nonideal = (_judge(model.lts, trace, failing, entailment) for trace, failing in walks)
-    matched = (
-        len(nonideal.trace) == len(ideal.trace)
-        and kmp_match(nonideal.trace, ideal.trace, 1) is not None
-    )
+    matched = nonideal.trace == ideal.trace
     secure = (
         ideal.secure
         and matched

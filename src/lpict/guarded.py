@@ -36,7 +36,7 @@ class ResistTag(Enum):
     VERIFICATION = "verification"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventMessage:
     """Ordered field names of the message exchanged when an event happens."""
 
@@ -47,26 +47,26 @@ class EventMessage:
             raise ValidationError("an event message cannot be empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     name: str
     resists: frozenset[ResistTag] = frozenset()
     payload: EventMessage | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Guard:
     formula: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateNode:
     id: str
     events: tuple[Event, ...]
     combine: EventTree | None = None  # None only for an event-less terminal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GuardedTransition:
     source: str
     action: str
@@ -132,10 +132,11 @@ class GuardedLTS:
 def build_guarded_lts(states, transitions, initial: str, terminal: str) -> GuardedLTS:
     """Validate and assemble a guarded system.
 
-    Rejects duplicate state ids, duplicate event names within a state,
-    dangling transition endpoints, guard atoms that resolve to nothing, event
-    trees whose leaves are not the state's events, non-terminal states with
-    no events, and states unreachable from the initial one.
+    Rejects duplicate state ids, duplicate event names within a state, an
+    event named like a state, dangling transition endpoints, guard atoms that
+    resolve to nothing, event trees whose leaves are not the state's events,
+    non-terminal states with no events, and states unreachable from the
+    initial one.
     """
     states = tuple(states)
     transitions = tuple(transitions)
@@ -167,6 +168,10 @@ def build_guarded_lts(states, transitions, initial: str, terminal: str) -> Guard
                 raise ValidationError(f"event tree of state {s.id!r} does not match its events")
         event_names.update(names)
 
+    # State ids and event names are the atoms of guards, so they must differ.
+    ambiguous = known & event_names
+    if ambiguous:
+        raise ValidationError(f"{sorted(ambiguous)[0]!r} names both a state and an event")
     resolvable = known | event_names
     for t in transitions:
         for end in (t.source, t.target):

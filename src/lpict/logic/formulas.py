@@ -14,35 +14,35 @@ from typing import Mapping, Union
 from ..errors import LpictError, ParseError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     operand: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Falsum:
     pass
 
@@ -113,6 +113,12 @@ def _tokenize(source: str):
     return tokens
 
 
+# Deepest nesting of `!`, parentheses and `->` that parse_formula accepts.
+# The parser and the functions that walk a formula recurse once per level,
+# so the limit keeps them well inside Python's recursion limit.
+MAX_NESTING = 100
+
+
 class _FormulaParser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
@@ -127,41 +133,46 @@ class _FormulaParser:
         return tok
 
     def parse(self) -> Formula:
-        f = self.implication()
+        f = self.implication(0)
         kind, value, at = self.peek()
         if kind != "eof":
             raise ParseError(f"trailing input starting at {value!r}", position=at)
         return f
 
-    def implication(self) -> Formula:
-        left = self.disjunction()
+    def deeper(self, depth: int, at: int) -> int:
+        if depth >= MAX_NESTING:
+            raise ParseError(f"formula nested more than {MAX_NESTING} deep", position=at)
+        return depth + 1
+
+    def implication(self, depth: int) -> Formula:
+        left = self.disjunction(depth)
         if self.peek()[0] == "->":
-            self.next()
-            return Implies(left, self.implication())
+            _, _, at = self.next()
+            return Implies(left, self.implication(self.deeper(depth, at)))
         return left
 
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
+    def disjunction(self, depth: int) -> Formula:
+        f = self.conjunction(depth)
         while self.peek()[0] == "|":
             self.next()
-            f = Or(f, self.conjunction())
+            f = Or(f, self.conjunction(depth))
         return f
 
-    def conjunction(self) -> Formula:
-        f = self.unary()
+    def conjunction(self, depth: int) -> Formula:
+        f = self.unary(depth)
         while self.peek()[0] == "&":
             self.next()
-            f = And(f, self.unary())
+            f = And(f, self.unary(depth))
         return f
 
-    def unary(self) -> Formula:
+    def unary(self, depth: int) -> Formula:
         kind, value, at = self.peek()
         if kind == "!":
             self.next()
-            return Not(self.unary())
+            return Not(self.unary(self.deeper(depth, at)))
         if kind == "(":
             self.next()
-            f = self.implication()
+            f = self.implication(self.deeper(depth, at))
             tok = self.next()
             if tok[0] != ")":
                 raise ParseError("expected ')'", position=tok[2])

@@ -25,7 +25,12 @@ class Rule(Enum):
     COPY = "copy"
 
 
-@dataclass(frozen=True)
+# Rule members bound once: the checker compares every line's rule with them.
+_PREMISE, _ASSUMPTION, _IMPL_ELIM = Rule.PREMISE, Rule.ASSUMPTION, Rule.IMPL_ELIM
+_MODUS_TOLLENS, _NEG_ELIM, _COPY = Rule.MODUS_TOLLENS, Rule.NEG_ELIM, Rule.COPY
+
+
+@dataclass(frozen=True, slots=True)
 class ProofLine:
     index: int
     formula: Formula
@@ -33,7 +38,7 @@ class ProofLine:
     refs: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proof:
     lines: tuple[ProofLine, ...]
 
@@ -44,13 +49,13 @@ class Proof:
         return iter(self.lines)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sequent:
     premises: tuple[Formula, ...]
     conclusion: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     valid: bool
     line: int | None = None
@@ -62,79 +67,81 @@ def _invalid(index: int, reason: str) -> CheckResult:
 
 
 def check_proof(sequent: Sequent, proof: Proof) -> CheckResult:
-    if not proof.lines:
+    lines = proof.lines
+    if not lines:
         return _invalid(0, "empty proof")
-    refutation = isinstance(proof.lines[-1].formula, Falsum) and not isinstance(
-        sequent.conclusion, Falsum
-    )
+    conclusion = sequent.conclusion
+    refutation = isinstance(lines[-1].formula, Falsum) and not isinstance(conclusion, Falsum)
     premises = set(sequent.premises)
-    allowed_assumptions = premises | {Not(sequent.conclusion)} if refutation else premises
-
-    by_index: dict[int, ProofLine] = {}
-    for pos, line in enumerate(proof.lines, start=1):
+    for pos, line in enumerate(lines, start=1):
         if line.index != pos:
             return _invalid(line.index, f"line numbered {line.index}, expected {pos}")
-        if any(r >= line.index or r < 1 for r in line.refs):
-            return _invalid(line.index, "references must point to earlier lines")
-        verdict = _check_line(line, premises, allowed_assumptions, by_index)
-        if verdict is not None:
-            return verdict
-        by_index[line.index] = line
+        for r in line.refs:
+            if r >= pos or r < 1:
+                return _invalid(pos, "references must point to earlier lines")
+        reason = _check_line(line, lines, premises, conclusion if refutation else None)
+        if reason is not None:
+            return _invalid(pos, reason)
 
-    last = proof.lines[-1].formula
-    expected = FALSUM if refutation else sequent.conclusion
+    last = lines[-1].formula
+    expected = FALSUM if refutation else conclusion
     if last != expected:
         return _invalid(
-            proof.lines[-1].index,
+            lines[-1].index,
             f"last line is {format_formula(last)}, expected {format_formula(expected)}",
         )
     return CheckResult(True)
 
 
-def _check_line(line, premises, allowed_assumptions, by_index) -> CheckResult | None:
-    rule = line.rule
-    if rule is Rule.PREMISE:
-        if line.formula not in premises:
-            return _invalid(line.index, "premise not among the sequent's premises")
-        return None
-    if rule is Rule.ASSUMPTION:
-        if line.formula not in allowed_assumptions:
-            return _invalid(line.index, "assumption is neither a premise nor the negated conclusion")
-        return None
-    if rule is Rule.COPY:
-        if len(line.refs) != 1:
-            return _invalid(line.index, "copy takes one reference")
-        if by_index[line.refs[0]].formula != line.formula:
-            return _invalid(line.index, "copy does not repeat the referenced line")
-        return None
-    if len(line.refs) != 2:
-        return _invalid(line.index, f"{rule.value} takes two references")
-    fi = by_index[line.refs[0]].formula
-    fj = by_index[line.refs[1]].formula
-    if rule is Rule.IMPL_ELIM:
-        if not (isinstance(fi, Implies) and fi.left == fj and fi.right == line.formula):
-            return _invalid(line.index, "rule-shape mismatch for ->e")
-        return None
-    if rule is Rule.MODUS_TOLLENS:
-        ok = (
+def _negates(f: Formula, g: Formula) -> bool:
+    """f is !g. Identity is tried before equality throughout: a proof found
+    by search reuses the formula objects of its premises."""
+    return isinstance(f, Not) and (f.operand is g or f.operand == g)
+
+
+def _check_line(line: ProofLine, lines, premises, refuted: Formula | None) -> str | None:
+    """Why the line does not follow from the lines before it, or None when it
+    does. In a refutation of `refuted`, its negation may be assumed."""
+    rule, formula, refs = line.rule, line.formula, line.refs
+    if rule is _PREMISE:
+        return None if formula in premises else "premise not among the sequent's premises"
+    if rule is _ASSUMPTION:
+        if (refuted is not None and _negates(formula, refuted)) or formula in premises:
+            return None
+        return "assumption is neither a premise nor the negated conclusion"
+    if rule is _COPY:
+        if len(refs) != 1:
+            return "copy takes one reference"
+        source = lines[refs[0] - 1].formula
+        if source is formula or source == formula:
+            return None
+        return "copy does not repeat the referenced line"
+    if len(refs) != 2:
+        return f"{rule.value} takes two references"
+    fi = lines[refs[0] - 1].formula
+    fj = lines[refs[1] - 1].formula
+    if rule is _IMPL_ELIM:
+        if (
             isinstance(fi, Implies)
-            and fj == Not(fi.right)
-            and line.formula == Not(fi.left)
-        )
-        if not ok:
-            return _invalid(line.index, "rule-shape mismatch for MT")
-        return None
-    if rule is Rule.NEG_ELIM:
-        ok = fi == Not(fj) and isinstance(line.formula, Falsum)
-        if not ok:
-            return _invalid(line.index, "rule-shape mismatch for !e")
-        return None
-    return _invalid(line.index, f"unknown rule {rule!r}")
+            and (fi.left is fj or fi.left == fj)
+            and (fi.right is formula or fi.right == formula)
+        ):
+            return None
+        return "rule-shape mismatch for ->e"
+    if rule is _MODUS_TOLLENS:
+        if isinstance(fi, Implies) and _negates(fj, fi.right) and _negates(formula, fi.left):
+            return None
+        return "rule-shape mismatch for MT"
+    if rule is _NEG_ELIM:
+        if _negates(fi, fj) and isinstance(formula, Falsum):
+            return None
+        return "rule-shape mismatch for !e"
+    return f"unknown rule {rule!r}"
 
 
 def justification(line: ProofLine) -> str:
     if line.refs:
-        return f"{line.rule.value} {','.join(str(r) for r in line.refs)}"
+        return f"{line.rule.value} {','.join(map(str, line.refs))}"
     return line.rule.value
 
 

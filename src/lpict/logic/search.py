@@ -24,7 +24,8 @@ def _chain_to(premises: tuple[Formula, ...], goal: Formula) -> list[Implies] | N
     Returns the implications along the path in application order, [] when the
     goal is itself a premise, None when the goal is unreachable.
     """
-    if goal in premises:
+    seen = set(premises)
+    if goal in seen:
         return []
     edges: dict[Formula, list[Implies]] = {}
     for p in premises:
@@ -32,7 +33,6 @@ def _chain_to(premises: tuple[Formula, ...], goal: Formula) -> list[Implies] | N
             edges.setdefault(p.left, []).append(p)
     back: dict[Formula, Implies] = {}
     queue: deque[Formula] = deque(premises)
-    seen = set(premises)
     while queue:
         fact = queue.popleft()
         for imp in edges.get(fact, ()):
@@ -52,12 +52,7 @@ def _chain_to(premises: tuple[Formula, ...], goal: Formula) -> list[Implies] | N
     return None
 
 
-def search_forward_chain(premises, goal: Formula) -> Proof | None:
-    """Premise / assumption / ->e proof of the goal, or None."""
-    premises = tuple(premises)
-    path = _chain_to(premises, goal)
-    if path is None:
-        return None
+def _forward_proof(path: list[Implies], goal: Formula) -> Proof:
     if not path:
         return Proof((ProofLine(1, goal, Rule.PREMISE),))
     lines = [ProofLine(1, path[0].left, Rule.PREMISE)]
@@ -68,13 +63,7 @@ def search_forward_chain(premises, goal: Formula) -> Proof | None:
     return Proof(tuple(lines))
 
 
-def search_contradiction(premises, goal: Formula) -> Proof | None:
-    """Refutation: assume the negated goal, chain modus tollens back to a
-    premise, and close with negation elimination."""
-    premises = tuple(premises)
-    path = _chain_to(premises, goal)
-    if path is None:
-        return None
+def _contradiction_proof(path: list[Implies], goal: Formula) -> Proof:
     start = path[0].left if path else goal
     lines = [ProofLine(1, Not(goal), Rule.ASSUMPTION)]
     for imp in reversed(path):
@@ -85,6 +74,28 @@ def search_contradiction(premises, goal: Formula) -> Proof | None:
     lines.append(ProofLine(n + 1, start, Rule.PREMISE))
     lines.append(ProofLine(n + 2, FALSUM, Rule.NEG_ELIM, (n, n + 1)))
     return Proof(tuple(lines))
+
+
+def search_forward_chain(premises, goal: Formula) -> Proof | None:
+    """Premise / assumption / ->e proof of the goal, or None."""
+    path = _chain_to(tuple(premises), goal)
+    return None if path is None else _forward_proof(path, goal)
+
+
+def search_contradiction(premises, goal: Formula) -> Proof | None:
+    """Refutation: assume the negated goal, chain modus tollens back to a
+    premise, and close with negation elimination."""
+    path = _chain_to(tuple(premises), goal)
+    return None if path is None else _contradiction_proof(path, goal)
+
+
+def search_both(premises, goal: Formula) -> tuple[Proof, Proof] | None:
+    """The forward proof and the refutation of the goal, both built from one
+    search of the implication path; None when the goal is unreachable."""
+    path = _chain_to(tuple(premises), goal)
+    if path is None:
+        return None
+    return _forward_proof(path, goal), _contradiction_proof(path, goal)
 
 
 def in_chain_fragment(f: Formula) -> bool:
@@ -107,9 +118,7 @@ def _require_fragment(*formulas: Formula) -> None:
 
 
 def _provable(premises, goal: Formula) -> bool:
-    if search_forward_chain(premises, goal) is not None:
-        return True
-    return search_contradiction(premises, goal) is not None
+    return _chain_to(tuple(premises), goal) is not None
 
 
 def provably_equivalent(f: Formula, g: Formula) -> bool:
@@ -130,11 +139,8 @@ def cross_validate(premises, conclusion: Formula) -> CrossCheck:
     premises = tuple(premises)
     _require_fragment(*premises, conclusion)
     semantic = semantic_entails(premises, conclusion)
-    provable = _provable(premises, conclusion)
-    if provable:
+    proofs = search_both(premises, conclusion)
+    if proofs is not None:
         sq = Sequent(premises, conclusion)
-        fwd = search_forward_chain(premises, conclusion)
-        ctr = search_contradiction(premises, conclusion)
-        assert fwd is None or check_proof(sq, fwd).valid
-        assert ctr is None or check_proof(sq, ctr).valid
-    return CrossCheck(semantic, provable, semantic == provable)
+        assert all(check_proof(sq, proof).valid for proof in proofs)
+    return CrossCheck(semantic, proofs is not None, semantic == (proofs is not None))

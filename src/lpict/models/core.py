@@ -78,7 +78,7 @@ def apply_environment(model: ProtocolModel, env: EnvironmentConfig) -> dict[str,
         raise ValidationError(f"environment {env.kind!r} does not belong to model {model.name!r}")
     broken = {CAPABILITY_COUNTERS[cap] for cap in env.attackers}
     return {
-        state.id: {e.name: not (broken - e.resists) for e in state.events}
+        state.id: {e.name: broken <= e.resists for e in state.events}
         for state in model.lts.states
     }
 

@@ -73,11 +73,6 @@ def _formula_to_tree(f: Formula, line: int) -> EventTree:
     raise ParseError("combine expressions allow only atoms, !, & and |", line=line)
 
 
-def _strip_comment(raw: str) -> str:
-    idx = raw.find("#")
-    return raw if idx < 0 else raw[:idx]
-
-
 class _ModelReader:
     def __init__(self, source: str):
         self.source = source
@@ -88,6 +83,8 @@ class _ModelReader:
         self.initial: str | None = None
         self.terminal: str | None = None
         self.environments: list[EnvironmentConfig] = []
+        # resist-tag words -> their tag set; events repeat a few tag lists
+        self.resist_sets: dict[tuple[str, ...], frozenset[ResistTag]] = {}
         # open state block, if any
         self.block_id: str | None = None
         self.block_events: list[Event] = []
@@ -98,11 +95,19 @@ class _ModelReader:
         raise ParseError(message, line=line)
 
     def read(self) -> ProtocolModel:
+        handlers = self.HANDLERS
         for lineno, raw in enumerate(self.source.splitlines(), start=1):
-            text = _strip_comment(raw).strip()
-            if not text:
+            text = raw.partition("#")[0]
+            words = text.split()
+            if not words:
                 continue
-            self.line(text, lineno)
+            key = words[0]
+            if self.block_id is not None and key not in _BLOCK_KEYWORDS:
+                self.fail(f"unexpected {key!r} inside state block", lineno)
+            handler = handlers.get(key)
+            if handler is None:
+                self.fail(f"unknown keyword {key!r}", lineno)
+            handler(self, text, words, lineno)
         if self.block_id is not None:
             self.fail(f"state block {self.block_id!r} is never closed", self.block_line)
         if self.protocol is None:
@@ -112,18 +117,11 @@ class _ModelReader:
         lts = build_guarded_lts(self.states, self.transitions, self.initial, self.terminal)
         return ProtocolModel(self.protocol, lts, tuple(self.environments))
 
-    def line(self, text: str, lineno: int) -> None:
-        words = text.split()
-        key = words[0]
-        if self.block_id is not None and key not in ("event", "combine", "}"):
-            self.fail(f"unexpected {key!r} inside state block", lineno)
-        handler = getattr(self, f"key_{key}", None) if key != "}" else self.key_close
-        if handler is None:
-            self.fail(f"unknown keyword {key!r}", lineno)
-        handler(text, words, lineno)
+    # Each handler takes the line without its comment, the line's words
+    # (the keyword first) and the line number.
 
     def key_protocol(self, text, words, lineno):
-        m = re.match(r'protocol\s+"([^"]+)"\s*$', text)
+        m = _PROTOCOL_RE.match(text)
         if m is None:
             self.fail('expected: protocol "<name>"', lineno)
         if self.protocol is not None:
@@ -149,31 +147,27 @@ class _ModelReader:
             self.fail("event outside a state block", lineno)
         if len(words) < 2:
             self.fail("expected: event <name> [resists ...] [payload ...]", lineno)
-        name = words[1]
-        rest = words[2:]
-        resists: list[ResistTag] = []
+        tags: list[str] = []
         payload: list[str] = []
-        mode = None
-        for w in rest:
+        into = None
+        for w in words[2:]:
             if w == "resists":
-                mode = "resists"
+                into = tags
             elif w == "payload":
-                mode = "payload"
-            elif mode == "resists":
-                tag = _RESIST_VALUES.get(w)
-                if tag is None:
-                    self.fail(f"unknown resist tag {w!r}", lineno)
-                resists.append(tag)
-            elif mode == "payload":
-                payload.append(w)
-            else:
+                into = payload
+            elif into is None:
                 self.fail(f"unexpected token {w!r} in event declaration", lineno)
+            else:
+                into.append(w)
+        key = tuple(tags)
+        resists = self.resist_sets.get(key)
+        if resists is None:
+            for w in tags:
+                if w not in _RESIST_VALUES:
+                    self.fail(f"unknown resist tag {w!r}", lineno)
+            resists = self.resist_sets[key] = frozenset(_RESIST_VALUES[w] for w in tags)
         self.block_events.append(
-            Event(
-                name,
-                frozenset(resists),
-                EventMessage(tuple(payload)) if payload else None,
-            )
+            Event(words[1], resists, EventMessage(tuple(payload)) if payload else None)
         )
 
     def key_combine(self, text, words, lineno):
@@ -182,7 +176,7 @@ class _ModelReader:
         if self.block_combine is not None:
             self.fail("duplicate combine line", lineno)
         if len(words) >= 2 and words[1] == "expr":
-            expr = text.split("expr", 1)[1].strip()
+            expr = _tail(text, 2)
             try:
                 self.block_combine = _formula_to_tree(parse_formula(expr), lineno)
             except ParseError as exc:
@@ -198,7 +192,7 @@ class _ModelReader:
             self.fail(str(exc), lineno)
 
     def key_close(self, text, words, lineno):
-        if self.block_id is None or text != "}":
+        if self.block_id is None or len(words) != 1:
             self.fail("unexpected '}'", lineno)
         events = tuple(self.block_events)
         combine = self.block_combine
@@ -229,23 +223,21 @@ class _ModelReader:
         src, dst = words[1], words[3]
         action = f"{src}->{dst}"
         guard_formula: Formula = Atom(src)
-        rest = words[4:]
-        i = 0
-        while i < len(rest):
-            if rest[i] == "action":
-                if i + 1 >= len(rest):
+        i = 4
+        while i < len(words):
+            if words[i] == "action":
+                if i + 1 >= len(words):
                     self.fail("action needs a name", lineno)
-                action = rest[i + 1]
+                action = words[i + 1]
                 i += 2
-            elif rest[i] == "when":
-                expr = text.split(" when ", 1)[1].strip()
+            elif words[i] == "when":
                 try:
-                    guard_formula = parse_formula(expr)
+                    guard_formula = parse_formula(_tail(text, i + 1))
                 except ParseError as exc:
                     self.fail(f"bad guard: {exc}", lineno)
                 break
             else:
-                self.fail(f"unexpected token {rest[i]!r} in transition", lineno)
+                self.fail(f"unexpected token {words[i]!r} in transition", lineno)
         self.transitions.append(GuardedTransition(src, action, dst, Guard(guard_formula)))
 
     def key_initial(self, text, words, lineno):
@@ -276,6 +268,29 @@ class _ModelReader:
             self.environments.append(EnvironmentConfig(kind, frozenset(attackers)))
         except ValidationError as exc:
             self.fail(str(exc), lineno)
+
+    HANDLERS = {
+        "protocol": key_protocol,
+        "state": key_state,
+        "event": key_event,
+        "combine": key_combine,
+        "}": key_close,
+        "alias": key_alias,
+        "transition": key_transition,
+        "initial": key_initial,
+        "terminal": key_terminal,
+        "environment": key_environment,
+    }
+
+
+_BLOCK_KEYWORDS = frozenset({"event", "combine", "}"})
+_PROTOCOL_RE = re.compile(r'\s*protocol\s+"([^"]+)"\s*$')
+
+
+def _tail(text: str, n: int) -> str:
+    """The text after its first n words, stripped; empty when there is none."""
+    parts = text.split(None, n)
+    return parts[n].strip() if len(parts) > n else ""
 
 
 def load_model(source: str) -> ProtocolModel:

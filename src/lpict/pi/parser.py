@@ -40,6 +40,11 @@ from .terms import (
 )
 
 _KEYWORDS = {"new", "tau"}
+
+# Deepest nesting of `!`, `new`, prefixes and parentheses that parse_process
+# accepts. The parser and the functions that walk a term recurse once per
+# level or more, so the limit keeps them well inside Python's recursion limit.
+MAX_NESTING = 100
 _TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|([0().<>+|!,]))")
 
 
@@ -84,28 +89,33 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", position=tok[2])
         return tok
 
+    def deeper(self, depth: int, at: int) -> int:
+        if depth >= MAX_NESTING:
+            raise ParseError(f"process term nested more than {MAX_NESTING} deep", position=at)
+        return depth + 1
+
     def parse(self) -> Process:
-        p = self.parallel()
+        p = self.parallel(0)
         tok = self.peek()
         if tok[0] != "eof":
             raise ParseError(f"trailing input starting at {tok[1]!r}", position=tok[2])
         return p
 
-    def parallel(self) -> Process:
-        p = self.psum()
+    def parallel(self, depth: int) -> Process:
+        p = self.psum(depth)
         while self.peek()[0] == "|":
             self.next()
-            p = Par(p, self.psum())
+            p = Par(p, self.psum(depth))
         return p
 
-    def psum(self) -> Process:
-        first = self.term()
+    def psum(self, depth: int) -> Process:
+        first = self.term(depth)
         if self.peek()[0] != "+":
             return first
         branches = list(self._branches_of(first))
         while self.peek()[0] == "+":
             _, _, at = self.next()
-            branches.extend(self._branches_of(self.term(), at))
+            branches.extend(self._branches_of(self.term(depth), at))
         return Sum(tuple(branches))
 
     def _branches_of(self, p: Process, at: int | None = None):
@@ -113,27 +123,27 @@ class _Parser:
             return p.branches
         raise ParseError("sum branches must be prefixed terms", position=at)
 
-    def term(self) -> Process:
+    def term(self, depth: int) -> Process:
         kind, value, at = self.peek()
         if kind == "!":
             self.next()
-            return Bang(self.term())
+            return Bang(self.term(self.deeper(depth, at)))
         if kind == "new":
             self.next()
             name = self.expect("ident")[1]
-            return Restrict(name, self.term())
+            return Restrict(name, self.term(self.deeper(depth, at)))
         if kind == "0":
             self.next()
             return NIL
         if kind == "(":
             self.next()
-            p = self.parallel()
+            p = self.parallel(self.deeper(depth, at))
             self.expect(")")
             return p
         if kind in ("ident", "tau"):
             prefix = self.prefix()
             self.expect(".")
-            return Sum(((prefix, self.term()),))
+            return Sum(((prefix, self.term(self.deeper(depth, at))),))
         raise ParseError(f"expected a process term, found {value or 'end of input'!r}", position=at)
 
     def prefix(self) -> Prefix:

@@ -20,13 +20,13 @@ class MissingEventError(LpictError):
     """The valuation does not cover a leaf of the tree."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventLeaf:
     name: str
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventOp:
     op: str  # "and" | "or"
     left: "EventTree"
@@ -40,7 +40,7 @@ class EventOp:
 EventTree = Union[EventLeaf, EventOp]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateTreeNode:
     state: str
     events: EventTree | None
@@ -73,14 +73,26 @@ def event_leaves(tree: EventTree) -> list[EventLeaf]:
 
 def eval_event_tree(tree: EventTree, valuation) -> bool:
     """Fold the operator tree under a total valuation of its leaves."""
+    return _fold(tree, valuation, [])
+
+
+def eval_event_leaves(tree: EventTree, valuation) -> tuple[bool, tuple[bool, ...]]:
+    """The tree's value and the value of each leaf, in leaf order; each leaf
+    is looked up once."""
+    values: list[bool] = []
+    return _fold(tree, valuation, values), tuple(values)
+
+
+def _fold(tree: EventTree, valuation, values: list[bool]) -> bool:
     if isinstance(tree, EventLeaf):
         try:
-            value = bool(valuation[tree.name])
+            value = bool(valuation[tree.name]) != tree.negated
         except KeyError:
             raise MissingEventError(f"valuation does not assign event {tree.name!r}") from None
-        return not value if tree.negated else value
-    left = eval_event_tree(tree.left, valuation)
-    right = eval_event_tree(tree.right, valuation)
+        values.append(value)
+        return value
+    left = _fold(tree.left, valuation, values)
+    right = _fold(tree.right, valuation, values)
     return (left and right) if tree.op == "and" else (left or right)
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from lpict.analysis import (
+    Judgments,
     TraceSymbol,
     analyze_protocol,
     build_state_tree,
@@ -300,3 +301,91 @@ def test_planted_long_chain_names_failing_state():
     assert verdict.nonideal.failing == ("C237", "ev_C237")
     assert len(verdict.nonideal.trace) == 237
     assert verdict.matched is False and verdict.secure is False
+
+
+GUARDED = """
+protocol "Guarded"
+state A {
+  event a resists mitm
+}
+state B {
+  event b
+  combine expr b | !b
+}
+state C {
+  event c resists mitm
+}
+transition A -> B
+transition B -> C
+initial A
+terminal C
+environment ideal
+environment nonideal attackers mitm
+"""
+
+
+def guarded_model(first=None, second=None, text=GUARDED):
+    from lpict.models import load_model
+
+    if first is not None:
+        text = text.replace("transition A -> B", f"transition A -> B action go when {first}")
+    if second is not None:
+        text = text.replace("transition B -> C", f"transition B -> C action on when {second}")
+    return load_model(text)
+
+
+def test_false_guard_is_flawed_and_names_the_transition():
+    # the North-star example: the only guard is !a, and a holds
+    model = guarded_model(first="!a")
+    for kind in ("ideal", "nonideal"):
+        outcome = analyze_protocol(model, model.environment(kind))
+        assert outcome.verdict == "flawed"
+        assert outcome.failing == ("A", "go")
+        assert [sym.state for sym in outcome.trace] == ["A"]
+        assert outcome.judgments == Judgments(False, False)
+        assert outcome.entailment is None
+    verdict = dual_environment_verdict(model)
+    assert verdict.secure is False and verdict.ideal.failing == ("A", "go")
+    assert verdict.ideal.entailment is None
+
+
+# b holds in the ideal run and mitm breaks it in the other; B's tree is a
+# tautology, so the walk reaches B's guard in both.
+@pytest.mark.parametrize(
+    "first,second,ideal,nonideal",
+    [
+        ("a & A", "a & A & B", True, True),  # atoms of visited states and events hold
+        ("a & A", "b & B", True, False),
+        ("!B & !C", "!C", True, True),  # the target and later states do not yet hold
+        ("B", None, False, False),
+        ("b", None, False, False),  # nor do the events of unvisited states
+        (None, "!b", False, True),
+        (None, "A -> c", False, False),
+    ],
+)
+def test_guard_valuation(first, second, ideal, nonideal):
+    model = guarded_model(first, second)
+    for kind, want in (("ideal", ideal), ("nonideal", nonideal)):
+        outcome = analyze_protocol(model, model.environment(kind))
+        assert outcome.secure is want, kind
+        if not want:
+            assert outcome.failing == (("B", "on") if second else ("A", "go")), kind
+
+
+def test_event_takes_its_value_in_the_latest_state_that_declares_it():
+    # x holds in A in both runs; in B it holds only in the ideal run
+    text = GUARDED.replace("event a resists", "event x resists").replace("b | !b", "x | !x")
+    text = text.replace("event b\n", "event x\n")
+    model = guarded_model("x", "x", text)
+    assert analyze_protocol(model, model.environment("ideal")).secure
+    outcome = analyze_protocol(model, model.environment("nonideal"))
+    assert outcome.failing == ("B", "on")
+    assert [sym.state for sym in outcome.trace] == ["A", "B"]
+
+
+def test_event_named_like_a_state_is_rejected():
+    # guards range over state and event atoms, so the two must not share a name
+    from lpict.models import load_model
+
+    with pytest.raises(ValidationError, match="'B' names both a state and an event"):
+        load_model(GUARDED.replace("event c resists", "event B resists"))

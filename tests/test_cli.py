@@ -1,7 +1,7 @@
 import json
 
 from lpict.cli import run_cli
-from lpict.models import builtin_dh, render_model
+from lpict.models import builtin_dh, builtin_tls13, render_model
 
 
 def run(capsys, *args):
@@ -100,6 +100,23 @@ def test_deep_nesting_is_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", "--model", str(path), "--dual")
     assert code == 2
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_false_guard_exits_1(tmp_path, capsys):
+    # ClientHello holds in both runs, so the guard blocks the first transition
+    path = tmp_path / "tls13-guarded.model"
+    text = render_model(builtin_tls13()).replace("action msg1", "action msg1 when !ClientHello")
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", "--model", str(path), "--dual", "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["secure"] is False and data["proofs"] is None
+    for env in data["environments"]:
+        assert env["verdict"] == "flawed"
+        assert env["failing"] == {"state": "S1", "event": "msg1"}
+        assert env["trace"] == ["S1:11111"]
+    code, out, _ = run(capsys, "analyze", "--model", str(path), "--env", "ideal")
+    assert code == 1 and "failing: state=S1 event=msg1" in out
 
 
 def test_reduce_parse_error(capsys):

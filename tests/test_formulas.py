@@ -3,6 +3,7 @@ import pytest
 from lpict.errors import AtomBudgetError, ParseError
 from lpict.logic.formulas import (
     FALSUM,
+    MAX_NESTING,
     And,
     Atom,
     Implies,
@@ -58,6 +59,26 @@ def test_parse_error_position():
         parse_formula("p -> ")
     with pytest.raises(ParseError):
         parse_formula("(p")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: "!" * n + "a",
+        lambda n: "(" * n + "a" + ")" * n,
+        lambda n: " -> ".join(["a"] * (n + 1)),
+        lambda n: "(" * (n // 2) + "!" * (n - n // 2) + "a" + ")" * (n // 2),
+    ],
+    ids=["negations", "parens", "implications", "mixed"],
+)
+def test_nesting_limit(make):
+    f = parse_formula(make(MAX_NESTING))
+    assert parse_formula(format_formula(f)) == f
+    assert eval_formula(f, {"a": True}) in (True, False)
+    with pytest.raises(ParseError, match=f"nested more than {MAX_NESTING} deep"):
+        parse_formula(make(MAX_NESTING + 1))
+    with pytest.raises(ParseError):
+        parse_formula(make(1500))
 
 
 def test_eval_examples():

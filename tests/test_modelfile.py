@@ -1,6 +1,7 @@
 import pytest
 
 from lpict.errors import ParseError, ValidationError
+from lpict.logic.formulas import MAX_NESTING, parse_formula
 from lpict.models import (
     builtin_dh,
     builtin_tls13,
@@ -186,6 +187,12 @@ READER_ERRORS = [
         "bad guard: expected a formula, found 'end of input' (at offset 4)",
         11,
     ),
+    (
+        "guard-missing",
+        _edit("transition A -> B", "transition A -> B when"),
+        "bad guard: expected a formula, found 'end of input' (at offset 0)",
+        11,
+    ),
     ("transition-token", _edit("transition A -> B", "transition A -> B via go"), "unexpected token 'via' in transition", 11),
     ("initial-shape", _edit("initial A", "initial A B"), "expected: initial <id>", 12),
     ("terminal-shape", _edit("terminal B", "terminal"), "expected: terminal <id>", 13),
@@ -202,3 +209,19 @@ def test_reader_error_messages(text, message, line):
         load_model(text)
     assert str(exc.value) == f"{message} (line {line})"
     assert exc.value.line == line
+
+
+def test_guard_after_a_tab_is_read():
+    text = _edit("transition A -> B", "transition A -> B action step\twhen\tgo & A")
+    assert load_model(text).lts.transitions[0].guard.formula == parse_formula("go & A")
+
+
+def test_deep_guard_is_a_parse_error():
+    deep = _edit("transition A -> B", "transition A -> B when " + "!" * 1500 + "go")
+    with pytest.raises(ParseError) as exc:
+        load_model(deep)
+    assert str(exc.value) == (
+        f"bad guard: formula nested more than {MAX_NESTING} deep (at offset {MAX_NESTING}) (line 11)"
+    )
+    at_limit = _edit("transition A -> B", "transition A -> B when " + "!" * MAX_NESTING + "go")
+    assert load_model(at_limit).lts.transitions[0].guard.formula is not None

@@ -1,7 +1,9 @@
 import pytest
 
 from lpict.errors import ParseError
-from lpict.pi.parser import parse_process, pretty_print
+from lpict.pi.congruence import standard_form
+from lpict.pi.parser import MAX_NESTING, parse_process, pretty_print
+from lpict.pi.reduction import reduce_step
 from lpict.pi.terms import NIL, Par, Receive, Restrict, Send, Sum, Tau
 
 from conftest import random_term
@@ -68,6 +70,33 @@ def test_sum_of_non_prefixed_rejected():
 def test_empty_receive_parens_rejected():
     with pytest.raises(ParseError):
         parse_process("x().0")
+
+
+def test_deep_nesting_is_a_parse_error():
+    deep = "(" * 1200 + "0" + ")" * 1200
+    with pytest.raises(ParseError, match=f"nested more than {MAX_NESTING} deep"):
+        parse_process(deep)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: "(" * (n - 1) + "x<a>.0 | x(y).0" + ")" * (n - 1),
+        lambda n: "!" * (n - 1) + "x<a>.0 | x(y).0",
+        lambda n: " ".join(f"new k{i}" for i in range(n - 1)) + " x<k0>.0",
+        lambda n: ".".join(["x<a>"] * n) + ".0 | x(y).0",
+    ],
+    ids=["parens", "bang", "new", "prefixes"],
+)
+def test_nesting_limit_is_exact_and_safe_below(make):
+    # at the limit a term parses, reduces and is put in standard form;
+    # one level more is rejected
+    term = parse_process(make(MAX_NESTING))
+    assert parse_process(pretty_print(term)) == term
+    reduce_step(term)
+    standard_form(term)
+    with pytest.raises(ParseError, match="nested more than"):
+        parse_process(make(MAX_NESTING + 1))
 
 
 def test_trailing_input_rejected():

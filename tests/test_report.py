@@ -132,3 +132,34 @@ def test_entailment_judged_once_per_dual_command(monkeypatch, capsys):
     render_report(build_dual_report(model, verdict), "text")
     render_report(build_single_report(model, env, outcome), "structured")
     assert calls == []
+
+
+def test_dual_command_searches_once_and_checks_two_proofs(tmp_path, monkeypatch, capsys):
+    import lpict.logic.search
+
+    n = 400
+    lines = ['protocol "Chain"']
+    for i in range(1, n + 1):
+        lines += [f"state C{i} {{", f"  event e{i} resists mitm replay", "}"]
+    lines += [f"transition C{i} -> C{i + 1}" for i in range(1, n)]
+    lines += ["initial C1", f"terminal C{n}", "environment ideal", "environment nonideal attackers mitm replay"]
+    path = tmp_path / "chain.model"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    searches, checks = [], []
+    search, check = lpict.logic.search._chain_to, lpict.analysis.check_proof
+
+    def counting_search(premises, goal):
+        searches.append(goal)
+        return search(premises, goal)
+
+    def counting_check(sequent, proof):
+        checks.append(proof)
+        return check(sequent, proof)
+
+    monkeypatch.setattr(lpict.logic.search, "_chain_to", counting_search)
+    monkeypatch.setattr(lpict.analysis, "check_proof", counting_check)
+    assert run_cli(["analyze", "--model", str(path), "--dual", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(searches) == 1
+    assert [len(proof) for proof in checks] == [2 * (n - 1) + 1, 2 * (n - 1) + 3]
