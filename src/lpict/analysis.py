@@ -11,10 +11,9 @@ failing pair. When the walk reaches the terminal state, two judgments
 decide the verdict: the visited sequence must be a repeat-free linear
 extension of transition reachability, and the terminal state must be
 derivable from the chain both by forward implication elimination and by
-refutation. The non-ideal run
-matches the ideal one when its trace is the ideal trace in full: a
-substring match at the first position of two traces of equal length, which
-is their equality.
+refutation. The non-ideal run matches the ideal one when its trace is the
+ideal trace in full: a substring match at the first position of two traces
+of equal length, which is their equality.
 """
 
 from __future__ import annotations
