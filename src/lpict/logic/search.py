@@ -4,7 +4,8 @@
 starting from a premise; `search_contradiction` assumes the negated goal and
 walks the same chain backwards with modus tollens, ending in falsum. Both
 emit proofs in the fixed two-column style: a chain through k implications
-yields 2k+1 forward lines and 2k+3 refutation lines.
+yields 2k+1 forward lines and 2k+3 refutation lines. `search_both` builds
+both proofs from one search of the implication path.
 """
 
 from __future__ import annotations

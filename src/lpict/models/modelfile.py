@@ -50,6 +50,8 @@ from ..trees import EventLeaf, EventOp, EventTree, build_event_tree
 from .core import IDEAL, NONIDEAL, AttackerCapability, EnvironmentConfig, ProtocolModel
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_PROTOCOL_RE = re.compile(r'\s*protocol\s+"([^"]+)"\s*$')
+_BLOCK_KEYWORDS = frozenset({"event", "combine", "}"})
 _RESIST_VALUES = {tag.value: tag for tag in ResistTag}
 _CAPABILITY_VALUES = {cap.value: cap for cap in AttackerCapability}
 
@@ -71,6 +73,12 @@ def _formula_to_tree(f: Formula, line: int) -> EventTree:
         op = "and" if isinstance(f, And) else "or"
         return EventOp(op, _formula_to_tree(f.left, line), _formula_to_tree(f.right, line))
     raise ParseError("combine expressions allow only atoms, !, & and |", line=line)
+
+
+def _tail(text: str, n: int) -> str:
+    """The text after its first n words, stripped; empty when there is none."""
+    parts = text.split(None, n)
+    return parts[n].strip() if len(parts) > n else ""
 
 
 class _ModelReader:
@@ -281,16 +289,6 @@ class _ModelReader:
         "terminal": key_terminal,
         "environment": key_environment,
     }
-
-
-_BLOCK_KEYWORDS = frozenset({"event", "combine", "}"})
-_PROTOCOL_RE = re.compile(r'\s*protocol\s+"([^"]+)"\s*$')
-
-
-def _tail(text: str, n: int) -> str:
-    """The text after its first n words, stripped; empty when there is none."""
-    parts = text.split(None, n)
-    return parts[n].strip() if len(parts) > n else ""
 
 
 def load_model(source: str) -> ProtocolModel:
