@@ -42,7 +42,6 @@ from .guarded import (
     apply_guarded_rule,
     build_guarded_lts,
     check_precondition,
-    corresponding_events_hold,
 )
 from .kmp import failure_function, kmp_match
 from .models import (
@@ -58,15 +57,6 @@ from .models import (
     with_attackers,
 )
 from .report import AnalysisReport, build_dual_report, build_single_report, parse_report, render_report
-from .trees import (
-    EventLeaf,
-    EventOp,
-    EventTree,
-    StateTreeNode,
-    bfs_traverse,
-    build_event_tree,
-    eval_event_tree,
-    event_leaves,
-)
+from .trees import StateTreeNode, bfs_traverse, build_event_tree, eval_event_tree, event_leaves
 
 __version__ = "0.1.0"

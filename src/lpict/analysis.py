@@ -24,11 +24,11 @@ from typing import Sequence
 
 from .errors import BranchingPathError, ValidationError
 from .guarded import GuardedLTS
-from .logic.formulas import Atom, Implies, eval_formula
+from .logic.formulas import And, Atom, Implies, Or, eval_formula
 from .logic.proofs import Proof, Sequent, check_proof
 from .logic.search import search_both
 from .models.core import IDEAL, NONIDEAL, ProtocolModel, apply_environment
-from .trees import EventLeaf, StateTreeNode, bfs_traverse, eval_event_leaves, eval_event_tree
+from .trees import StateTreeNode, bfs_traverse, eval_event_leaves, eval_event_tree, leaf_atom
 
 # Not called here any more, but bench/tracing.py wraps them by these names
 # in this module.
@@ -106,9 +106,9 @@ def build_state_tree(lts: GuardedLTS) -> StateTreeNode:
 
 
 def _first_false_leaf(tree, valuation) -> str:
-    for node in bfs_traverse(tree):
-        if isinstance(node, EventLeaf) and not eval_event_tree(node, valuation):
-            return node.name
+    for node in bfs_traverse(tree):  # a negated atom is one leaf
+        if not isinstance(node, (And, Or)) and not eval_event_tree(node, valuation):
+            return leaf_atom(node).name
     raise ValidationError("no false leaf in a false tree")  # pragma: no cover
 
 

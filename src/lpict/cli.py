@@ -64,7 +64,11 @@ def _resolve_model(spec: str):
     path = Path(spec)
     if not path.exists():
         raise LpictError(f"no built-in model or file named {spec!r}")
-    return load_model(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LpictError(f"cannot read model file {spec!r}: {exc}") from None
+    return load_model(text)
 
 
 def _parse_attackers(text: str) -> list[AttackerCapability]:

@@ -1,11 +1,11 @@
 """Guarded labelled transition systems.
 
-States carry named events composed by an event tree; transitions carry a
-propositional guard over event and state atoms. A transition's precondition
-holds when its guard and its source-state atom are derivable from the known
-facts; whether an event may fire at all is decided by folding the state's
-event tree. The guarded process rules behave like the plain reduction rules
-when their guard evaluates true and produce nothing when it does not.
+States carry named events composed by an event tree, a formula over the
+event names (see `trees`); transitions carry a propositional guard over event
+and state atoms. A transition's precondition holds when its guard and its
+source-state atom are derivable from the known facts. The guarded process
+rules behave like the plain reduction rules when their guard evaluates true
+and produce nothing when it does not.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .logic.search import search_forward_chain
 from .logic.semantics import semantic_entails
 from .pi.reduction import reduce_step
 from .pi.terms import Process
-from .trees import EventTree, event_leaves, eval_event_tree
+from .trees import event_leaves, leaf_atom
 
 
 class ResistTag(Enum):
@@ -63,7 +63,7 @@ class Guard:
 class StateNode:
     id: str
     events: tuple[Event, ...]
-    combine: EventTree | None = None  # None only for an event-less terminal
+    combine: Formula | None = None  # None only for an event-less terminal
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,9 +134,9 @@ def build_guarded_lts(states, transitions, initial: str, terminal: str) -> Guard
 
     Rejects duplicate state ids, duplicate event names within a state, an
     event named like a state, dangling transition endpoints, guard atoms that
-    resolve to nothing, event trees whose leaves are not the state's events,
-    non-terminal states with no events, and states unreachable from the
-    initial one.
+    resolve to nothing, event trees outside the event fragment or whose leaves
+    are not the state's events, non-terminal states with no events, and states
+    unreachable from the initial one.
     """
     states = tuple(states)
     transitions = tuple(transitions)
@@ -163,8 +163,8 @@ def build_guarded_lts(states, transitions, initial: str, terminal: str) -> Guard
         else:
             if s.combine is None:
                 raise ValidationError(f"state {s.id!r} has events but no event tree")
-            leaf_names = {leaf.name for leaf in event_leaves(s.combine)}
-            if leaf_names != set(names):
+            # event_leaves rejects a tree outside the event fragment
+            if {leaf_atom(leaf).name for leaf in event_leaves(s.combine)} != set(names):
                 raise ValidationError(f"event tree of state {s.id!r} does not match its events")
         event_names.update(names)
 
@@ -234,15 +234,3 @@ def apply_guarded_rule(rule: str, process: Process, guard: Guard, valuation: Val
         for tag, term in reduce_step(process)
         if allowed is None or tag in allowed
     }
-
-
-def corresponding_events_hold(events, tree: EventTree, valuation) -> bool:
-    """Fold the event tree: true means the guarded state/event may fire after
-    the prior events recorded in the valuation."""
-    names = [getattr(e, "name", e) for e in events]
-    leaf_names = {leaf.name for leaf in event_leaves(tree)}
-    if leaf_names != set(names):
-        raise ValidationError(
-            f"tree leaves {sorted(leaf_names)} do not match events {sorted(set(names))}"
-        )
-    return eval_event_tree(tree, valuation)

@@ -51,6 +51,8 @@ Formula = Union[Atom, Not, And, Or, Implies, Falsum]
 
 FALSUM = Falsum()
 
+_AND_OR = frozenset({And, Or})
+
 Valuation = Mapping[str, bool]
 
 
@@ -59,30 +61,42 @@ class MissingAtomError(LpictError):
 
 
 def atoms(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset({f.name})
-    if isinstance(f, Falsum):
-        return frozenset()
-    if isinstance(f, Not):
-        return atoms(f.operand)
-    return atoms(f.left) | atoms(f.right)
+    names = set()
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom):
+            names.add(node.name)
+        elif isinstance(node, Not):
+            stack.append(node.operand)
+        elif not isinstance(node, Falsum):
+            stack += (node.left, node.right)
+    return frozenset(names)
 
 
 def eval_formula(f: Formula, valuation: Valuation) -> bool:
-    """Classical truth-table semantics; falsum is false everywhere."""
+    """Classical truth-table semantics; falsum is false everywhere. The left
+    spine of a chain of & and | is walked in a loop, not by recursion."""
     if isinstance(f, Atom):
         try:
             return bool(valuation[f.name])
         except KeyError:
             raise MissingAtomError(f"valuation does not assign atom {f.name!r}") from None
+    if type(f) in _AND_OR:
+        spine = []
+        while type(f) in _AND_OR:
+            spine.append(f)
+            f = f.left
+        value = eval_formula(f, valuation)
+        while spine:
+            node = spine.pop()
+            if value == (type(node) is And):  # the right operand decides
+                value = eval_formula(node.right, valuation)
+        return value
     if isinstance(f, Falsum):
         return False
     if isinstance(f, Not):
         return not eval_formula(f.operand, valuation)
-    if isinstance(f, And):
-        return eval_formula(f.left, valuation) and eval_formula(f.right, valuation)
-    if isinstance(f, Or):
-        return eval_formula(f.left, valuation) or eval_formula(f.right, valuation)
     if isinstance(f, Implies):
         return (not eval_formula(f.left, valuation)) or eval_formula(f.right, valuation)
     raise TypeError(f"not a formula: {f!r}")

@@ -37,16 +37,8 @@ from ..guarded import (
     StateNode,
     build_guarded_lts,
 )
-from ..logic.formulas import (
-    And,
-    Atom,
-    Formula,
-    Not,
-    Or,
-    format_formula,
-    parse_formula,
-)
-from ..trees import EventLeaf, EventOp, EventTree, build_event_tree
+from ..logic.formulas import And, Atom, Formula, Or, format_formula, parse_formula
+from ..trees import build_event_tree, event_leaves
 from .core import IDEAL, NONIDEAL, AttackerCapability, EnvironmentConfig, ProtocolModel
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -54,25 +46,6 @@ _PROTOCOL_RE = re.compile(r'\s*protocol\s+"([^"]+)"\s*$')
 _BLOCK_KEYWORDS = frozenset({"event", "combine", "}"})
 _RESIST_VALUES = {tag.value: tag for tag in ResistTag}
 _CAPABILITY_VALUES = {cap.value: cap for cap in AttackerCapability}
-
-
-def _tree_to_formula(tree: EventTree) -> Formula:
-    if isinstance(tree, EventLeaf):
-        atom: Formula = Atom(tree.name)
-        return Not(atom) if tree.negated else atom
-    ctor = And if tree.op == "and" else Or
-    return ctor(_tree_to_formula(tree.left), _tree_to_formula(tree.right))
-
-
-def _formula_to_tree(f: Formula, line: int) -> EventTree:
-    if isinstance(f, Atom):
-        return EventLeaf(f.name)
-    if isinstance(f, Not) and isinstance(f.operand, Atom):
-        return EventLeaf(f.operand.name, negated=True)
-    if isinstance(f, (And, Or)):
-        op = "and" if isinstance(f, And) else "or"
-        return EventOp(op, _formula_to_tree(f.left, line), _formula_to_tree(f.right, line))
-    raise ParseError("combine expressions allow only atoms, !, & and |", line=line)
 
 
 def _tail(text: str, n: int) -> str:
@@ -96,7 +69,7 @@ class _ModelReader:
         # open state block, if any
         self.block_id: str | None = None
         self.block_events: list[Event] = []
-        self.block_combine: EventTree | None = None
+        self.block_combine: Formula | None = None
         self.block_line = 0
 
     def fail(self, message: str, line: int):
@@ -184,10 +157,10 @@ class _ModelReader:
         if self.block_combine is not None:
             self.fail("duplicate combine line", lineno)
         if len(words) >= 2 and words[1] == "expr":
-            expr = _tail(text, 2)
             try:
-                self.block_combine = _formula_to_tree(parse_formula(expr), lineno)
-            except ParseError as exc:
+                self.block_combine = parse_formula(_tail(text, 2))
+                event_leaves(self.block_combine)
+            except (ParseError, ValidationError) as exc:
                 self.fail(f"bad combine expression: {exc}", lineno)
             return
         ops = words[1:]
@@ -205,7 +178,7 @@ class _ModelReader:
         events = tuple(self.block_events)
         combine = self.block_combine
         if combine is None and len(events) == 1:
-            combine = EventLeaf(events[0].name)
+            combine = Atom(events[0].name)
         if combine is None and len(events) > 1:
             self.fail(f"state {self.block_id!r} needs a combine line", lineno)
         self.add_state(StateNode(self.block_id, events, combine), lineno)
@@ -296,23 +269,17 @@ def load_model(source: str) -> ProtocolModel:
     return _ModelReader(source).read()
 
 
-def _left_deep_ops(tree: EventTree | None, names: list[str]) -> list[str] | None:
-    leaves = []
+def _left_deep_ops(tree: Formula | None, names: list[str]) -> list[str] | None:
+    """The `combine` operators that build `tree` over `names`, if any do."""
     ops: list[str] = []
     node = tree
-    while isinstance(node, EventOp):
-        if isinstance(node.right, EventLeaf) and not node.right.negated:
-            leaves.append(node.right.name)
-            ops.append(node.op)
-            node = node.left
-        else:
-            return None
-    if not isinstance(node, EventLeaf) or node.negated:
-        return None
-    leaves.append(node.name)
-    leaves.reverse()
+    while isinstance(node, (And, Or)):
+        ops.append("and" if isinstance(node, And) else "or")
+        node = node.left
     ops.reverse()
-    return ops if leaves == names else None
+    if len(ops) == len(names) - 1 and build_event_tree(names, ops) == tree:
+        return ops
+    return None
 
 
 def _render_state(state: StateNode, seen: dict) -> list[str]:
@@ -328,12 +295,12 @@ def _render_state(state: StateNode, seen: dict) -> list[str]:
         if e.payload is not None:
             parts.append("payload " + " ".join(e.payload.items))
         lines.append(" ".join(parts))
-    if state.events and state.combine != EventLeaf(state.events[0].name):
+    if state.events and state.combine != Atom(state.events[0].name):
         ops = _left_deep_ops(state.combine, [e.name for e in state.events])
         if ops is not None:
             lines.append("  combine " + " ".join(ops))
         else:
-            lines.append("  combine expr " + format_formula(_tree_to_formula(state.combine)))
+            lines.append("  combine expr " + format_formula(state.combine))
     lines.append("}")
     return lines
 

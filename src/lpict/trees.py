@@ -1,53 +1,38 @@
-"""Binary trees over events and over protocol states.
+"""Event trees, and the state tree that strings them together.
 
-An event tree is an and/or operator tree whose leaves name events (a leaf may
-be negated). A state tree is a right spine of states in transition order,
+An event tree is a formula of `logic.formulas` in the event fragment: atoms
+(events), `Not` of an atom, `And` and `Or`. Its leaves are the atoms and
+negated atoms. A state tree is a right spine of states in transition order,
 each spine node carrying its event tree as the left child; breadth-first
 traversal therefore visits states strictly in chain order, interleaved with
-event-tree nodes.
+event-tree nodes. A chain of `combine` operators (a left-deep tree) is
+walked in loops, so it may be as long as the state has events.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Union
 
-from .errors import LpictError, ValidationError
+from .errors import ValidationError
+from .logic.formulas import And, Atom, Formula, MissingAtomError, Not, Or
 
+# An event leaf is an atom. The name stays because the benchmark's
+# bench/workloads.py builds leaves with it.
+EventLeaf = Atom
 
-class MissingEventError(LpictError):
-    """The valuation does not cover a leaf of the tree."""
-
-
-@dataclass(frozen=True, slots=True)
-class EventLeaf:
-    name: str
-    negated: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class EventOp:
-    op: str  # "and" | "or"
-    left: "EventTree"
-    right: "EventTree"
-
-    def __post_init__(self):
-        if self.op not in ("and", "or"):
-            raise ValidationError(f"unknown operator {self.op!r}")
-
-
-EventTree = Union[EventLeaf, EventOp]
+_OPERATORS = {"and": And, "or": Or}
+_AND_OR = frozenset(_OPERATORS.values())
 
 
 @dataclass(frozen=True, slots=True)
 class StateTreeNode:
     state: str
-    events: EventTree | None
+    events: Formula | None
     next: "StateTreeNode | None" = None
 
 
-def build_event_tree(events, operators) -> EventTree:
+def build_event_tree(events, operators) -> Formula:
     """Left-deep operator tree ((e1 op1 e2) op2 e3)...; leaf order follows
     event order. `events` may be names or objects with a `.name`."""
     names = [getattr(e, "name", e) for e in events]
@@ -58,46 +43,78 @@ def build_event_tree(events, operators) -> EventTree:
         raise ValidationError(
             f"{len(names)} events need {len(names) - 1} operators, got {len(operators)}"
         )
-    tree: EventTree = EventLeaf(names[0])
+    tree: Formula = Atom(names[0])
     for op, name in zip(operators, names[1:]):
-        tree = EventOp(op, tree, EventLeaf(name))
+        if op not in _OPERATORS:
+            raise ValidationError(f"unknown operator {op!r}")
+        tree = _OPERATORS[op](tree, Atom(name))
     return tree
 
 
-def event_leaves(tree: EventTree) -> list[EventLeaf]:
-    """Leaves in left-to-right order."""
-    if isinstance(tree, EventLeaf):
-        return [tree]
-    return event_leaves(tree.left) + event_leaves(tree.right)
+def leaf_atom(leaf) -> Atom:
+    """The atom of a leaf; ValidationError for a node outside the fragment."""
+    atom = leaf.operand if type(leaf) is Not else leaf
+    if type(atom) is not Atom:
+        raise ValidationError("combine expressions allow only atoms, !, & and |")
+    return atom
 
 
-def eval_event_tree(tree: EventTree, valuation) -> bool:
-    """Fold the operator tree under a total valuation of its leaves."""
-    return _fold(tree, valuation, [])
+def event_leaves(tree: Formula) -> list[Formula]:
+    """Leaves in left-to-right order; a negated atom is one leaf. Raises
+    ValidationError at a node outside the event fragment."""
+    out = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if type(node) in _AND_OR:
+            stack += (node.right, node.left)
+        else:
+            leaf_atom(node)
+            out.append(node)
+    return out
 
 
-def eval_event_leaves(tree: EventTree, valuation) -> tuple[bool, tuple[bool, ...]]:
+def eval_event_tree(tree: Formula, valuation) -> bool:
+    """The tree's value under a total valuation of its leaves."""
+    return eval_event_leaves(tree, valuation)[0]
+
+
+def eval_event_leaves(tree: Formula, valuation) -> tuple[bool, tuple[bool, ...]]:
     """The tree's value and the value of each leaf, in leaf order; each leaf
-    is looked up once."""
+    is looked up once, and every leaf is looked up. The left spine is walked
+    in a loop, so only an and/or node on the right of another one costs a
+    nested call."""
     values: list[bool] = []
-    return _fold(tree, valuation, values), tuple(values)
+    spine = []
+    while type(tree) in _AND_OR:
+        spine.append(tree)
+        tree = tree.left
+    value = _leaf_value(tree, valuation, values)
+    while spine:
+        node = spine.pop()
+        right = node.right
+        if type(right) in _AND_OR:
+            right_value, right_values = eval_event_leaves(right, valuation)
+            values += right_values
+        else:
+            right_value = _leaf_value(right, valuation, values)
+        value = (value and right_value) if type(node) is And else (value or right_value)
+    return value, tuple(values)
 
 
-def _fold(tree: EventTree, valuation, values: list[bool]) -> bool:
-    if isinstance(tree, EventLeaf):
-        try:
-            value = bool(valuation[tree.name]) != tree.negated
-        except KeyError:
-            raise MissingEventError(f"valuation does not assign event {tree.name!r}") from None
-        values.append(value)
-        return value
-    left = _fold(tree.left, valuation, values)
-    right = _fold(tree.right, valuation, values)
-    return (left and right) if tree.op == "and" else (left or right)
+def _leaf_value(leaf, valuation, values: list[bool]) -> bool:
+    atom = leaf_atom(leaf)
+    try:
+        value = bool(valuation[atom.name]) != (atom is not leaf)
+    except KeyError:
+        raise MissingAtomError(f"valuation does not assign atom {atom.name!r}") from None
+    values.append(value)
+    return value
 
 
 def bfs_traverse(tree) -> list:
-    """Level-order traversal of an event tree or a state tree."""
+    """Level-order traversal of an event tree or a state tree; a negated
+    atom is one node."""
     out = []
     queue = deque([tree])
     while queue:
@@ -108,7 +125,7 @@ def bfs_traverse(tree) -> list:
                 queue.append(node.events)
             if node.next is not None:
                 queue.append(node.next)
-        elif isinstance(node, EventOp):
+        elif type(node) in _AND_OR:
             queue.append(node.left)
             queue.append(node.right)
     return out

@@ -13,7 +13,7 @@ from lpict.analysis import (
 )
 from lpict.errors import BranchingPathError, ValidationError
 from lpict.guarded import Event, Guard, GuardedTransition, ResistTag, StateNode, build_guarded_lts
-from lpict.logic.formulas import Atom
+from lpict.logic.formulas import Atom, Not, Or
 from lpict.logic.proofs import check_proof
 from lpict.models import (
     AttackerCapability,
@@ -23,11 +23,11 @@ from lpict.models import (
     builtin_tls13,
     with_attackers,
 )
-from lpict.trees import EventLeaf, StateTreeNode, bfs_traverse
+from lpict.trees import StateTreeNode, bfs_traverse
 
 
 def simple_state(sid, event):
-    return StateNode(sid, (Event(event),), EventLeaf(event))
+    return StateNode(sid, (Event(event),), Atom(event))
 
 
 def make_chain(ids):
@@ -215,14 +215,13 @@ def test_all_tautology_trees_leave_verdict_to_judgments():
     # when every event tree is a tautology the walk always passes, so the
     # verdict is decided by the two judgments alone, attackers or not
     from lpict.models import AttackerCapability, EnvironmentConfig, ProtocolModel
-    from lpict.trees import EventLeaf, EventOp
 
     ids = ["A", "B", "C"]
     states = tuple(
         StateNode(
             s,
             (Event(f"e{s}"),),
-            EventOp("or", EventLeaf(f"e{s}"), EventLeaf(f"e{s}", negated=True)),
+            Or(Atom(f"e{s}"), Not(Atom(f"e{s}"))),
         )
         for s in ids
     )
@@ -264,7 +263,7 @@ def chain_model(n, planted_at=None):
         StateNode(
             s,
             (Event(f"ev_{s}", full - {ResistTag.MITM} if s == planted_at else full),),
-            EventLeaf(f"ev_{s}"),
+            Atom(f"ev_{s}"),
         )
         for s in ids
     ]
@@ -389,3 +388,40 @@ def test_event_named_like_a_state_is_rejected():
 
     with pytest.raises(ValidationError, match="'B' names both a state and an event"):
         load_model(GUARDED.replace("event c resists", "event B resists"))
+
+
+def wide_model_text(n, weak):
+    """One state of n events joined by a left-deep `and` chain, whose
+    transition is guarded by the conjunction of all n events; every event
+    resists mitm but `weak`."""
+    events = [f"  event e{i} resists {'replay' if i == weak else 'mitm'}" for i in range(n)]
+    guard = " & ".join(f"e{i}" for i in range(n))
+    return "\n".join(
+        ['protocol "Wide"', "state A {", *events, "  combine " + " ".join(["and"] * (n - 1)), "}"]
+        + ["state B { }", f"transition A -> B when {guard}", "initial A", "terminal B"]
+        + ["environment ideal", "environment nonideal attackers mitm"]
+    ) + "\n"
+
+
+def test_wide_state_does_not_recurse():
+    # 1500 events and a 1500-conjunct guard: reading, walking and judging
+    # each take a loop, not a recursion, per event
+    from lpict.models import load_model
+
+    verdict = dual_environment_verdict(load_model(wide_model_text(1500, weak=700)))
+    assert verdict.ideal.secure
+    assert verdict.ideal.trace[0].event_values == (True,) * 1500
+    assert verdict.nonideal.failing == ("A", "e700")
+    assert not verdict.secure
+    assert dual_environment_verdict(load_model(wide_model_text(1500, weak=None))).secure
+
+
+def test_wide_state_through_the_cli(tmp_path, capsys):
+    # exit 2 would mean the input was rejected as nested too deeply
+    from lpict.cli import run_cli
+
+    for weak, code in ((None, 0), (700, 1)):
+        path = tmp_path / "wide.model"
+        path.write_text(wide_model_text(1500, weak), encoding="utf-8")
+        assert run_cli(["analyze", "--model", str(path), "--dual", "--format", "json"]) == code
+        assert capsys.readouterr().err == ""

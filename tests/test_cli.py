@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from lpict.cli import run_cli
 from lpict.models import builtin_dh, builtin_tls13, render_model
 
@@ -183,3 +185,27 @@ def test_color_env_toggle(capsys, monkeypatch):
     monkeypatch.setenv("LPICT_COLOR", "0")
     code, out, _ = run(capsys, "analyze", "--model", "tls13", "--dual")
     assert "\x1b[32m" not in out
+
+
+def run_main(monkeypatch, capsys, *args):
+    """Exit code and stderr of the console entry point."""
+    from lpict.cli import main
+
+    monkeypatch.setattr("sys.argv", ["lpict", *args])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_model_path_that_is_a_directory_is_exit_2(tmp_path, monkeypatch, capsys):
+    code, err = run_main(monkeypatch, capsys, "analyze", "--model", str(tmp_path), "--dual")
+    assert code == 2
+    assert err.startswith(f"error: cannot read model file {str(tmp_path)!r}") and len(err.splitlines()) == 1
+
+
+def test_model_file_that_is_not_utf8_is_exit_2(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "latin1.model"
+    path.write_bytes(render_model(builtin_dh()).replace("Init", "Inité").encode("latin-1"))
+    code, err = run_main(monkeypatch, capsys, "analyze", "--model", str(path), "--dual")
+    assert code == 2
+    assert err.startswith(f"error: cannot read model file {str(path)!r}") and len(err.splitlines()) == 1

@@ -95,6 +95,28 @@ def test_eval_missing_atom():
         eval_formula(Atom("p"), {})
 
 
+def test_long_chains_do_not_recurse():
+    # a left-associative chain parses in a loop; atoms and eval_formula must
+    # not recurse once per operand either
+    for op in ("&", "|"):
+        f = parse_formula(f" {op} ".join(["a"] * 1500))
+        assert atoms(f) == {"a"}
+        assert eval_formula(f, {"a": True}) is True
+        assert eval_formula(f, {"a": False}) is False
+
+
+def test_eval_short_circuits_along_a_chain():
+    # the right operand is looked up only when it decides the value
+    assert eval_formula(parse_formula("p & q & r"), {"p": False}) is False
+    assert eval_formula(parse_formula("p | q | r"), {"p": True}) is True
+    assert eval_formula(parse_formula("p & q | r"), {"p": False, "r": True}) is True
+    assert eval_formula(parse_formula("p | q & r"), {"p": True}) is True
+    with pytest.raises(MissingAtomError, match="'q'"):
+        eval_formula(parse_formula("p | q | r"), {"p": False, "r": True})
+    with pytest.raises(MissingAtomError, match="'r'"):
+        eval_formula(parse_formula("p & q & r"), {"p": True, "q": True})
+
+
 def test_format_parse_roundtrip(rng):
     names = ["p", "q", "r"]
     for _ in range(200):

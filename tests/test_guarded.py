@@ -10,13 +10,12 @@ from lpict.guarded import (
     apply_guarded_rule,
     build_guarded_lts,
     check_precondition,
-    corresponding_events_hold,
 )
-from lpict.logic.formulas import And, Atom, Implies, parse_formula
+from lpict.logic.formulas import And, Atom, Implies, Not, parse_formula
 from lpict.logic.semantics import all_valuations
 from lpict.pi.parser import parse_process
 from lpict.pi.reduction import reduce_step
-from lpict.trees import EventLeaf, build_event_tree
+from lpict.trees import build_event_tree
 
 
 def simple_state(sid, *event_names):
@@ -67,6 +66,21 @@ def test_unreachable_state_rejected():
 def test_duplicate_event_names_rejected():
     state = StateNode("S1", (Event("e"), Event("e")), build_event_tree(["e", "e"], ["and"]))
     with pytest.raises(ValidationError, match="duplicate event"):
+        build_guarded_lts([state], [], "S1", "S1")
+
+
+@pytest.mark.parametrize(
+    "tree, message",
+    [
+        (Atom("other"), "does not match its events"),
+        (And(Atom("e1"), Not(Atom("e1"))), "does not match its events"),
+        (Implies(Atom("e1"), Atom("e2")), "allow only atoms"),
+        (And(Atom("e1"), Not(Not(Atom("e2")))), "allow only atoms"),
+    ],
+)
+def test_event_tree_must_be_an_event_formula_over_its_events(tree, message):
+    state = StateNode("S1", (Event("e1"), Event("e2")), tree)
+    with pytest.raises(ValidationError, match=message):
         build_guarded_lts([state], [], "S1", "S1")
 
 
@@ -163,28 +177,6 @@ def test_unsatisfiable_guard_blocks_everything(rng):
         term = random_term(rng, rng.randrange(0, 4))
         for rule in ("TAU", "REACT", "REACT'", "STRUCT"):
             assert apply_guarded_rule(rule, term, guard, {"g": True}) == set()
-
-
-def test_corresponding_events_hold():
-    events = [Event(f"e{i}") for i in range(1, 6)]
-    tree = build_event_tree(events, ("and",) * 4)
-    assert corresponding_events_hold(events, tree, {e.name: True for e in events}) is True
-    valuation = {e.name: True for e in events}
-    valuation["e3"] = False
-    assert corresponding_events_hold(events, tree, valuation) is False
-
-
-def test_corresponding_events_mixed_tree():
-    events = [Event("e1"), Event("e2"), Event("e3")]
-    tree = build_event_tree(events, ("and", "or"))
-    valuation = {"e1": False, "e2": True, "e3": True}
-    assert corresponding_events_hold(events, tree, valuation) is True
-
-
-def test_corresponding_events_leaf_mismatch():
-    events = [Event("e1")]
-    with pytest.raises(ValidationError):
-        corresponding_events_hold(events, EventLeaf("other"), {"other": True})
 
 
 def test_event_tree_fold_exhaustive(rng):

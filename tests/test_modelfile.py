@@ -161,7 +161,7 @@ READER_ERRORS = [
     (
         "combine-expr-implication",
         _edit("combine or", "combine expr stop -> halt"),
-        "bad combine expression: combine expressions allow only atoms, !, & and | (line 9)",
+        "bad combine expression: combine expressions allow only atoms, !, & and |",
         9,
     ),
     ("combine-operator", _edit("combine or", "combine xor"), "unknown operator 'xor' in combine", 9),

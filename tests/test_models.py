@@ -11,14 +11,15 @@ from lpict.models import (
     with_attackers,
 )
 from lpict.models.core import CAPABILITY_COUNTERS
-from lpict.trees import EventLeaf, EventOp, build_event_tree
+from lpict.logic.formulas import Atom, Not, Or
+from lpict.trees import build_event_tree
 
 _HELLO = {"replay", "mitm", "forward_secrecy", "integrity", "identity_auth", "selection_sync"}
 _SERVER = _HELLO | {"confidentiality", "verification"}
 _CERT = {"replay", "mitm", "identity_auth", "verification"}
 _DATA = {"replay", "mitm", "verification"}
 _AND = "every event joined by and, left-deep"
-_TAUTOLOGY = EventOp("or", EventLeaf("ApplicationData"), EventLeaf("ApplicationData", negated=True))
+_TAUTOLOGY = Or(Atom("ApplicationData"), Not(Atom("ApplicationData")))
 
 # Every state of the built-in models: the resist tags of each of its events
 # and its event tree.
@@ -30,10 +31,10 @@ BUILTIN_STATES = [
     (builtin_tls13, "S5", _CERT, _AND),
     (builtin_tls13, "S6", _DATA, _TAUTOLOGY),
     (builtin_tls13, "S_end", _DATA, _TAUTOLOGY),
-    (builtin_dh, "Init", {"confidentiality", "identity_auth", "integrity", "mitm"}, EventLeaf("random_nonce")),
-    (builtin_dh, "ExchangeA", {"confidentiality"}, EventLeaf("public_value_send")),
-    (builtin_dh, "ExchangeB", {"confidentiality"}, EventLeaf("public_value_receive")),
-    (builtin_dh, "Done", {"confidentiality", "integrity"}, EventLeaf("shared_secret_derive")),
+    (builtin_dh, "Init", {"confidentiality", "identity_auth", "integrity", "mitm"}, Atom("random_nonce")),
+    (builtin_dh, "ExchangeA", {"confidentiality"}, Atom("public_value_send")),
+    (builtin_dh, "ExchangeB", {"confidentiality"}, Atom("public_value_receive")),
+    (builtin_dh, "Done", {"confidentiality", "integrity"}, Atom("shared_secret_derive")),
 ]
 
 

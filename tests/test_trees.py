@@ -1,13 +1,24 @@
 import pytest
 
 from lpict.errors import ValidationError
+from lpict.logic.formulas import (
+    FALSUM,
+    And,
+    Atom,
+    Implies,
+    MissingAtomError,
+    Not,
+    Or,
+    atoms,
+    eval_formula,
+    parse_formula,
+)
 from lpict.trees import (
     EventLeaf,
-    EventOp,
-    MissingEventError,
     StateTreeNode,
     bfs_traverse,
     build_event_tree,
+    eval_event_leaves,
     eval_event_tree,
     event_leaves,
 )
@@ -15,12 +26,12 @@ from lpict.trees import (
 
 def test_build_left_deep():
     tree = build_event_tree(["e1", "e2", "e3"], ["and", "or"])
-    assert tree == EventOp("or", EventOp("and", EventLeaf("e1"), EventLeaf("e2")), EventLeaf("e3"))
+    assert tree == Or(And(Atom("e1"), Atom("e2")), Atom("e3"))
     assert [leaf.name for leaf in event_leaves(tree)] == ["e1", "e2", "e3"]
 
 
 def test_build_single_leaf():
-    assert build_event_tree(["e1"], []) == EventLeaf("e1")
+    assert build_event_tree(["e1"], []) == Atom("e1")
 
 
 def test_build_arity_mismatch():
@@ -36,29 +47,72 @@ def test_mixed_tree_fold():
     valuation = {"e1": False, "e2": True, "e3": True}
 
     def fold(node):
-        if isinstance(node, EventLeaf):
-            value = valuation[node.name]
-            return (not value) if node.negated else value
+        if isinstance(node, Atom):
+            return valuation[node.name]
+        if isinstance(node, Not):
+            return not fold(node.operand)
         left, right = fold(node.left), fold(node.right)
-        return left and right if node.op == "and" else left or right
+        return left and right if isinstance(node, And) else left or right
 
     assert eval_event_tree(tree, valuation) is fold(tree) is True
 
 
 def test_eval_missing_leaf():
-    with pytest.raises(MissingEventError):
-        eval_event_tree(EventLeaf("nope"), {})
+    with pytest.raises(MissingAtomError):
+        eval_event_tree(Atom("nope"), {})
+
+
+def test_every_leaf_is_looked_up():
+    # unlike eval_formula, a false left operand does not skip the right one
+    tree = And(Atom("a"), Not(Atom("nope")))
+    assert eval_formula(tree, {"a": False}) is False
+    with pytest.raises(MissingAtomError):
+        eval_event_tree(tree, {"a": False})
 
 
 def test_negated_leaf():
-    tree = EventOp("or", EventLeaf("x"), EventLeaf("x", negated=True))
+    tree = Or(Atom("x"), Not(Atom("x")))
     assert eval_event_tree(tree, {"x": True}) is True
     assert eval_event_tree(tree, {"x": False}) is True
 
 
+def test_leaves_in_order_with_negated_and_repeated_leaves():
+    tree = parse_formula("(a & !b) | (b & (!a | a))")
+    assert event_leaves(tree) == [Atom("a"), Not(Atom("b")), Atom("b"), Not(Atom("a")), Atom("a")]
+    value, bits = eval_event_leaves(tree, {"a": True, "b": False})
+    assert value is True and bits == (True, True, False, False, True)
+
+
 def test_unknown_operator_rejected():
     with pytest.raises(ValidationError):
-        EventOp("xor", EventLeaf("a"), EventLeaf("b"))
+        build_event_tree(["a", "b"], ["xor"])
+
+
+@pytest.mark.parametrize("tree", [Implies(Atom("a"), Atom("b")), FALSUM, Not(Not(Atom("a"))), Not(And(Atom("a"), Atom("b")))])
+def test_nodes_outside_the_fragment_rejected(tree):
+    with pytest.raises(ValidationError, match="allow only atoms"):
+        event_leaves(Or(Atom("x"), tree))
+    with pytest.raises(ValidationError):
+        eval_event_tree(And(tree, Atom("x")), {"a": True, "b": True, "x": True})
+
+
+def test_event_leaf_is_an_atom():
+    assert EventLeaf("e") == Atom("e")
+
+
+def test_deep_trees_do_not_recurse():
+    n = 100_000
+    names = [f"e{i}" for i in range(n)]
+    tree = build_event_tree(names, ["and"] * (n - 1))
+    assert len(event_leaves(tree)) == n
+    valuation = dict.fromkeys(names, True)
+    value, bits = eval_event_leaves(tree, valuation)
+    assert value is True and len(bits) == n
+    assert eval_formula(tree, valuation) is True
+    assert atoms(tree) == frozenset(names)
+    assert len(bfs_traverse(tree)) == 2 * n - 1
+    valuation["e0"] = False
+    assert eval_event_tree(tree, valuation) is False
 
 
 def test_conjunctive_tree_monotone():
@@ -82,20 +136,25 @@ def test_conjunctive_tree_monotone():
 
 
 def test_bfs_single_leaf():
-    leaf = EventLeaf("e")
+    leaf = Atom("e")
     assert bfs_traverse(leaf) == [leaf]
 
 
 def test_bfs_left_deep_three_leaves():
     # hand-simulated queue trace: root, left op, e3, e1, e2
     tree = build_event_tree(["e1", "e2", "e3"], ["and", "and"])
-    names = [n.name if isinstance(n, EventLeaf) else n.op for n in bfs_traverse(tree)]
-    assert names == ["and", "and", "e3", "e1", "e2"]
+    names = [n.name if isinstance(n, Atom) else type(n).__name__ for n in bfs_traverse(tree)]
+    assert names == ["And", "And", "e3", "e1", "e2"]
+
+
+def test_bfs_negated_atom_is_one_node():
+    tree = Or(Not(Atom("a")), Atom("b"))
+    assert bfs_traverse(tree) == [tree, Not(Atom("a")), Atom("b")]
 
 
 def test_bfs_state_tree_visits_states_in_chain_order():
     spine = None
     for sid in ["S3", "S2", "S1"]:
-        spine = StateTreeNode(sid, EventLeaf(f"e_{sid}"), spine)
+        spine = StateTreeNode(sid, Atom(f"e_{sid}"), spine)
     visited = [n.state for n in bfs_traverse(spine) if isinstance(n, StateTreeNode)]
     assert visited == ["S1", "S2", "S3"]
