@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -209,3 +211,26 @@ def test_model_file_that_is_not_utf8_is_exit_2(tmp_path, monkeypatch, capsys):
     code, err = run_main(monkeypatch, capsys, "analyze", "--model", str(path), "--dual")
     assert code == 2
     assert err.startswith(f"error: cannot read model file {str(path)!r}") and len(err.splitlines()) == 1
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "golden, color, code, args",
+    [
+        ("dh_dual.txt", "0", 1, ["--dual"]),
+        ("dh_dual.json", "0", 1, ["--dual", "--format", "json"]),
+        ("dh_nonideal.txt", "0", 1, ["--env", "nonideal"]),
+        ("dh_nonideal.json", "0", 1, ["--env", "nonideal", "--format", "json"]),
+        ("tls13_dual_color.txt", "1", 0, ["--dual"]),
+    ],
+)
+def test_analyze_output_is_byte_exact(golden, color, code, args, monkeypatch, capsys):
+    model = golden.split("_")[0]
+    monkeypatch.setenv("LPICT_COLOR", color)
+    got, out, _ = run(capsys, "analyze", "--model", model, *args)
+    assert got == code
+    out = re.sub(r"duration: [0-9.]+ ms", "duration: 0.0 ms", out)
+    out = re.sub(r'"duration_ms": [0-9.eE+-]+', '"duration_ms": 0', out)
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
