@@ -39,7 +39,6 @@ from .guarded import (
     GuardedTransition,
     ResistTag,
     StateNode,
-    apply_guarded_rule,
     build_guarded_lts,
     check_precondition,
 )
@@ -56,7 +55,7 @@ from .models import (
     render_model,
     with_attackers,
 )
-from .report import AnalysisReport, build_dual_report, build_single_report, parse_report, render_report
+from .report import build_dual_report, build_single_report, render_report
 from .trees import StateTreeNode, bfs_traverse, build_event_tree, eval_event_tree, event_leaves
 
 __version__ = "0.1.0"

@@ -3,7 +3,8 @@
 Subcommands: analyze (single or dual environment), prove (emit a proof
 table), reduce (step a process term), match (substring-match two trace
 files), models (list built-ins). Exit status 0 means secure/valid/matched,
-1 means flawed/invalid/no match, 2 means a usage or input error.
+1 means flawed/invalid/no match, 2 means a usage or input error or an
+internal error.
 Set LPICT_COLOR=1 for ANSI color in text output.
 """
 
@@ -24,7 +25,7 @@ from .models import BUILTIN_MODELS, load_model, with_attackers
 from .models.core import AttackerCapability
 from .pi.parser import parse_process, pretty_print
 from .pi.reduction import reduce_step
-from .report import build_dual_report, build_single_report, render_report
+from .report import build_dual_report, build_single_report, paint, render_report, yesno
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -131,14 +132,10 @@ def _cmd_prove(args, color: bool) -> int:
             + "\n"
         )
     else:
-        verdict = "yes" if valid else "no"
-        if color:
-            tint = "\x1b[32m" if valid else "\x1b[31m"
-            verdict = f"{tint}{verdict}\x1b[0m"
         sys.stdout.write(f"sequent: {render_sequent(result.sequent)}\n")
         sys.stdout.write(f"{args.style} proof ({len(proof)} lines):\n")
         sys.stdout.write(render_proof_table(proof) + "\n")
-        sys.stdout.write(f"valid: {verdict}\n")
+        sys.stdout.write(f"valid: {paint(yesno(valid), valid, color)}\n")
     return 0 if valid else 1
 
 
@@ -218,7 +215,12 @@ def run_cli(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    try:
+        code = run_cli(sys.argv[1:])
+    except Exception as exc:  # a fault of lpict, never a verdict: exit 2, not 1
+        sys.stderr.write(f"error: internal error: {exc!r}\n")
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

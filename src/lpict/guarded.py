@@ -3,9 +3,7 @@
 States carry named events composed by an event tree, a formula over the
 event names (see `trees`); transitions carry a propositional guard over event
 and state atoms. A transition's precondition holds when its guard and its
-source-state atom are derivable from the known facts. The guarded process
-rules behave like the plain reduction rules when their guard evaluates true
-and produce nothing when it does not.
+source-state atom are derivable from the known facts.
 """
 
 from __future__ import annotations
@@ -15,11 +13,9 @@ from enum import Enum
 from functools import cached_property
 
 from .errors import BranchingPathError, ValidationError
-from .logic.formulas import Atom, Formula, Valuation, atoms, eval_formula
+from .logic.formulas import Atom, Formula, atoms
 from .logic.search import search_forward_chain
 from .logic.semantics import semantic_entails
-from .pi.reduction import reduce_step
-from .pi.terms import Process
 from .trees import event_leaves, leaf_atom
 
 
@@ -163,8 +159,11 @@ def build_guarded_lts(states, transitions, initial: str, terminal: str) -> Guard
         else:
             if s.combine is None:
                 raise ValidationError(f"state {s.id!r} has events but no event tree")
-            # event_leaves rejects a tree outside the event fragment
-            if {leaf_atom(leaf).name for leaf in event_leaves(s.combine)} != set(names):
+            try:
+                leaves = event_leaves(s.combine)
+            except ValidationError as exc:
+                raise ValidationError(f"event tree of state {s.id!r}: {exc}") from None
+            if {leaf_atom(leaf).name for leaf in leaves} != set(names):
                 raise ValidationError(f"event tree of state {s.id!r} does not match its events")
         event_names.update(names)
 
@@ -212,25 +211,3 @@ def check_precondition(lts: GuardedLTS, transition: GuardedTransition, facts) ->
     return _derivable(facts, Atom(transition.source)) and _derivable(
         facts, transition.guard.formula
     )
-
-
-GUARDED_RULES = ("TAU", "REACT", "REACT'", "PAR", "RES", "STRUCT")
-
-_AXIOM_TAGS = {"TAU": ("TAU",), "REACT": ("REACT",), "REACT'": ("REACT'",)}
-
-
-def apply_guarded_rule(rule: str, process: Process, guard: Guard, valuation: Valuation) -> set[Process]:
-    """Successors of the guarded rule: empty when the guard evaluates false,
-    otherwise the successors of the corresponding unguarded rule. The closure
-    rules (PAR, RES, STRUCT) admit every successor, since reduction already
-    computes the closed relation on canonical forms."""
-    if rule not in GUARDED_RULES:
-        raise ValidationError(f"unknown guarded rule {rule!r}")
-    if not eval_formula(guard.formula, valuation):
-        return set()
-    allowed = _AXIOM_TAGS.get(rule)
-    return {
-        term
-        for tag, term in reduce_step(process)
-        if allowed is None or tag in allowed
-    }

@@ -218,12 +218,18 @@ def _fmt(f: Formula, parent: int) -> str:
         return "false"
     if isinstance(f, Not):
         return f"!{_fmt(f.operand, _PREC[Not])}"
-    prec = _PREC[type(f)]
-    if isinstance(f, Implies):
+    op = type(f)
+    prec = _PREC[op]
+    if op is Implies:
         # right-associative: left side needs the tighter context
         out = f"{_fmt(f.left, prec + 1)} -> {_fmt(f.right, prec)}"
-    elif isinstance(f, Or):
-        out = f"{_fmt(f.left, prec)} | {_fmt(f.right, prec + 1)}"
     else:
-        out = f"{_fmt(f.left, prec)} & {_fmt(f.right, prec + 1)}"
+        # a chain of one operator is left-deep: walk its left spine in a loop
+        rights = []
+        while type(f) is op:
+            rights.append(f.right)
+            f = f.left
+        parts = [_fmt(f, prec)]
+        parts += [_fmt(right, prec + 1) for right in reversed(rights)]
+        out = (" & " if op is And else " | ").join(parts)
     return f"({out})" if prec < parent else out

@@ -29,7 +29,3 @@ def semantic_entails(premises: Iterable[Formula], conclusion: Formula) -> bool:
         if all(eval_formula(p, v) for p in premises) and not eval_formula(conclusion, v):
             return False
     return True
-
-
-def is_tautology(f: Formula) -> bool:
-    return semantic_entails((), f)

@@ -211,11 +211,16 @@ def pretty_print(p: Process) -> str:
     if isinstance(p, Sum):
         return " + ".join(f"{_pp_prefix(pi)}.{_pp_term(cont)}" for pi, cont in p.branches)
     if isinstance(p, Par):
-        left = pretty_print(p.left)
-        right = pretty_print(p.right)
-        if isinstance(p.right, Par):  # keep right-nested grouping explicit
-            right = f"({right})"
-        return f"{left} | {right}"
+        # parallel composition is left-deep: walk its left spine in a loop
+        rights = []
+        while isinstance(p, Par):
+            right = pretty_print(p.right)
+            if isinstance(p.right, Par):  # keep right-nested grouping explicit
+                right = f"({right})"
+            rights.append(right)
+            p = p.left
+        rights.append(pretty_print(p))
+        return " | ".join(reversed(rights))
     if isinstance(p, Restrict):
         return f"new {p.name} {_pp_term(p.body)}"
     if isinstance(p, Bang):

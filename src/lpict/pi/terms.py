@@ -84,12 +84,6 @@ Process = Union[Nil, Sum, Par, Restrict, Bang]
 NIL = Nil()
 
 
-def sum_of(branches) -> Process:
-    """Build a sum, collapsing the empty case to Nil."""
-    branches = tuple(branches)
-    return Sum(branches) if branches else NIL
-
-
 def prefixed(prefix: Prefix, cont: Process) -> Sum:
     return Sum(((prefix, cont),))
 

@@ -213,6 +213,20 @@ def test_model_file_that_is_not_utf8_is_exit_2(tmp_path, monkeypatch, capsys):
     assert err.startswith(f"error: cannot read model file {str(path)!r}") and len(err.splitlines()) == 1
 
 
+def test_unexpected_exception_is_exit_2_through_main(monkeypatch, capsys):
+    import lpict.cli
+
+    def broken():
+        raise KeyError("boom\nsecond line")
+
+    monkeypatch.setattr(lpict.cli, "_cmd_models", broken)
+    with pytest.raises(KeyError):
+        run_cli(["models"])  # run_cli maps only lpict's own errors
+    code, err = run_main(monkeypatch, capsys, "models")
+    assert code == 2
+    assert err == "error: internal error: KeyError('boom\\nsecond line')\n"
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 

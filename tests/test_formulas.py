@@ -105,6 +105,17 @@ def test_long_chains_do_not_recurse():
         assert eval_formula(f, {"a": False}) is False
 
 
+def test_format_long_chains_does_not_recurse():
+    # format_formula walks the left spine of a one-operator chain in a loop
+    for source in (
+        " & ".join(["a"] * 1500),
+        " | ".join(["a"] * 1500),
+        " | ".join(["a & b"] * 1500),
+        " & ".join(["(a | b)"] * 1500),
+    ):
+        assert format_formula(parse_formula(source)) == source
+
+
 def test_eval_short_circuits_along_a_chain():
     # the right operand is looked up only when it decides the value
     assert eval_formula(parse_formula("p & q & r"), {"p": False}) is False

@@ -7,14 +7,11 @@ from lpict.guarded import (
     Guard,
     GuardedTransition,
     StateNode,
-    apply_guarded_rule,
     build_guarded_lts,
     check_precondition,
 )
-from lpict.logic.formulas import And, Atom, Implies, Not, parse_formula
+from lpict.logic.formulas import And, Atom, Implies, Not
 from lpict.logic.semantics import all_valuations
-from lpict.pi.parser import parse_process
-from lpict.pi.reduction import reduce_step
 from lpict.trees import build_event_tree
 
 
@@ -80,8 +77,9 @@ def test_duplicate_event_names_rejected():
 )
 def test_event_tree_must_be_an_event_formula_over_its_events(tree, message):
     state = StateNode("S1", (Event("e1"), Event("e2")), tree)
-    with pytest.raises(ValidationError, match=message):
+    with pytest.raises(ValidationError, match=message) as exc:
         build_guarded_lts([state], [], "S1", "S1")
+    assert str(exc.value).startswith("event tree of state 'S1'")
 
 
 def test_non_terminal_needs_events():
@@ -143,40 +141,6 @@ def test_check_precondition_monotone(rng):
     extra = [Atom("e1"), Atom("e2"), Implies(Atom("e1"), Atom("S2"))]
     for i in range(len(extra)):
         assert check_precondition(lts, t, base + extra[: i + 1])
-
-
-def test_guarded_rules_with_true_guard_match_reduction():
-    guard = Guard(parse_formula("g"))
-    for source in ("tau.a<>.0 + b.0", "(a.p<>.0 + m.0) | (a<>.q<>.0 + n.0)", "x(y).y<c>.0 | x<z>.0"):
-        term = parse_process(source)
-        plain = reduce_step(term)
-        for rule in ("TAU", "REACT", "REACT'"):
-            expected = {t for tag, t in plain if tag == rule}
-            assert apply_guarded_rule(rule, term, guard, {"g": True}) == expected
-        for rule in ("PAR", "RES", "STRUCT"):
-            assert apply_guarded_rule(rule, term, guard, {"g": True}) == {t for _, t in plain}
-
-
-def test_guarded_rules_with_false_guard_block():
-    guard = Guard(parse_formula("g"))
-    term = parse_process("(a.p<>.0 + m.0) | (a<>.q<>.0 + n.0)")
-    for rule in ("TAU", "REACT", "REACT'", "PAR", "RES", "STRUCT"):
-        assert apply_guarded_rule(rule, term, guard, {"g": False}) == set()
-
-
-def test_guarded_rule_unknown_tag():
-    with pytest.raises(ValidationError):
-        apply_guarded_rule("LMAGIC", parse_process("0"), Guard(Atom("g")), {"g": True})
-
-
-def test_unsatisfiable_guard_blocks_everything(rng):
-    from conftest import random_term
-
-    guard = Guard(parse_formula("g & !g"))
-    for _ in range(30):
-        term = random_term(rng, rng.randrange(0, 4))
-        for rule in ("TAU", "REACT", "REACT'", "STRUCT"):
-            assert apply_guarded_rule(rule, term, guard, {"g": True}) == set()
 
 
 def test_event_tree_fold_exhaustive(rng):

@@ -99,6 +99,12 @@ def test_nesting_limit_is_exact_and_safe_below(make):
         parse_process(make(MAX_NESTING + 1))
 
 
+def test_pretty_print_wide_parallel_does_not_recurse():
+    # pretty_print walks the left spine of a parallel composition in a loop
+    for source in (" | ".join(["x<a>.0"] * 1500), " | ".join(["x<a>.0 | (y.0 | z.0)"] * 1500)):
+        assert pretty_print(parse_process(source)) == source
+
+
 def test_trailing_input_rejected():
     with pytest.raises(ParseError):
         parse_process("a.0 )")
