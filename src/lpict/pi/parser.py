@@ -212,15 +212,15 @@ def pretty_print(p: Process) -> str:
         return " + ".join(f"{_pp_prefix(pi)}.{_pp_term(cont)}" for pi, cont in p.branches)
     if isinstance(p, Par):
         # parallel composition is left-deep: walk its left spine in a loop
-        rights = []
+        parts = []
         while isinstance(p, Par):
             right = pretty_print(p.right)
             if isinstance(p.right, Par):  # keep right-nested grouping explicit
                 right = f"({right})"
-            rights.append(right)
+            parts.append(right)
             p = p.left
-        rights.append(pretty_print(p))
-        return " | ".join(reversed(rights))
+        parts.append(pretty_print(p))
+        return " | ".join(reversed(parts))
     if isinstance(p, Restrict):
         return f"new {p.name} {_pp_term(p.body)}"
     if isinstance(p, Bang):
