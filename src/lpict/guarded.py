@@ -131,8 +131,8 @@ def build_guarded_lts(states, transitions, initial: str, terminal: str) -> Guard
     Rejects duplicate state ids, duplicate event names within a state, an
     event named like a state, dangling transition endpoints, guard atoms that
     resolve to nothing, event trees outside the event fragment or whose leaves
-    are not the state's events, non-terminal states with no events, and states
-    unreachable from the initial one.
+    are not the state's events, non-terminal states with no events, a terminal
+    state with outgoing transitions, and states unreachable from the initial one.
     """
     states = tuple(states)
     transitions = tuple(transitions)
@@ -193,6 +193,8 @@ def build_guarded_lts(states, transitions, initial: str, terminal: str) -> Guard
     unreachable = known - reached
     if unreachable:
         raise ValidationError(f"state {sorted(unreachable)[0]!r} is unreachable from {initial!r}")
+    if terminal in lts._outgoing:
+        raise ValidationError(f"terminal state {terminal!r} has outgoing transitions")
     return lts
 
 

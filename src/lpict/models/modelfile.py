@@ -270,20 +270,22 @@ def load_model(source: str) -> ProtocolModel:
 
 
 def _left_deep_ops(tree: Formula | None, names: list[str]) -> list[str] | None:
-    """The `combine` operators that build `tree` over `names`, if any do."""
+    """The `combine` operators that build `tree` over `names`, if any do.
+    The left spine is checked against the names in a loop, not by `==`,
+    which recurses once per operator."""
     ops: list[str] = []
     node = tree
-    while isinstance(node, (And, Or)):
+    for name in reversed(names[1:]):
+        if not isinstance(node, (And, Or)) or node.right != Atom(name):
+            return None
         ops.append("and" if isinstance(node, And) else "or")
         node = node.left
-    ops.reverse()
-    if len(ops) == len(names) - 1 and build_event_tree(names, ops) == tree:
-        return ops
-    return None
+    return ops[::-1] if node == Atom(names[0]) else None
 
 
 def _render_state(state: StateNode, seen: dict) -> list[str]:
-    key = (state.events, state.combine)
+    # keyed by the formula's text: hashing a deep formula recurses
+    key = (state.events, None if state.combine is None else format_formula(state.combine))
     if key in seen:
         return [f"alias {state.id} = {seen[key]}"]
     seen[key] = state.id

@@ -3,10 +3,10 @@ restriction and structural congruence.
 
 Successors are enumerated on the normalized form, so the closure rules are
 implicit: redexes hidden behind restriction or reordered parallels are found
-after hoisting, and each replication is unfolded `unfold` times to expose the
-redexes of its body. Interchangeable components give congruent successors,
-so only one representative of each class of them takes part in a reaction.
-Successors are returned in standard form.
+after hoisting, and each replication !Q is read as Q | Q | !Q, so that its
+body reacts with the level and with itself. Interchangeable components give
+congruent successors, so only one representative of each class of them takes
+part in a reaction. Successors are returned in standard form.
 """
 
 from __future__ import annotations
@@ -19,88 +19,74 @@ REACT = "REACT"
 REACT_POLYADIC = "REACT'"
 
 
-def reduce_step(p: Process, unfold: int = 1) -> frozenset[tuple[str, Process]]:
+def reduce_step(p: Process) -> frozenset[tuple[str, Process]]:
     """All one-step successors of p, tagged with the axiom rule that fired."""
     n = normalize(p)
-    binders, comps = level_parts(n)
+    binders, comps = map(list, level_parts(n))
     used = set(all_names(n)) | set(binders)
 
-    # Pool entries: (owner, component). Real components own themselves; each
-    # replication contributes `unfold` freshened copies of its body.
-    pool: list[tuple[tuple, Sum]] = []
-    copies: dict[tuple, tuple[list[str], list[Process]]] = {}
-    for i, c in enumerate(comps):
-        if isinstance(c, Sum):
-            pool.append((("real", i), c))
-        elif isinstance(c, Bang):
+    # Each replication adds two copies of its body, with fresh binders, to the
+    # level as ordinary components: a reaction involves at most two components,
+    # so two copies find every reaction. Copy k > 0 owns its binders and
+    # components; the level's own are owned by 0.
+    binder_owner, owner, copies = [0] * len(binders), [0] * len(comps), 0
+    for c in tuple(comps):
+        if isinstance(c, Bang):
             cb, cc = level_parts(c.body)
-            for j in range(unfold):
+            for _ in range(2):
+                copies += 1
                 ren = {}
-                fresh_binders = []
                 for b in cb:
-                    nb = fresh_name(b, used)
-                    used.add(nb)
-                    ren[b] = nb
-                    fresh_binders.append(nb)
-                copy_comps = [substitute(x, ren) if ren else x for x in cc]
-                copies[(i, j)] = (fresh_binders, copy_comps)
-                for idx, cp in enumerate(copy_comps):
-                    if isinstance(cp, Sum):
-                        pool.append((("copy", i, j, idx), cp))
+                    ren[b] = fresh_name(b, used)
+                    used.add(ren[b])
+                binders += ren.values()
+                binder_owner += [copies] * len(ren)
+                comps += [substitute(x, ren) for x in cc]
+                owner += [copies] * len(cc)
 
-    # Two real components are interchangeable when they are congruent and
-    # every level binder they use is their own, that is when each is a group
-    # of one with the same key: swapping them, with those binders, maps the
-    # term to itself. Every other entry is its own class. A class keeps two
+    # Two components are interchangeable when they are congruent and every
+    # level binder they use is their own, that is when each is a group of one
+    # with the same key: swapping them, with those binders, maps the term to
+    # itself. Any other component is a class of its own. A class keeps two
     # members, enough for a reaction inside it.
     alone = {members[0]: key for key, _, members in level_groups(binders, comps, {}, 0) if len(members) == 1}
     classes: dict = {}
-    for owner, comp in pool:
-        cls = alone.get(owner[1], owner) if owner[0] == "real" else owner
-        members = classes.setdefault(cls, [])
-        if len(members) < 2:
-            members.append((owner, comp))
+    for i, comp in enumerate(comps):
+        if isinstance(comp, Sum):
+            members = classes.setdefault(alone.get(i, i), [])
+            if len(members) < 2:
+                members.append((i, comp))
 
     found: set[tuple[str, Process]] = set()
 
-    def emit(tag: str, replacements: dict[tuple, Process]) -> None:
-        # Replacements map owner ids to the continuation that replaces them.
-        new_binders = list(binders)
-        new_comps: list[Process] = []
-        touched_copies = {owner[1:3] for owner in replacements if owner[0] == "copy"}
-        for i, c in enumerate(comps):
-            new_comps.append(replacements.get(("real", i), c))
-        for key in sorted(touched_copies):
-            cb, cc = copies[key]
-            new_binders.extend(cb)
-            for idx, cp in enumerate(cc):
-                new_comps.append(replacements.get(("copy", key[0], key[1], idx), cp))
+    def emit(tag: str, replacements: dict[int, Process]) -> None:
+        # Replacements map component indices to their continuations. The copies
+        # the reaction did not touch are dropped, as the replication absorbs them.
+        keep = {0} | {owner[i] for i in replacements}
+        new_binders = [b for b, k in zip(binders, binder_owner) if k in keep]
+        new_comps = [replacements.get(i, c) for i, c in enumerate(comps) if owner[i] in keep]
         found.add((tag, standard_form(assemble(new_binders, new_comps))))
 
     for members in classes.values():
-        owner, comp = members[0]
+        i, comp = members[0]
         for pi, cont in comp.branches:
             if isinstance(pi, Tau):
-                emit(TAU, {owner: cont})
+                emit(TAU, {i: cont})
 
     for r_members in classes.values():
         for s_members in classes.values():
             if r_members is s_members:
                 if len(r_members) < 2:
                     continue
-                (r_owner, r_comp), (s_owner, s_comp) = r_members
+                (r, r_comp), (s, s_comp) = r_members
             else:
-                (r_owner, r_comp), (s_owner, s_comp) = r_members[0], s_members[0]
-            for rpi, rcont in r_comp.branches:
-                if not isinstance(rpi, Receive):
-                    continue
-                for spi, scont in s_comp.branches:
-                    if not isinstance(spi, Send):
-                        continue
-                    if rpi.channel != spi.channel or len(rpi.params) != len(spi.args):
-                        continue
-                    cont = substitute(rcont, dict(zip(rpi.params, spi.args)))
-                    tag = REACT if not rpi.params else REACT_POLYADIC
-                    emit(tag, {r_owner: cont, s_owner: scont})
+                (r, r_comp), (s, s_comp) = r_members[0], s_members[0]
+            receives = [(pi, cont) for pi, cont in r_comp.branches if isinstance(pi, Receive)]
+            sends = [(pi, cont) for pi, cont in s_comp.branches if isinstance(pi, Send)]
+            for rpi, rcont in receives:
+                for spi, scont in sends:
+                    if rpi.channel == spi.channel and len(rpi.params) == len(spi.args):
+                        cont = substitute(rcont, dict(zip(rpi.params, spi.args)))
+                        emit(REACT if not rpi.params else REACT_POLYADIC, {r: cont, s: scont})
 
     return frozenset(found)

@@ -85,11 +85,36 @@ def test_prove_json(capsys):
     assert len(data["lines"]) == 15
 
 
+def test_terminal_with_outgoing_transitions_is_exit_2(tmp_path, capsys):
+    # prove used to judge such a model valid while analyze rejected it
+    path = tmp_path / "terminal.model"
+    states = "".join(f"state {s} {{\n  event {s.lower()}\n}}\n" for s in "ABC")
+    path.write_text(
+        f'protocol "T"\n{states}transition A -> B\ntransition B -> C\ninitial A\nterminal B\n'
+        "environment ideal\nenvironment nonideal attackers mitm\n",
+        encoding="utf-8",
+    )
+    for command in ("analyze", "prove"):
+        code, out, err = run(capsys, command, "--model", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: terminal state 'B' has outgoing transitions\n"
+
+
 def test_reduce_steps(capsys):
     code, out, _ = run(capsys, "reduce", "--term", "x(y).y<c>.0 | x<z>.0", "--steps", "4")
     assert code == 0
     assert "[REACT']" in out
     assert "(stuck)" in out
+
+
+def test_reduce_replication_reacts_with_itself(capsys):
+    # the receive of one copy of the body hears the send of another
+    code, out, _ = run(capsys, "reduce", "--term", "!(a(x).x<>.0 + a<b>.0) | b.c<>.0", "--steps", "1")
+    assert code == 0
+    assert "(stuck)" not in out
+    assert [line for line in out.splitlines() if line.strip().startswith("[")] == [
+        "  [REACT'] b.c<>.0 | b<>.0 | !(a(v0).v0<>.0 + a<b>.0)"
+    ]
 
 
 def test_deep_nesting_is_exit_2(tmp_path, capsys):

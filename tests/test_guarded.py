@@ -60,6 +60,13 @@ def test_unreachable_state_rejected():
         build_guarded_lts(states, [], "S1", "S1")
 
 
+def test_terminal_with_outgoing_transitions_rejected():
+    states = [simple_state(f"S{i}", f"e{i}") for i in (1, 2, 3)]
+    transitions = [GuardedTransition(a, "t", b, Guard(Atom(a))) for a, b in (("S1", "S2"), ("S2", "S3"))]
+    with pytest.raises(ValidationError, match="^terminal state 'S2' has outgoing transitions$"):
+        build_guarded_lts(states, transitions, "S1", "S2")
+
+
 def test_duplicate_event_names_rejected():
     state = StateNode("S1", (Event("e"), Event("e")), build_event_tree(["e", "e"], ["and"]))
     with pytest.raises(ValidationError, match="duplicate event"):

@@ -29,7 +29,7 @@ from lpict.pi.terms import (
     substitute,
 )
 
-from conftest import random_prefix, random_term
+from conftest import FREE_NAMES, PARAM_POOL, random_prefix, random_term
 
 
 def _root_rewrites(t):
@@ -142,15 +142,16 @@ def _ref_successors(t):
     return out
 
 
-def _replication_free(t):
-    if isinstance(t, Bang):
+def _free_of(t, kinds):
+    """Whether no subterm of t is an instance of kinds."""
+    if isinstance(t, kinds):
         return False
     if isinstance(t, Par):
-        return _replication_free(t.left) and _replication_free(t.right)
-    if isinstance(t, Restrict):
-        return _replication_free(t.body)
+        return _free_of(t.left, kinds) and _free_of(t.right, kinds)
+    if isinstance(t, (Restrict, Bang)):
+        return _free_of(t.body, kinds)
     if isinstance(t, Sum):
-        return all(_replication_free(cont) for _, cont in t.branches)
+        return all(_free_of(cont, kinds) for _, cont in t.branches)
     return True
 
 
@@ -159,11 +160,41 @@ def test_reduction_agrees_with_reference_reducer():
     trials = 0
     while trials < 250:
         term = random_term(rng, rng.randrange(0, 5))
-        if not _replication_free(term):
+        if not _free_of(term, Bang):
             continue
         trials += 1
         mine = {(tag, canonical_key(s)) for tag, s in reduce_step(term)}
         reference = {(tag, canonical_key(s)) for tag, s in _ref_successors(term)}
+        assert mine == reference
+
+
+def _self_reacting_sum(rng):
+    """A sum with a receive and a send on one channel, of equal arity, over
+    random continuations, so that two copies of it can react."""
+    channel = rng.choice(FREE_NAMES)
+    params = tuple(rng.sample(PARAM_POOL, rng.randrange(0, 3)))
+    args = tuple(rng.choice(FREE_NAMES) for _ in params)
+    receive = (Receive(channel, params), random_term(rng, rng.randrange(0, 3), FREE_NAMES + list(params)))
+    send = (Send(channel, args), random_term(rng, rng.randrange(0, 3)))
+    return Sum(tuple(rng.sample([receive, send], 2)))
+
+
+def test_replication_reduction_agrees_with_reference_reducer():
+    # !Q == Q | Q | !Q, and the reference reducer leaves !Q inert, so it
+    # sees every reaction of the replication through the two plain copies;
+    # the other components carry no restriction, whose scope the reference
+    # would not extrude
+    rng = random.Random(1729)
+    trials = 0
+    while trials < 200:
+        others = random_term(rng, rng.randrange(0, 4))
+        if not _free_of(others, (Bang, Restrict)):
+            continue
+        trials += 1
+        q = _self_reacting_sum(rng)
+        mine = {(tag, canonical_key(s)) for tag, s in reduce_step(Par(others, Bang(q)))}
+        unfolded = Par(others, Par(q, Par(q, Bang(q))))
+        reference = {(tag, canonical_key(s)) for tag, s in _ref_successors(unfolded)}
         assert mine == reference
 
 
@@ -240,7 +271,7 @@ def test_wide_level_reduction_agrees_with_reference_reducer():
     trials = 0
     while trials < 60:
         term = _wide_term(rng, rng.randrange(5, 10))
-        if not _replication_free(term):
+        if not _free_of(term, Bang):
             continue
         trials += 1
         mine = {(tag, canonical_key(s)) for tag, s in reduce_step(term)}
