@@ -141,16 +141,17 @@ def _cmd_prove(args, color: bool) -> int:
 
 def _cmd_reduce(args) -> int:
     term = parse_process(args.term)
+    text = pretty_print(term)
     for step in range(max(args.steps, 0)):
-        successors = sorted(reduce_step(term), key=lambda ts: (ts[0], pretty_print(ts[1])))
-        sys.stdout.write(f"step {step}: {pretty_print(term)}\n")
+        successors = sorted(((tag, pretty_print(s), s) for tag, s in reduce_step(term)), key=lambda t: t[:2])
+        sys.stdout.write(f"step {step}: {text}\n")
         if not successors:
             sys.stdout.write("  (stuck)\n")
             return 0
-        for tag, succ in successors:
-            sys.stdout.write(f"  [{tag}] {pretty_print(succ)}\n")
-        term = successors[0][1]
-    sys.stdout.write(f"step {max(args.steps, 0)}: {pretty_print(term)}\n")
+        for tag, succ_text, _ in successors:
+            sys.stdout.write(f"  [{tag}] {succ_text}\n")
+        _, text, term = successors[0]
+    sys.stdout.write(f"step {max(args.steps, 0)}: {text}\n")
     return 0
 
 

@@ -34,35 +34,21 @@ from .terms import (
     substitute,
 )
 
-def level_parts(p: Process, keep_nil: bool = False) -> tuple[tuple[str, ...], tuple[Process, ...]]:
-    """Split a term into its restriction prefix and flattened parallel components."""
+def level_parts(p: Process) -> tuple[tuple[str, ...], tuple[Process, ...]]:
+    """Split a term into its restriction prefix and the components of its
+    parallel level. A normalized level is flat and has no nil components."""
     binders = []
     while isinstance(p, Restrict):
         binders.append(p.name)
         p = p.body
-    comps: list[Process] = []
-    _flatten(p, comps, keep_nil)
-    return tuple(binders), tuple(comps)
-
-
-def _flatten(p: Process, out: list[Process], keep_nil: bool) -> None:
     if isinstance(p, Par):
-        _flatten(p.left, out, keep_nil)
-        _flatten(p.right, out, keep_nil)
-    elif isinstance(p, Nil):
-        if keep_nil:
-            out.append(p)
-    else:
-        out.append(p)
+        return tuple(binders), p.components
+    return tuple(binders), () if isinstance(p, Nil) else (p,)
 
 
 def assemble(binders, comps) -> Process:
-    body: Process = NIL
     comps = tuple(comps)
-    if comps:
-        body = comps[0]
-        for c in comps[1:]:
-            body = Par(body, c)
+    body: Process = Par(*comps) if len(comps) > 1 else comps[0] if comps else NIL
     for b in reversed(tuple(binders)):
         body = Restrict(b, body)
     return body
@@ -231,9 +217,12 @@ def _prenex(p: Process, used: set[str]) -> tuple[list[str], list[Process]]:
     if isinstance(p, Bang):
         return [], [Bang(_norm_term(p.body, used))]
     if isinstance(p, Par):
-        lb, lc = _prenex(p.left, used)
-        rb, rc = _prenex(p.right, used)
-        return lb + rb, lc + rc
+        binders, comps = [], []
+        for c in p.components:
+            cb, cc = _prenex(c, used)
+            binders += cb
+            comps += cc
+        return binders, comps
     if isinstance(p, Restrict):
         bb, cc = _prenex(p.body, used)
         holders = [i for i, c in enumerate(cc) if p.name in free_names(c)]
@@ -358,7 +347,7 @@ def is_standard_form(p: Process) -> bool:
     and replications whose bodies are recursively in standard form."""
     if isinstance(p, Nil):
         return True
-    binders, comps = level_parts(p, keep_nil=True)
+    binders, comps = level_parts(p)
     if len(set(binders)) != len(binders) or not comps:
         return False
     for c in comps:

@@ -102,11 +102,11 @@ class _Parser:
         return p
 
     def parallel(self, depth: int) -> Process:
-        p = self.psum(depth)
+        comps = [self.psum(depth)]
         while self.peek()[0] == "|":
             self.next()
-            p = Par(p, self.psum(depth))
-        return p
+            comps.append(self.psum(depth))
+        return Par(*comps) if len(comps) > 1 else comps[0]
 
     def psum(self, depth: int) -> Process:
         first = self.term(depth)
@@ -211,16 +211,7 @@ def pretty_print(p: Process) -> str:
     if isinstance(p, Sum):
         return " + ".join(f"{_pp_prefix(pi)}.{_pp_term(cont)}" for pi, cont in p.branches)
     if isinstance(p, Par):
-        # parallel composition is left-deep: walk its left spine in a loop
-        parts = []
-        while isinstance(p, Par):
-            right = pretty_print(p.right)
-            if isinstance(p.right, Par):  # keep right-nested grouping explicit
-                right = f"({right})"
-            parts.append(right)
-            p = p.left
-        parts.append(pretty_print(p))
-        return " | ".join(reversed(parts))
+        return " | ".join(f"({pretty_print(c)})" if isinstance(c, Par) else pretty_print(c) for c in p.components)
     if isinstance(p, Restrict):
         return f"new {p.name} {_pp_term(p.body)}"
     if isinstance(p, Bang):

@@ -58,10 +58,17 @@ class Sum:
             raise ValueError("empty sum; use Nil instead")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Par:
-    left: "Process"
-    right: "Process"
+    """Parallel composition `P1 | .. | Pn` of two or more components, one node
+    for the whole level. A nested Par component is a parenthesized group."""
+
+    components: tuple["Process", ...]
+
+    def __init__(self, *components: "Process"):
+        if len(components) < 2:
+            raise ValueError("a parallel composition needs two or more components")
+        object.__setattr__(self, "components", components)
 
 
 @dataclass(frozen=True)
@@ -105,7 +112,7 @@ def free_names(p: Process) -> frozenset[Name]:
                 out |= free_names(cont)
         return frozenset(out)
     if isinstance(p, Par):
-        return free_names(p.left) | free_names(p.right)
+        return frozenset().union(*map(free_names, p.components))
     if isinstance(p, Restrict):
         return free_names(p.body) - {p.name}
     if isinstance(p, Bang):
@@ -129,7 +136,7 @@ def all_names(p: Process) -> frozenset[Name]:
             out |= all_names(cont)
         return frozenset(out)
     if isinstance(p, Par):
-        return all_names(p.left) | all_names(p.right)
+        return frozenset().union(*map(all_names, p.components))
     if isinstance(p, Restrict):
         return all_names(p.body) | {p.name}
     if isinstance(p, Bang):
@@ -160,7 +167,7 @@ def _subst(p: Process, m: Mapping[Name, Name]) -> Process:
     if isinstance(p, Sum):
         return Sum(tuple(_subst_branch(pi, cont, m) for pi, cont in p.branches))
     if isinstance(p, Par):
-        return Par(_subst(p.left, m), _subst(p.right, m))
+        return Par(*(_subst(c, m) for c in p.components))
     if isinstance(p, Restrict):
         body, name = _subst_under_binders(p.body, (p.name,), m)
         return Restrict(name[0], body)

@@ -60,6 +60,13 @@ def random_term(rng: random.Random, depth: int, names: list[str] | None = None):
     return Bang(random_term(rng, max(depth - 2, 0), names))
 
 
+def halves(p: Par):
+    """Read a parallel composition as the left-deep pair (P1 | .. | Pn-1, Pn),
+    for reference code written against binary parallel nodes."""
+    comps = p.components
+    return (comps[0] if len(comps) == 2 else Par(*comps[:-1]), comps[-1])
+
+
 def random_chain_sequent(rng: random.Random, max_atoms: int = 8):
     """A random implication-chain sequent: some atomic facts, some atomic
     implications, an atomic goal."""

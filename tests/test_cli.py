@@ -6,6 +6,8 @@ import pytest
 
 from lpict.cli import run_cli
 from lpict.models import builtin_dh, builtin_tls13, render_model
+from lpict.pi.congruence import structurally_congruent
+from lpict.pi.parser import parse_process
 
 
 def run(capsys, *args):
@@ -215,17 +217,18 @@ def test_color_env_toggle(capsys, monkeypatch):
 
 
 def run_main(monkeypatch, capsys, *args):
-    """Exit code and stderr of the console entry point."""
+    """Exit code, stdout and stderr of the console entry point."""
     from lpict.cli import main
 
     monkeypatch.setattr("sys.argv", ["lpict", *args])
     with pytest.raises(SystemExit) as exc:
         main()
-    return exc.value.code, capsys.readouterr().err
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
 
 
 def test_model_path_that_is_a_directory_is_exit_2(tmp_path, monkeypatch, capsys):
-    code, err = run_main(monkeypatch, capsys, "analyze", "--model", str(tmp_path), "--dual")
+    code, _, err = run_main(monkeypatch, capsys, "analyze", "--model", str(tmp_path), "--dual")
     assert code == 2
     assert err.startswith(f"error: cannot read model file {str(tmp_path)!r}") and len(err.splitlines()) == 1
 
@@ -233,7 +236,7 @@ def test_model_path_that_is_a_directory_is_exit_2(tmp_path, monkeypatch, capsys)
 def test_model_file_that_is_not_utf8_is_exit_2(tmp_path, monkeypatch, capsys):
     path = tmp_path / "latin1.model"
     path.write_bytes(render_model(builtin_dh()).replace("Init", "Inité").encode("latin-1"))
-    code, err = run_main(monkeypatch, capsys, "analyze", "--model", str(path), "--dual")
+    code, _, err = run_main(monkeypatch, capsys, "analyze", "--model", str(path), "--dual")
     assert code == 2
     assert err.startswith(f"error: cannot read model file {str(path)!r}") and len(err.splitlines()) == 1
 
@@ -247,9 +250,29 @@ def test_unexpected_exception_is_exit_2_through_main(monkeypatch, capsys):
     monkeypatch.setattr(lpict.cli, "_cmd_models", broken)
     with pytest.raises(KeyError):
         run_cli(["models"])  # run_cli maps only lpict's own errors
-    code, err = run_main(monkeypatch, capsys, "models")
+    code, _, err = run_main(monkeypatch, capsys, "models")
     assert code == 2
     assert err == "error: internal error: KeyError('boom\\nsecond line')\n"
+
+
+def test_reduce_wide_level_through_main(monkeypatch, capsys):
+    # 1500 components side by side are one level: wide, not nested
+    term = " | ".join(["x<a>.0"] * 1500)
+    code, out, err = run_main(monkeypatch, capsys, "reduce", "--term", term)
+    assert (code, err) == (0, "")
+    assert out == f"step 0: {term}\n  (stuck)\n"
+
+
+def test_reduce_wide_level_reacts_once(monkeypatch, capsys):
+    # the senders are interchangeable, and so are the receivers, so the
+    # 750 * 750 pairs give one successor
+    term = " | ".join(["x<a>.0"] * 750 + ["x(y).y<c>.0"] * 750)
+    code, out, err = run_main(monkeypatch, capsys, "reduce", "--term", term, "--steps", "1")
+    assert (code, err) == (0, "")
+    successors = [line for line in out.splitlines() if line.startswith("  [")]
+    assert len(successors) == 1 and successors[0].startswith("  [REACT'] ")
+    expected = parse_process(" | ".join(["x<a>.0"] * 749 + ["x(y).y<c>.0"] * 749 + ["a<c>.0"]))
+    assert structurally_congruent(parse_process(successors[0].split("] ", 1)[1]), expected)
 
 
 GOLDEN = Path(__file__).parent / "golden"

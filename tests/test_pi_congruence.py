@@ -12,7 +12,7 @@ from lpict.pi.congruence import (
 from lpict.pi.parser import parse_process, pretty_print
 from lpict.pi.terms import NIL, Bang, Par, Restrict, free_names
 
-from conftest import FREE_NAMES, random_term
+from conftest import FREE_NAMES, halves, random_term
 
 cong = structurally_congruent
 P = parse_process
@@ -109,6 +109,7 @@ def test_is_standard_form_shape():
     assert is_standard_form(P("a.0 | !b.0"))
     assert not is_standard_form(P("a.0 | 0"))
     assert not is_standard_form(Par(Restrict("x", P("x.0")), P("a.0")))
+    assert not is_standard_form(Par(P("a.0"), Par(P("b.0"), P("c.0"))))
 
 
 def test_congruence_is_equivalence(rng):
@@ -141,15 +142,18 @@ def _law_rewrites(term, rng):
     """Congruence-preserving rewrites applicable at the root."""
     out = [Par(term, NIL), Par(NIL, term)]
     if isinstance(term, Par):
-        out.append(Par(term.right, term.left))
-        if isinstance(term.left, Par):
-            out.append(Par(term.left.left, Par(term.left.right, term.right)))
-        if isinstance(term.right, Par):
-            out.append(Par(Par(term.left, term.right.left), term.right.right))
+        left, right = halves(term)
+        out.append(Par(right, left))
+        if isinstance(left, Par):
+            ll, lr = halves(left)
+            out.append(Par(ll, Par(lr, right)))
+        if isinstance(right, Par):
+            rl, rr = halves(right)
+            out.append(Par(Par(left, rl), rr))
     if isinstance(term, Bang):
         out.append(Par(term.body, term))
     if isinstance(term, Restrict) and isinstance(term.body, Par):
-        left, right = term.body.left, term.body.right
+        left, right = halves(term.body)
         if term.name not in free_names(left):
             out.append(Par(left, Restrict(term.name, right)))
     return out

@@ -29,30 +29,33 @@ from lpict.pi.terms import (
     substitute,
 )
 
-from conftest import FREE_NAMES, PARAM_POOL, random_prefix, random_term
+from conftest import FREE_NAMES, PARAM_POOL, halves, random_prefix, random_term
 
 
 def _root_rewrites(t):
     out = {Par(t, NIL), Par(NIL, t)}
     if isinstance(t, Par):
-        out.add(Par(t.right, t.left))
-        if isinstance(t.left, Par):
-            out.add(Par(t.left.left, Par(t.left.right, t.right)))
-        if isinstance(t.right, Par):
-            out.add(Par(Par(t.left, t.right.left), t.right.right))
-        if isinstance(t.left, Nil):
-            out.add(t.right)
-        if isinstance(t.right, Nil):
-            out.add(t.left)
-        if isinstance(t.right, Restrict) and t.right.name not in free_names(t.left):
-            out.add(Restrict(t.right.name, Par(t.left, t.right.body)))
+        left, right = halves(t)
+        out.add(Par(right, left))
+        if isinstance(left, Par):
+            ll, lr = halves(left)
+            out.add(Par(ll, Par(lr, right)))
+        if isinstance(right, Par):
+            rl, rr = halves(right)
+            out.add(Par(Par(left, rl), rr))
+        if isinstance(left, Nil):
+            out.add(right)
+        if isinstance(right, Nil):
+            out.add(left)
+        if isinstance(right, Restrict) and right.name not in free_names(left):
+            out.add(Restrict(right.name, Par(left, right.body)))
     if isinstance(t, Restrict):
         if t.name not in free_names(t.body):
             out.add(t.body)
         if isinstance(t.body, Restrict):
             out.add(Restrict(t.body.name, Restrict(t.name, t.body.body)))
         if isinstance(t.body, Par):
-            left, right = t.body.left, t.body.right
+            left, right = halves(t.body)
             if t.name not in free_names(left):
                 out.add(Par(left, Restrict(t.name, right)))
             if t.name not in free_names(right):
@@ -71,8 +74,9 @@ def _root_rewrites(t):
 def _all_rewrites(t):
     out = set(_root_rewrites(t))
     if isinstance(t, Par):
-        out |= {Par(l2, t.right) for l2 in _all_rewrites(t.left)}
-        out |= {Par(t.left, r2) for r2 in _all_rewrites(t.right)}
+        left, right = halves(t)
+        out |= {Par(l2, right) for l2 in _all_rewrites(left)}
+        out |= {Par(left, r2) for r2 in _all_rewrites(right)}
     elif isinstance(t, Restrict):
         out |= {Restrict(t.name, b2) for b2 in _all_rewrites(t.body)}
     elif isinstance(t, Bang):
@@ -107,22 +111,24 @@ def _ref_successors(t):
         return [(tag, Restrict(t.name, s)) for tag, s in _ref_successors(t.body)]
     if not isinstance(t, Par):
         return []
-    out = [(tag, Par(s, t.right)) for tag, s in _ref_successors(t.left)]
-    out += [(tag, Par(t.left, s)) for tag, s in _ref_successors(t.right)]
+    left, right = halves(t)
+    out = [(tag, Par(s, right)) for tag, s in _ref_successors(left)]
+    out += [(tag, Par(left, s)) for tag, s in _ref_successors(right)]
 
     def sums(u, ctx):
         if isinstance(u, Sum):
             return [(u, ctx)]
         if isinstance(u, Par):
-            return sums(u.left, lambda s, u=u, ctx=ctx: ctx(Par(s, u.right))) + sums(
-                u.right, lambda s, u=u, ctx=ctx: ctx(Par(u.left, s))
+            ul, ur = halves(u)
+            return sums(ul, lambda s, ur=ur, ctx=ctx: ctx(Par(s, ur))) + sums(
+                ur, lambda s, ul=ul, ctx=ctx: ctx(Par(ul, s))
             )
         # communication under a one-sided restriction is reached through the
         # restriction recursion above, not across this split
         return []
 
-    for lsum, lctx in sums(t.left, lambda s: s):
-        for rsum, rctx in sums(t.right, lambda s: s):
+    for lsum, lctx in sums(left, lambda s: s):
+        for rsum, rctx in sums(right, lambda s: s):
             for a, acont in lsum.branches:
                 for b, bcont in rsum.branches:
                     matches = []
@@ -147,7 +153,8 @@ def _free_of(t, kinds):
     if isinstance(t, kinds):
         return False
     if isinstance(t, Par):
-        return _free_of(t.left, kinds) and _free_of(t.right, kinds)
+        left, right = halves(t)
+        return _free_of(left, kinds) and _free_of(right, kinds)
     if isinstance(t, (Restrict, Bang)):
         return _free_of(t.body, kinds)
     if isinstance(t, Sum):
@@ -239,9 +246,10 @@ def _random_rewrite(rng, t):
     """One rewrite of `_root_rewrites` at a random position of t."""
     if rng.random() < 0.85:
         if isinstance(t, Par):
+            left, right = halves(t)
             if rng.random() < 0.5:
-                return Par(_random_rewrite(rng, t.left), t.right)
-            return Par(t.left, _random_rewrite(rng, t.right))
+                return Par(_random_rewrite(rng, left), right)
+            return Par(left, _random_rewrite(rng, right))
         if isinstance(t, Restrict):
             return Restrict(t.name, _random_rewrite(rng, t.body))
         if isinstance(t, Bang):

@@ -39,14 +39,14 @@ def test_parse_nullary_send():
 def test_plus_binds_tighter_than_bar():
     term = parse_process("a.0 + b.0 | c.0")
     assert isinstance(term, Par)
-    assert isinstance(term.left, Sum) and len(term.left.branches) == 2
+    assert isinstance(term.components[0], Sum) and len(term.components[0].branches) == 2
 
 
 def test_replication_and_new_scope():
     term = parse_process("!a.0 | b.0")
     assert isinstance(term, Par)
     term2 = parse_process("new x a.0 | b.0")
-    assert isinstance(term2, Par) and isinstance(term2.left, Restrict)
+    assert isinstance(term2, Par) and isinstance(term2.components[0], Restrict)
 
 
 def test_syntax_error_has_position():
@@ -100,7 +100,7 @@ def test_nesting_limit_is_exact_and_safe_below(make):
 
 
 def test_pretty_print_wide_parallel_does_not_recurse():
-    # pretty_print walks the left spine of a parallel composition in a loop
+    # a parallel level is one node, which pretty_print joins in a loop
     for source in (" | ".join(["x<a>.0"] * 1500), " | ".join(["x<a>.0 | (y.0 | z.0)"] * 1500)):
         assert pretty_print(parse_process(source)) == source
 
@@ -120,6 +120,8 @@ def test_trailing_input_rejected():
         "x<>.0",
         "a.0 + b.0",
         "a.0 | b.0 | c.0",
+        "a.0 | (b.0 | c.0)",
+        "(a.0 | b.0) | c.0",
         "new x (x<a>.0 | x(b).b<>.0)",
         "!(a.0 + tau.0)",
         "new x new y x<y>.0",

@@ -1,6 +1,7 @@
 import pytest
 
-from lpict.pi.parser import parse_process
+from lpict.pi.congruence import canonical_key, normalize
+from lpict.pi.parser import parse_process, pretty_print
 from lpict.pi.terms import (
     NIL,
     Bang,
@@ -11,11 +12,12 @@ from lpict.pi.terms import (
     Send,
     Sum,
     Tau,
+    all_names,
     free_names,
     substitute,
 )
 
-from conftest import random_term
+from conftest import halves, random_term
 
 
 def oracle_free_names(p, bound=frozenset()):
@@ -38,7 +40,8 @@ def oracle_free_names(p, bound=frozenset()):
                 out |= oracle_free_names(cont, bound)
         return out
     if isinstance(p, Par):
-        return oracle_free_names(p.left, bound) | oracle_free_names(p.right, bound)
+        left, right = halves(p)
+        return oracle_free_names(left, bound) | oracle_free_names(right, bound)
     if isinstance(p, Restrict):
         return oracle_free_names(p.body, bound | {p.name})
     return oracle_free_names(p.body, bound)
@@ -102,3 +105,31 @@ def test_receive_rejects_duplicate_binders():
 def test_sum_rejects_empty():
     with pytest.raises(ValueError):
         Sum(())
+
+
+def test_par_needs_two_components():
+    for components in ((), (NIL,)):
+        with pytest.raises(ValueError):
+            Par(*components)
+
+
+WIDE = " | ".join(["x<a>.0"] * 1500)
+
+
+@pytest.mark.parametrize(
+    "holds",
+    [
+        lambda t: free_names(t) == {"x", "a"},
+        lambda t: all_names(t) == {"x", "a"},
+        lambda t: substitute(t, {"a": "b"}) == parse_process(WIDE.replace("<a>", "<b>")),
+        lambda t: normalize(t) == t,
+        lambda t: len(canonical_key(t)) == 1500,
+        lambda t: hash(t) == hash(parse_process(WIDE)),
+        lambda t: t == parse_process(WIDE),
+        lambda t: parse_process(pretty_print(t)) == t,
+    ],
+    ids=["free_names", "all_names", "substitute", "normalize", "canonical_key", "hash", "eq", "round_trip"],
+)
+def test_wide_level_does_not_recurse(holds):
+    # one parallel level of 1500 components is one node, walked in a loop
+    assert holds(parse_process(WIDE))
