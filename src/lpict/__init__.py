@@ -20,7 +20,6 @@ from .analysis import (
     dual_environment_verdict,
     entailment_judgment,
     partial_order_check,
-    trace_line,
 )
 from .errors import (
     AtomBudgetError,

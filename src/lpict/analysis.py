@@ -1,19 +1,19 @@
 """Chain analysis of protocol models.
 
-A model's states are laid out as a state tree and walked in transition
-order. Each state's event tree is evaluated under the environment's event
-assignment; the first state whose tree comes out false stops the walk with a
-flawed verdict and the first false leaf (in breadth-first order) as the
-failing event. Before the walk takes a transition it evaluates the
-transition's guard over the facts of the run so far; a false guard stops the
-walk with a flawed verdict and the transition's source and action as the
-failing pair. When the walk reaches the terminal state, two judgments
-decide the verdict: the visited sequence must be a repeat-free linear
-extension of transition reachability, and the terminal state must be
-derivable from the chain both by forward implication elimination and by
-refutation. The non-ideal run matches the ideal one when its trace is the
-ideal trace in full: a substring match at the first position of two traces
-of equal length, which is their equality.
+A model's states are walked along `lts.chain`, in transition order from the
+initial state; the walk builds no state tree. Each state's event tree is
+evaluated under the environment's event assignment; the first state whose
+tree comes out false stops the walk with a flawed verdict and the first
+false leaf (in breadth-first order) as the failing event. Before the walk
+takes a transition it evaluates the transition's guard over the facts of the
+run so far; a false guard stops the walk with a flawed verdict and the
+transition's source and action as the failing pair. When the walk reaches
+the terminal state, two judgments decide the verdict: the visited sequence
+must be a repeat-free linear extension of transition reachability, and the
+terminal state must be derivable from the chain both by forward implication
+elimination and by refutation. The non-ideal run matches the ideal one when
+its trace is the ideal trace in full: a substring match at the first
+position of two traces of equal length, which is their equality.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .errors import BranchingPathError, ValidationError
+from .errors import BrokenChainError, ValidationError
 from .guarded import GuardedLTS
 from .logic.formulas import And, Atom, Implies, Or, eval_formula
 from .logic.proofs import Proof, Sequent, check_proof
@@ -129,11 +129,14 @@ def partial_order_check(trace: Sequence, lts: GuardedLTS) -> bool:
 
 def entailment_sequent(lts: GuardedLTS) -> Sequent:
     """The chain encoded as a sequent: the initial state plus one implication
-    per transition entail the terminal state."""
-    for state in lts.states:
-        outs = lts.outgoing(state.id)
-        if len(outs) > 1:
-            raise BranchingPathError(f"state {state.id!r} has {len(outs)} outgoing transitions")
+    per transition entail the terminal state. Raises BranchingPathError, from
+    `lts.chain`, for the first state met from the initial one that has two
+    outgoing transitions; a chain that is broken otherwise yields no
+    derivation."""
+    try:
+        lts.chain
+    except BrokenChainError:
+        pass
     atom = {sid: Atom(sid) for sid in lts.state_ids}
     premises = tuple(
         [atom[lts.initial]]
@@ -197,7 +200,7 @@ def _judge(lts: GuardedLTS, trace, failing, entailment: EntailmentResult | None)
 
 
 def analyze_protocol(model: ProtocolModel, env) -> AnalysisOutcome:
-    """Walk the state tree under the environment's event assignment.
+    """Walk `lts.chain` under the environment's event assignment.
 
     The two judgments are only established when every state's event tree
     and every transition guard on the way evaluate true; a run stopped at a
@@ -226,10 +229,3 @@ def dual_environment_verdict(model: ProtocolModel) -> DualVerdict:
     )
     nonideal = replace(nonideal, judgments=replace(nonideal.judgments, matching=matched))
     return DualVerdict(ideal, nonideal, matched, secure)
-
-
-def trace_line(trace: Sequence[TraceSymbol]) -> str:
-    """Space-separated `state:bits` tokens; `(empty)` for an empty trace."""
-    if not trace:
-        return "(empty)"
-    return " ".join(sym.token() for sym in trace)

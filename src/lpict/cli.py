@@ -104,8 +104,7 @@ def _cmd_analyze(args, color: bool) -> int:
             model, env, outcome, duration_ms=(time.perf_counter() - started) * 1000.0
         )
         secure = outcome.secure
-    fmt = "structured" if args.format == "json" else "text"
-    sys.stdout.write(render_report(report, fmt, color=color))
+    sys.stdout.write(render_report(report, args.format, color=color))
     return 0 if secure else 1
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .errors import BranchingPathError, ValidationError
+from .errors import BranchingPathError, BrokenChainError, ValidationError
 from .logic.formulas import Atom, Formula, atoms
 from .logic.search import search_forward_chain
 from .logic.semantics import semantic_entails
@@ -104,7 +104,9 @@ class GuardedLTS:
     @cached_property
     def chain(self) -> tuple[StateNode, ...]:
         """States along the single transition chain from initial to terminal.
-        Raises BranchingPathError when the transitions do not form one."""
+        Raises BranchingPathError at the first state on the way with two
+        outgoing transitions, and BrokenChainError, a subclass, when the way
+        ends early, cycles or goes on past the terminal state."""
         outgoing = self._outgoing
         order = [self.initial]
         seen = {self.initial}
@@ -114,14 +116,14 @@ class GuardedLTS:
             if len(outs) > 1:
                 raise BranchingPathError(f"state {cur!r} has {len(outs)} outgoing transitions")
             if not outs:
-                raise BranchingPathError(f"chain breaks at {cur!r} before reaching the terminal")
+                raise BrokenChainError(f"chain breaks at {cur!r} before reaching the terminal")
             cur = outs[0].target
             if cur in seen:
-                raise BranchingPathError(f"transition cycle through {cur!r}")
+                raise BrokenChainError(f"transition cycle through {cur!r}")
             seen.add(cur)
             order.append(cur)
         if cur in outgoing:
-            raise BranchingPathError(f"terminal state {cur!r} has outgoing transitions")
+            raise BrokenChainError(f"terminal state {cur!r} has outgoing transitions")
         return tuple(self._by_id[sid] for sid in order)
 
 

@@ -7,11 +7,11 @@ implication. Precedence: ! > & > | > ->.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
 from ..errors import LpictError, ParseError
+from ..lexing import Cursor, token_pattern
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,61 +102,10 @@ def eval_formula(f: Formula, valuation: Valuation) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
-_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(->)|([!&|()]))")
-
-
-def _tokenize(source: str):
-    tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None or m.end() == pos:
-            rest = source[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r}", position=len(source) - len(rest))
-        if m.group(1):
-            kind = "false" if m.group(1) == "false" else "atom"
-            tokens.append((kind, m.group(1), m.start(1)))
-        elif m.group(2):
-            tokens.append(("->", "->", m.start(2)))
-        else:
-            tokens.append((m.group(3), m.group(3), m.start(3)))
-        pos = m.end()
-    tokens.append(("eof", "", len(source)))
-    return tokens
-
-
-# Deepest nesting of `!`, parentheses and `->` that parse_formula accepts.
-# The parser and the functions that walk a formula recurse once per level,
-# so the limit keeps them well inside Python's recursion limit.
-MAX_NESTING = 100
-
-
-class _FormulaParser:
-    def __init__(self, source: str):
-        self.tokens = _tokenize(source)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self) -> Formula:
-        f = self.implication(0)
-        kind, value, at = self.peek()
-        if kind != "eof":
-            raise ParseError(f"trailing input starting at {value!r}", position=at)
-        return f
-
-    def deeper(self, depth: int, at: int) -> int:
-        if depth >= MAX_NESTING:
-            raise ParseError(f"formula nested more than {MAX_NESTING} deep", position=at)
-        return depth + 1
+class _FormulaParser(Cursor):
+    TOKENS = token_pattern(r"->|[!&|()]")
+    KEYWORDS = frozenset({"false"})
+    NOUN = "formula"
 
     def implication(self, depth: int) -> Formula:
         left = self.disjunction(depth)
@@ -194,14 +143,15 @@ class _FormulaParser:
         if kind == "false":
             self.next()
             return FALSUM
-        if kind == "atom":
+        if kind == "ident":
             self.next()
             return Atom(value)
         raise ParseError(f"expected a formula, found {value or 'end of input'!r}", position=at)
 
 
 def parse_formula(source: str) -> Formula:
-    return _FormulaParser(source).parse()
+    parser = _FormulaParser(source)
+    return parser.finish(parser.implication(0))
 
 
 _PREC = {Implies: 1, Or: 2, And: 3, Not: 4}

@@ -112,22 +112,6 @@ def in_chain_fragment(f: Formula) -> bool:
     return False
 
 
-def _require_fragment(*formulas: Formula) -> None:
-    for f in formulas:
-        if not in_chain_fragment(f):
-            raise FragmentError(f"formula outside the implication-chain fragment: {f!r}")
-
-
-def _provable(premises, goal: Formula) -> bool:
-    return _chain_to(tuple(premises), goal) is not None
-
-
-def provably_equivalent(f: Formula, g: Formula) -> bool:
-    """Both f |- g and g |- f succeed under the restricted rule set."""
-    _require_fragment(f, g)
-    return _provable((f,), g) and _provable((g,), f)
-
-
 @dataclass(frozen=True)
 class CrossCheck:
     semantic: bool
@@ -138,7 +122,9 @@ class CrossCheck:
 def cross_validate(premises, conclusion: Formula) -> CrossCheck:
     """Run the truth-table check and the proof searches side by side."""
     premises = tuple(premises)
-    _require_fragment(*premises, conclusion)
+    for f in (*premises, conclusion):
+        if not in_chain_fragment(f):
+            raise FragmentError(f"formula outside the implication-chain fragment: {f!r}")
     semantic = semantic_entails(premises, conclusion)
     proofs = search_both(premises, conclusion)
     if proofs is not None:

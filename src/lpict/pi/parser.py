@@ -22,9 +22,8 @@ stable in both directions.
 
 from __future__ import annotations
 
-import re
-
 from ..errors import ParseError
+from ..lexing import Cursor, token_pattern
 from .terms import (
     NIL,
     Bang,
@@ -39,67 +38,16 @@ from .terms import (
     Tau,
 )
 
-_KEYWORDS = {"new", "tau"}
-
-# Deepest nesting of `!`, `new`, prefixes and parentheses that parse_process
-# accepts. The parser and the functions that walk a term recurse once per
-# level or more, so the limit keeps them well inside Python's recursion limit.
-MAX_NESTING = 100
-_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|([0().<>+|!,]))")
-
-
-def _tokenize(source: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None or m.end() == pos:
-            stripped = source[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(source) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", position=at)
-        if m.group(1):
-            word = m.group(1)
-            kind = word if word in _KEYWORDS else "ident"
-            tokens.append((kind, word, m.start(1)))
-        else:
-            tokens.append((m.group(2), m.group(2), m.start(2)))
-        pos = m.end()
-    tokens.append(("eof", "", len(source)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, source: str):
-        self.tokens = _tokenize(source)
-        self.i = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+class _Parser(Cursor):
+    TOKENS = token_pattern(r"[0().<>+|!,]")
+    KEYWORDS = frozenset({"new", "tau"})
+    NOUN = "process term"
 
     def expect(self, kind: str) -> tuple[str, str, int]:
         tok = self.next()
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", position=tok[2])
         return tok
-
-    def deeper(self, depth: int, at: int) -> int:
-        if depth >= MAX_NESTING:
-            raise ParseError(f"process term nested more than {MAX_NESTING} deep", position=at)
-        return depth + 1
-
-    def parse(self) -> Process:
-        p = self.parallel(0)
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise ParseError(f"trailing input starting at {tok[1]!r}", position=tok[2])
-        return p
 
     def parallel(self, depth: int) -> Process:
         comps = [self.psum(depth)]
@@ -183,7 +131,8 @@ class _Parser:
 
 def parse_process(source: str) -> Process:
     """Parse a process term; raises ParseError with a position on bad input."""
-    return _Parser(source).parse()
+    parser = _Parser(source)
+    return parser.finish(parser.parallel(0))
 
 
 def _pp_prefix(pi: Prefix) -> str:

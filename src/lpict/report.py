@@ -81,7 +81,7 @@ def paint(text: str, good: bool, color: bool) -> str:
 
 
 def render_report(report: dict, format: str = "text", color: bool = False) -> str:
-    if format in ("structured", "json"):
+    if format == "json":
         return json.dumps(report, indent=2) + "\n"
     if format != "text":
         raise ValueError(f"unknown report format {format!r}")

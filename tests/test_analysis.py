@@ -9,9 +9,8 @@ from lpict.analysis import (
     dual_environment_verdict,
     entailment_judgment,
     partial_order_check,
-    trace_line,
 )
-from lpict.errors import BranchingPathError, ValidationError
+from lpict.errors import BranchingPathError, BrokenChainError, ValidationError
 from lpict.guarded import Event, Guard, GuardedTransition, ResistTag, StateNode, build_guarded_lts
 from lpict.logic.formulas import Atom, Not, Or
 from lpict.logic.proofs import check_proof
@@ -76,6 +75,24 @@ def test_branching_rejected():
         entailment_judgment(lts)
 
 
+def test_branching_message_names_first_state_on_the_walk():
+    # B is declared first, but the walk from the initial state A meets A's
+    # two transitions before B's
+    states = [simple_state(s, f"e{s}") for s in ("B", "A", "C", "D")]
+    transitions = [
+        GuardedTransition(a, f"{a}{b}", b, Guard(Atom(a)))
+        for a, b in (("A", "B"), ("A", "C"), ("B", "C"), ("B", "D"), ("C", "D"))
+    ]
+    lts = build_guarded_lts(states, transitions, "A", "D")
+    with pytest.raises(BranchingPathError) as exc:
+        entailment_judgment(lts)
+    assert str(exc.value) == "state 'A' has 2 outgoing transitions"
+    model = ProtocolModel("branching", lts, (EnvironmentConfig("ideal"),))
+    with pytest.raises(BranchingPathError) as exc:
+        analyze_protocol(model, model.environment("ideal"))
+    assert str(exc.value) == "state 'A' has 2 outgoing transitions"
+
+
 def test_partial_order_check():
     lts = make_chain(["S1", "S2", "S3", "S4", "S5", "S6", "S7"])
     ids = ["S1", "S2", "S3", "S4", "S5", "S6", "S7"]
@@ -110,6 +127,8 @@ def test_entailment_broken_chain_does_not_hold():
     result = entailment_judgment(lts)
     assert result.holds is False
     assert result.forward is None and result.contradiction is None
+    with pytest.raises(BrokenChainError, match="chain breaks at 'S3'"):
+        lts.chain
 
 
 def test_entailment_judgment_line_counts():
@@ -129,7 +148,7 @@ def test_analyze_tls_ideal():
     assert len(outcome.trace) == 7
     assert all(sym.value for sym in outcome.trace)
     assert outcome.failing is None
-    assert trace_line(outcome.trace).startswith("S1:11111 S2:11111111")
+    assert " ".join(sym.token() for sym in outcome.trace).startswith("S1:11111 S2:11111111")
 
 
 def test_analyze_tls_nonideal_replay():
@@ -205,10 +224,6 @@ def test_dual_secure_implies_component_verdicts(rng):
             if verdict.secure:
                 assert verdict.ideal.verdict == "secure"
                 assert verdict.nonideal.verdict == "secure"
-
-
-def test_trace_line_empty():
-    assert trace_line(()) == "(empty)"
 
 
 def test_all_tautology_trees_leave_verdict_to_judgments():

@@ -12,7 +12,7 @@ import itertools
 import random
 from pathlib import Path
 
-from lpict.analysis import dual_environment_verdict, trace_line
+from lpict.analysis import dual_environment_verdict
 from lpict.models import load_model, render_model
 
 ORACLE = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
@@ -121,7 +121,7 @@ def test_dual_verdict_agrees_with_oracle():
         want = expected(oracle, text, actions, attackers)
         for kind, outcome in (("ideal", got.ideal), ("nonideal", got.nonideal)):
             assert outcome.verdict == want[kind]["verdict"], text
-            assert trace_line(outcome.trace).split() == want[kind]["trace"], text
+            assert [sym.token() for sym in outcome.trace] == want[kind]["trace"], text
             assert outcome.failing == want[kind]["failing"], text
             if outcome.failing is not None:
                 seen.add("guard" if outcome.failing[1] in actions.values() else "tree")

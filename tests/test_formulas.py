@@ -1,9 +1,9 @@
 import pytest
 
 from lpict.errors import AtomBudgetError, ParseError
+from lpict.lexing import MAX_NESTING
 from lpict.logic.formulas import (
     FALSUM,
-    MAX_NESTING,
     And,
     Atom,
     Implies,
@@ -59,6 +59,35 @@ def test_parse_error_position():
         parse_formula("p -> ")
     with pytest.raises(ParseError):
         parse_formula("(p")
+
+
+# Every ParseError of the formula parser, with its exact text and offset.
+FORMULA_ERRORS = [
+    ("character", "p # q", "unexpected character '#' (at offset 2)"),
+    ("character-after-space", "  $", "unexpected character '$' (at offset 2)"),
+    ("half-arrow", "p - q", "unexpected character '-' (at offset 2)"),
+    ("non-ascii", "p & é", "unexpected character 'é' (at offset 4)"),
+    ("trailing-atom", "p q", "trailing input starting at 'q' (at offset 2)"),
+    ("trailing-paren", "p)", "trailing input starting at ')' (at offset 1)"),
+    ("trailing-false", "false false", "trailing input starting at 'false' (at offset 6)"),
+    ("unclosed", "(p", "expected ')' (at offset 2)"),
+    ("unclosed-then-atom", "(p q", "expected ')' (at offset 3)"),
+    ("empty", "", "expected a formula, found 'end of input' (at offset 0)"),
+    ("missing-consequent", "p -> ", "expected a formula, found 'end of input' (at offset 5)"),
+    ("missing-conjunct", "p & )", "expected a formula, found ')' (at offset 4)"),
+    ("leading-arrow", "-> p", "expected a formula, found '->' (at offset 0)"),
+    ("deep-negation", "!" * 101 + "a", "formula nested more than 100 deep (at offset 100)"),
+    ("deep-parens", "(" * 101 + "a" + ")" * 101, "formula nested more than 100 deep (at offset 100)"),
+    ("deep-implication", " -> ".join(["a"] * 102), "formula nested more than 100 deep (at offset 502)"),
+    ("deep-mixed", "(" * 50 + "!" * 51 + "a" + ")" * 50, "formula nested more than 100 deep (at offset 100)"),
+]
+
+
+@pytest.mark.parametrize("source,message", [row[1:] for row in FORMULA_ERRORS], ids=[row[0] for row in FORMULA_ERRORS])
+def test_parse_error_messages(source, message):
+    with pytest.raises(ParseError) as exc:
+        parse_formula(source)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,5 @@
-"""Every name a module of lpict imports is used in that module.
-
-Package `__init__` modules re-export names and are not scanned.
+"""Every name a module of lpict imports is used in that module, and a
+package `__init__` that defines `__all__` exports exactly what it imports.
 """
 
 import ast
@@ -20,16 +19,20 @@ TRACED_ONLY = {
 }
 
 
-def _unused_imports(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+def _imported(tree):
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported |= {a.asname or a.name for a in node.names}
+    return imported
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return imported - used
+    return _imported(tree) - used
 
 
 def test_no_unused_imports():
@@ -38,3 +41,16 @@ def test_no_unused_imports():
         if path.name != "__init__.py":
             found |= {(path.relative_to(SRC).as_posix(), name) for name in _unused_imports(path)}
     assert found == TRACED_ONLY
+
+
+def test_all_lists_exactly_the_imported_names():
+    checked = []
+    for path in sorted(SRC.rglob("__init__.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                exported = ast.literal_eval(node.value)
+                assert len(set(exported)) == len(exported), path
+                assert set(exported) == _imported(tree), path
+                checked.append(path.parent.name)
+    assert {"logic", "models", "pi"} <= set(checked)

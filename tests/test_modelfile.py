@@ -1,7 +1,8 @@
 import pytest
 
 from lpict.errors import ParseError, ValidationError
-from lpict.logic.formulas import MAX_NESTING, parse_formula
+from lpict.lexing import MAX_NESTING
+from lpict.logic.formulas import parse_formula
 from lpict.models import (
     builtin_dh,
     builtin_tls13,

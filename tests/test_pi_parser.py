@@ -1,8 +1,9 @@
 import pytest
 
 from lpict.errors import ParseError
+from lpict.lexing import MAX_NESTING
 from lpict.pi.congruence import standard_form
-from lpict.pi.parser import MAX_NESTING, parse_process, pretty_print
+from lpict.pi.parser import parse_process, pretty_print
 from lpict.pi.reduction import reduce_step
 from lpict.pi.terms import NIL, Par, Receive, Restrict, Send, Sum, Tau
 
@@ -70,6 +71,45 @@ def test_sum_of_non_prefixed_rejected():
 def test_empty_receive_parens_rejected():
     with pytest.raises(ParseError):
         parse_process("x().0")
+
+
+# Every ParseError of the process parser, with its exact text and offset.
+PROCESS_ERRORS = [
+    ("character", "a.0 # b", "unexpected character '#' (at offset 4)"),
+    ("character-in-prefix", "x-y.0", "unexpected character '-' (at offset 1)"),
+    ("trailing-paren", "a.0 )", "trailing input starting at ')' (at offset 4)"),
+    ("trailing-nil", "0 0", "trailing input starting at '0' (at offset 2)"),
+    ("new-without-name", "new 0", "expected 'ident', found '0' (at offset 4)"),
+    ("new-keyword-name", "new new a.0", "expected 'ident', found 'new' (at offset 4)"),
+    ("new-at-end", "new", "expected 'ident', found 'end of input' (at offset 3)"),
+    ("missing-dot", "a 0", "expected '.', found '0' (at offset 2)"),
+    ("tau-with-args", "tau<a>.0", "expected '.', found '<' (at offset 3)"),
+    ("unclosed-group", "(a.0", "expected ')', found 'end of input' (at offset 4)"),
+    ("unclosed-send", "x<a.0", "expected '>', found '.' (at offset 3)"),
+    ("unclosed-receive", "x(a", "expected ')', found 'end of input' (at offset 3)"),
+    ("missing-param", "x(a,).0", "expected 'ident', found ')' (at offset 4)"),
+    ("empty", "", "expected a process term, found 'end of input' (at offset 0)"),
+    ("missing-continuation", "a.", "expected a process term, found 'end of input' (at offset 2)"),
+    ("leading-bar", "| a.0", "expected a process term, found '|' (at offset 0)"),
+    ("bar-then-plus", "a.0 | +", "expected a process term, found '+' (at offset 6)"),
+    ("nil-branch-first", "0 + a.0", "sum branches must be prefixed terms"),
+    ("nil-branch-later", "a.0 + 0", "sum branches must be prefixed terms (at offset 4)"),
+    ("parallel-branch", "(a.0 | b.0) + c.0", "sum branches must be prefixed terms"),
+    ("empty-params", "x().0", "empty parameter list; write the bare channel for a nullary receive (at offset 2)"),
+    ("duplicate-binder", "x(y,y).0", "duplicate binder in receive prefix on 'x' (at offset 0)"),
+    ("duplicate-binder-later", "a.0 | b(u,v,u).0", "duplicate binder in receive prefix on 'b' (at offset 6)"),
+    ("deep-bang", "!" * 101 + "0", "process term nested more than 100 deep (at offset 100)"),
+    ("deep-parens", "(" * 101 + "0" + ")" * 101, "process term nested more than 100 deep (at offset 100)"),
+    ("deep-new", "new k " * 101 + "0", "process term nested more than 100 deep (at offset 600)"),
+    ("deep-prefixes", "a." * 101 + "0", "process term nested more than 100 deep (at offset 200)"),
+]
+
+
+@pytest.mark.parametrize("source,message", [row[1:] for row in PROCESS_ERRORS], ids=[row[0] for row in PROCESS_ERRORS])
+def test_parse_error_messages(source, message):
+    with pytest.raises(ParseError) as exc:
+        parse_process(source)
+    assert str(exc.value) == message
 
 
 def test_deep_nesting_is_a_parse_error():

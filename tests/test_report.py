@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import lpict.analysis
 from lpict.analysis import analyze_protocol, dual_environment_verdict
 from lpict.cli import run_cli
@@ -25,7 +27,7 @@ def test_text_report_contents():
 
 def test_structured_roundtrip():
     report = tls_dual_report(duration=12.5)
-    blob = render_report(report, "structured")
+    blob = render_report(report, "json")
     assert json.loads(blob) == report
 
 
@@ -34,7 +36,7 @@ def test_structured_roundtrip_flawed():
     env = model.environment("nonideal")
     outcome = analyze_protocol(model, env)
     report = build_single_report(model, env, outcome)
-    blob = render_report(report, "structured")
+    blob = render_report(report, "json")
     assert json.loads(blob) == report
     assert '"failing": {' in blob
     assert '"event": "public_value_send"' in blob
@@ -43,17 +45,23 @@ def test_structured_roundtrip_flawed():
 def test_structured_roundtrip_dual_flawed():
     model = builtin_dh()
     report = build_dual_report(model, dual_environment_verdict(model), 1.25)
-    blob = render_report(report, "structured")
+    blob = render_report(report, "json")
     rebuilt = json.loads(blob)
     assert rebuilt == report
     assert rebuilt["matched"] is False and rebuilt["secure"] is False
 
 
 def test_render_deterministic():
-    one = render_report(tls_dual_report(), "structured")
-    two = render_report(tls_dual_report(), "structured")
+    one = render_report(tls_dual_report(), "json")
+    two = render_report(tls_dual_report(), "json")
     assert one == two
     assert render_report(tls_dual_report(), "text") == render_report(tls_dual_report(), "text")
+
+
+@pytest.mark.parametrize("format", ["structured", "JSON", ""])
+def test_render_rejects_other_formats(format):
+    with pytest.raises(ValueError, match=f"unknown report format {format!r}"):
+        render_report(tls_dual_report(), format)
 
 
 def test_flawed_report_has_failing_line():
@@ -98,7 +106,7 @@ def test_color_toggle():
 def test_machine_and_human_forms_carry_same_facts():
     report = tls_dual_report(duration=3.0)
     text = render_report(report, "text")
-    rebuilt = json.loads(render_report(report, "structured"))
+    rebuilt = json.loads(render_report(report, "json"))
     for env in rebuilt["environments"]:
         assert f"verdict: {env['verdict']}" in text
         assert " ".join(env["trace"]) in text
@@ -124,7 +132,7 @@ def test_entailment_judged_once_per_dual_command(monkeypatch, capsys):
     outcome = analyze_protocol(model, env)
     calls.clear()
     render_report(build_dual_report(model, verdict), "text")
-    render_report(build_single_report(model, env, outcome), "structured")
+    render_report(build_single_report(model, env, outcome), "json")
     assert calls == []
 
 

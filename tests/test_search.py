@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from lpict.errors import FragmentError
@@ -8,13 +6,12 @@ from lpict.logic.proofs import Proof, ProofLine, Rule, Sequent, check_proof
 from lpict.logic.search import (
     cross_validate,
     in_chain_fragment,
-    provably_equivalent,
     search_contradiction,
     search_forward_chain,
 )
 from lpict.logic.semantics import semantic_entails
 
-from conftest import random_chain_sequent, random_fragment_formula
+from conftest import random_chain_sequent
 
 
 def chain(k):
@@ -95,35 +92,6 @@ def test_fragment_completeness(rng):
         premises, goal = random_chain_sequent(rng)
         found = search_forward_chain(premises, goal) is not None
         assert found == semantic_entails(premises, goal)
-
-
-def test_provably_equivalent_examples():
-    p, q = Atom("p"), Atom("q")
-    assert provably_equivalent(p, p) is True
-    assert provably_equivalent(p, q) is False
-    assert provably_equivalent(Implies(p, q), Implies(p, q)) is True
-    assert provably_equivalent(Not(p), Not(p)) is True
-
-
-def test_provably_equivalent_fragment_violation():
-    with pytest.raises(FragmentError):
-        provably_equivalent(And(Atom("p"), Atom("q")), Atom("p"))
-
-
-def test_provable_equivalence_against_truth_tables():
-    # soundness everywhere: whatever is provably equivalent is semantically
-    # equivalent; on atoms and negated atoms the two notions coincide exactly
-    # (the restricted rule set proves no equivalence that needs ->i)
-    rng = random.Random(13)
-    names = ["p", "q", "r"]
-    for _ in range(200):
-        f = random_fragment_formula(rng, names)
-        g = random_fragment_formula(rng, names)
-        semantic = semantic_entails((f,), g) and semantic_entails((g,), f)
-        provable = provably_equivalent(f, g)
-        assert not provable or semantic
-        if not isinstance(f, Implies) and not isinstance(g, Implies):
-            assert provable == semantic
 
 
 def test_cross_validate_examples():
