@@ -13,7 +13,7 @@ from enum import Enum
 from functools import cached_property
 
 from .errors import BranchingPathError, BrokenChainError, ValidationError
-from .logic.formulas import Atom, Formula, atoms
+from .logic.formulas import KEYWORDS, Atom, Formula, atoms
 from .logic.search import search_forward_chain
 from .logic.semantics import semantic_entails
 from .trees import event_leaves, leaf_atom
@@ -131,10 +131,11 @@ def build_guarded_lts(states, transitions, initial: str, terminal: str) -> Guard
     """Validate and assemble a guarded system.
 
     Rejects duplicate state ids, duplicate event names within a state, an
-    event named like a state, dangling transition endpoints, guard atoms that
-    resolve to nothing, event trees outside the event fragment or whose leaves
-    are not the state's events, non-terminal states with no events, a terminal
-    state with outgoing transitions, and states unreachable from the initial one.
+    event named like a state, a state or event named like a formula keyword,
+    dangling transition endpoints, guard atoms that resolve to nothing, event
+    trees outside the event fragment or whose leaves are not the state's
+    events, non-terminal states with no events, a terminal state with outgoing
+    transitions, and states unreachable from the initial one.
     """
     states = tuple(states)
     transitions = tuple(transitions)
@@ -174,6 +175,10 @@ def build_guarded_lts(states, transitions, initial: str, terminal: str) -> Guard
     if ambiguous:
         raise ValidationError(f"{sorted(ambiguous)[0]!r} names both a state and an event")
     resolvable = known | event_names
+    # a guard or an event tree would read such a name as the keyword
+    reserved = resolvable & KEYWORDS
+    if reserved:
+        raise ValidationError(f"{sorted(reserved)[0]!r} is a formula keyword and cannot name a state or an event")
     for t in transitions:
         for end in (t.source, t.target):
             if end not in known:

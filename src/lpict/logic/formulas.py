@@ -102,9 +102,13 @@ def eval_formula(f: Formula, valuation: Valuation) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
+# Words that read as formula constants, never as atoms.
+KEYWORDS = frozenset({"false"})
+
+
 class _FormulaParser(Cursor):
     TOKENS = token_pattern(r"->|[!&|()]")
-    KEYWORDS = frozenset({"false"})
+    KEYWORDS = KEYWORDS
     NOUN = "formula"
 
     def implication(self, depth: int) -> Formula:

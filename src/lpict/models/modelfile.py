@@ -37,7 +37,7 @@ from ..guarded import (
     StateNode,
     build_guarded_lts,
 )
-from ..logic.formulas import And, Atom, Formula, Or, format_formula, parse_formula
+from ..logic.formulas import KEYWORDS, And, Atom, Formula, Or, format_formula, parse_formula
 from ..trees import build_event_tree, event_leaves
 from .core import IDEAL, NONIDEAL, AttackerCapability, EnvironmentConfig, ProtocolModel
 
@@ -74,6 +74,10 @@ class _ModelReader:
 
     def fail(self, message: str, line: int):
         raise ParseError(message, line=line)
+
+    def check_name(self, name: str, line: int):
+        if name in KEYWORDS:
+            self.fail(f"{name!r} is a formula keyword and cannot name a state or an event", line)
 
     def read(self) -> ProtocolModel:
         handlers = self.HANDLERS
@@ -128,6 +132,7 @@ class _ModelReader:
             self.fail("event outside a state block", lineno)
         if len(words) < 2:
             self.fail("expected: event <name> [resists ...] [payload ...]", lineno)
+        self.check_name(words[1], lineno)
         tags: list[str] = []
         payload: list[str] = []
         into = None
@@ -187,6 +192,7 @@ class _ModelReader:
     def add_state(self, state: StateNode, lineno: int):
         if state.id in self.by_id:
             self.fail(f"duplicate state id {state.id!r}", lineno)
+        self.check_name(state.id, lineno)
         self.states.append(state)
         self.by_id[state.id] = state
 

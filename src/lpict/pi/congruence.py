@@ -4,35 +4,20 @@ A term is normalized into prenex shape: restrictions hoisted to the front of
 each parallel level (scope extrusion), nil components dropped, parallel
 compositions flattened, and any component that duplicates the body of a
 sibling replication absorbed back into it (the unfolding law read
-right-to-left). Canonical keys are alpha-invariant (bound names become
-binder indices) and label each level's restrictions by
-individualization-refinement, so two terms get equal keys exactly when they
-are congruent, whatever the number of binders.
-
-`standard_form` decodes the canonical key back into a term, with sorted
-components and canonically named binders.
+right-to-left). Canonical keys are alpha-invariant and label each level's
+restrictions by individualization-refinement, so two terms get equal keys
+exactly when they are congruent. `standard_form` decodes the canonical key
+back into a term, with sorted components and canonically named binders.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 
-from .terms import (
-    NIL,
-    Bang,
-    Nil,
-    Par,
-    Process,
-    Receive,
-    Restrict,
-    Send,
-    Sum,
-    Tau,
-    all_names,
-    free_names,
-    fresh_name,
-    substitute,
-)
+from .terms import NIL, Bang, Nil, Par, Process, Receive, Restrict, Send, Sum, Tau
+from .terms import all_names, free_names, fresh_name, substitute
+
 
 def level_parts(p: Process) -> tuple[tuple[str, ...], tuple[Process, ...]]:
     """Split a term into its restriction prefix and the components of its
@@ -84,8 +69,7 @@ def level_groups(binders, comps, env: dict[str, tuple], depth: int):
     for i, cb in enumerate(uses):
         for b in cb:
             by_binder[b].append(i)
-    groups = []
-    seen: set[int] = set()
+    groups, seen = [], set()
     for i, c in enumerate(comps):
         if not uses[i]:
             groups.append(((0, (_comp_key(c, env, depth),)), [], [i]))
@@ -111,11 +95,9 @@ def _canon_group(bs, cs, uses, env, depth):
     """Individualization-refinement labelling of one connected group
     (McKay and Piperno, Practical Graph Isomorphism II, 2014). Binders are
     colour-refined by the keys of the components they occur in; a tied
-    binder is individualized and the partition refined again, down to
-    discrete labellings, and the least certificate among these leaves
-    labels the group. A tied binder is skipped when swapping it with one
-    already explored is an automorphism of the group, since both subtrees
-    then give the same leaves."""
+    binder is individualized and the partition refined again, and the least
+    certificate among the discrete leaves labels the group. A tied binder is
+    skipped when swapping it with an explored one is an automorphism."""
     inner = depth + len(bs)
     occ = {b: [i for i, cb in enumerate(uses) if b in cb] for b in bs}
     base = {**env, **{b: ("b", depth + i) for i, b in enumerate(bs)}}
@@ -183,9 +165,7 @@ def _branch_key(pi, cont: Process, env: dict[str, tuple], depth: int):
     if isinstance(pi, Send):
         pk = ("s", _name_key(pi.channel, env), tuple(_name_key(a, env) for a in pi.args))
         return (pk, _level_key(cont, env, depth))
-    env2 = dict(env)
-    for i, prm in enumerate(pi.params):
-        env2[prm] = ("b", depth + i)
+    env2 = {**env, **{prm: ("b", depth + i) for i, prm in enumerate(pi.params)}}
     pk = ("r", _name_key(pi.channel, env), len(pi.params))
     return (pk, _level_key(cont, env2, depth + len(pi.params)))
 
@@ -195,71 +175,74 @@ def _branch_key(pi, cont: Process, env: dict[str, tuple], depth: int):
 
 
 def normalize(p: Process) -> Process:
-    """Prenex shape with nils dropped, levels flattened, and bang bodies absorbed."""
-    used = set(all_names(p))
-    return _norm_term(p, used)
+    """Prenex shape with nils dropped, levels flattened, and bang bodies
+    absorbed. A restriction keeps its name unless hoisting it would clash, so
+    normalize(normalize(p)) == normalize(p)."""
+    return _norm_term(p, set(all_names(p)))
 
 
 def _norm_term(p: Process, used: set[str]) -> Process:
-    if isinstance(p, Nil):
-        return p
-    binders, comps = _prenex(p, used)
-    binders, comps = _finalize_level(binders, comps)
-    return assemble(binders, comps)
+    return p if isinstance(p, Nil) else assemble(*_finalize_level(*_prenex(p, used)))
 
 
 def _prenex(p: Process, used: set[str]) -> tuple[list[str], list[Process]]:
-    if isinstance(p, Nil):
-        return [], []
-    if isinstance(p, Sum):
-        branches = tuple((pi, _norm_term(cont, used)) for pi, cont in p.branches)
-        return [], [Sum(branches)]
-    if isinstance(p, Bang):
-        return [], [Bang(_norm_term(p.body, used))]
-    if isinstance(p, Par):
-        binders, comps = [], []
-        for c in p.components:
-            cb, cc = _prenex(c, used)
-            binders += cb
-            comps += cc
-        return binders, comps
-    if isinstance(p, Restrict):
-        bb, cc = _prenex(p.body, used)
-        holders = [i for i, c in enumerate(cc) if p.name in free_names(c)]
+    """Hoist the restrictions of p's parallel level, inner scopes first. One
+    free-name pass over the level finds the components each binder holds. A
+    binder that holds none is dropped; one whose name is free in a component
+    it does not hold, or kept by another binder, takes a name not in `used`."""
+    scopes, comps, stack = [], [], [p]
+    while stack:
+        q = stack.pop()
+        if isinstance(q, tuple):  # the end of a scope: (index, name, first)
+            scopes[q[0]] = (q[1], q[2], len(comps))
+        elif isinstance(q, Restrict):
+            stack += [(len(scopes), q.name, len(comps)), q.body]
+            scopes.append(None)
+        elif isinstance(q, Par):
+            stack += reversed(q.components)
+        elif isinstance(q, Sum):
+            comps.append(Sum(tuple((pi, _norm_term(cont, used)) for pi, cont in q.branches)))
+        elif isinstance(q, Bang):
+            comps.append(Bang(_norm_term(q.body, used)))
+        elif not isinstance(q, Nil):
+            raise TypeError(f"not a process term: {q!r}")
+    where: dict[str, list[int]] = {}
+    for i, c in enumerate(comps if scopes else ()):
+        for x in free_names(c):
+            where.setdefault(x, []).append(i)
+    binders, taken = [None] * len(scopes), set()
+    for k in reversed(range(len(scopes))):
+        name, start, end = scopes[k]
+        free = where.get(name, [])
+        lo, hi = bisect_left(free, start), bisect_left(free, end)
+        holders = free[lo:hi]
+        del free[lo:hi]
         if not holders:
-            return bb, cc
-        nx = fresh_name(p.name, used)
-        used.add(nx)
-        for i in holders:
-            cc[i] = substitute(cc[i], {p.name: nx})
-        return [nx] + bb, cc
-    raise TypeError(f"not a process term: {p!r}")
+            continue
+        if free or name in taken:
+            nx = fresh_name(name, used)
+            used.add(nx)
+            for i in holders:
+                comps[i] = substitute(comps[i], {name: nx})
+            name = nx
+        taken.add(name)
+        binders[k] = name
+    return [b for b in binders if b is not None], comps
 
 
 def _finalize_level(binders: list[str], comps: list[Process]) -> tuple[list[str], list[Process]]:
-    binders, comps = _drop_unused(binders, comps)
-    while True:
-        reduced = _absorb_once(binders, comps)
-        if reduced is None:
-            return binders, comps
-        binders, comps = _drop_unused(*reduced)
-
-
-def _drop_unused(binders, comps):
-    fn = set().union(*(free_names(c) for c in comps)) if binders and comps else set()
-    return [b for b in binders if b in fn], list(comps)
+    # an absorbed copy takes its own binders along, so no binder falls unused
+    while (reduced := _absorb_once(binders, comps)) is not None:
+        binders, comps = reduced
+    return binders, comps
 
 
 def _absorb_once(binders: list[str], comps: list[Process]):
     """Remove one replication copy: new B' (!Q | Q') == !Q when Q' is Q with
     its own restrictions extruded as B'. Returns the reduced level or None.
-
-    The level binders free in !Q stay; any other binder that Q' uses is one
-    of B' and occurs nowhere else. So Q' is a union of the groups that the
-    other binders link, and Q is found when the keys of some of these groups
-    match the keys of the groups of Q."""
-    env = {b: ("b", i) for i, b in enumerate(binders)}
-    depth = len(binders)
+    The binders of B' occur nowhere else, so Q' is a union of the groups that
+    the level binders not free in !Q link, whose keys match those of Q."""
+    env, depth = {b: ("b", i) for i, b in enumerate(binders)}, len(binders)
     for gi, g in enumerate(comps):
         if not isinstance(g, Bang) or isinstance(g.body, Nil):
             continue
@@ -301,44 +284,67 @@ def standard_form(p: Process) -> Process:
     """A congruent term shaped new a1..an (M1 | .. | Mm | !Q1 | .. | !Qn),
     with sorted components and canonically renamed binders: the term that
     the canonical key describes."""
-    avoid = free_names(p)
-    counter = itertools.count()
-
-    def fresh() -> str:
-        while True:
-            name = f"v{next(counter)}"
-            if name not in avoid:
-                return name
-
-    return _decode(canonical_key(p), [], fresh)
+    return _decoded(canonical_key(p))
 
 
-def _decode(key, names: list[str], fresh) -> Process:
+def standard_level(kept, binders, comps) -> Process:
+    """The standard form of the level of the labelled groups `kept`, as
+    (key, binders, components), and of the normalized `comps` under
+    `binders`, which share no name with them. Replication copies are
+    absorbed; unless one is, the kept groups keep their keys and only `comps`
+    are labelled. Binders that no component uses fall in no group."""
+    level = [c for _, _, cs in kept for c in cs] + comps
+    final = _finalize_level([b for _, bs, _ in kept for b in bs] + binders, level)
+    if len(final[1]) < len(level):
+        kept, (binders, comps) = [], final
+    keys = [g[0] for g in kept] + [g[0] for g in level_groups(binders, comps, {}, 0)]
+    return _decoded(tuple(sorted(keys)))
+
+
+def _decoded(key) -> Process:
+    """The term that a level key describes. Binders are named v0, v1, .. in
+    print order, skipping the key's free names; a first reading names them
+    regardless, and a second runs only if one of these names is free."""
+    avoid: set[str] = set()
+    while True:
+        made, free, counter = [], set(), itertools.count()
+
+        def fresh() -> str:
+            made.append(next(n for n in (f"v{i}" for i in counter) if n not in avoid))
+            return made[-1]
+
+        term = _decode(key, [], fresh, free)
+        if free.isdisjoint(made):
+            return term
+        avoid = free
+
+
+def _decode(key, names: list[str], fresh, free: set[str]) -> Process:
     """Rebuild a level from its key; names[i] is the name bound at depth i.
-    Binders are named in the order they are printed."""
+    Binders are named in print order; free names are added to `free`."""
     binders, items = [], []
     for gi, (m, cert) in enumerate(key):
         local = [fresh() for _ in range(m)]
         binders += local
         items += [((ck[0], gi), ck, names + local) for ck in cert]
     items.sort(key=lambda item: item[0])
-    return assemble(binders, [_decode_comp(ck, scope, fresh) for _, ck, scope in items])
+    return assemble(binders, [_decode_comp(ck, scope, fresh, free) for _, ck, scope in items])
 
 
-def _decode_comp(ck, names: list[str], fresh) -> Process:
+def _decode_comp(ck, names: list[str], fresh, free: set[str]) -> Process:
     kind, body = ck
     if kind == 1:
-        return Bang(_decode(body, names, fresh))
-    name = lambda nk: names[nk[1]] if nk[0] == "b" else nk[1]  # noqa: E731
+        return Bang(_decode(body, names, fresh, free))
+    name = lambda nk: names[nk[1]] if nk[0] == "b" else free.add(nk[1]) or nk[1]  # noqa: E731
     branches = []
     for pk, cont in body:
         if pk[0] == "t":
-            branches.append((Tau(), _decode(cont, names, fresh)))
+            branches.append((Tau(), _decode(cont, names, fresh, free)))
         elif pk[0] == "s":
-            branches.append((Send(name(pk[1]), tuple(map(name, pk[2]))), _decode(cont, names, fresh)))
+            branches.append((Send(name(pk[1]), tuple(map(name, pk[2]))), _decode(cont, names, fresh, free)))
         else:
             params = [fresh() for _ in range(pk[2])]
-            branches.append((Receive(name(pk[1]), tuple(params)), _decode(cont, names + params, fresh)))
+            branches.append((Receive(name(pk[1]), tuple(params)), _decode(cont, names + params, fresh, free)))
     return Sum(tuple(branches))
 
 
@@ -348,15 +354,7 @@ def is_standard_form(p: Process) -> bool:
     if isinstance(p, Nil):
         return True
     binders, comps = level_parts(p)
-    if len(set(binders)) != len(binders) or not comps:
-        return False
-    for c in comps:
-        if isinstance(c, Sum):
-            if not all(is_standard_form(cont) for _, cont in c.branches):
-                return False
-        elif isinstance(c, Bang):
-            if not is_standard_form(c.body):
-                return False
-        else:
-            return False
-    return True
+    inner = [cont for c in comps if isinstance(c, Sum) for _, cont in c.branches]
+    inner += [c.body for c in comps if isinstance(c, Bang)]
+    shaped = all(isinstance(c, (Sum, Bang)) for c in comps)
+    return len(set(binders)) == len(binders) and bool(comps) and shaped and all(map(is_standard_form, inner))

@@ -6,12 +6,14 @@ implicit: redexes hidden behind restriction or reordered parallels are found
 after hoisting, and each replication !Q is read as Q | Q | !Q, so that its
 body reacts with the level and with itself. Interchangeable components give
 congruent successors, so only one representative of each class of them takes
-part in a reaction. Successors are returned in standard form.
+part in a reaction. Successors are returned in standard form, keyed from the
+parent's labelling: only the groups of components that a reaction touches
+are labelled again.
 """
 
 from __future__ import annotations
 
-from .congruence import assemble, level_groups, level_parts, normalize, standard_form
+from .congruence import level_groups, level_parts, normalize, standard_form, standard_level
 from .terms import Bang, Process, Receive, Send, Sum, Tau, all_names, fresh_name, substitute
 
 TAU = "TAU"
@@ -23,37 +25,49 @@ def reduce_step(p: Process) -> frozenset[tuple[str, Process]]:
     """All one-step successors of p, tagged with the axiom rule that fired."""
     n = normalize(p)
     binders, comps = map(list, level_parts(n))
-    used = set(all_names(n)) | set(binders)
+    used = set(all_names(n))
 
-    # Each replication adds two copies of its body, with fresh binders, to the
-    # level as ordinary components: a reaction involves at most two components,
-    # so two copies find every reaction. Copy k > 0 owns its binders and
-    # components; the level's own are owned by 0.
-    binder_owner, owner, copies = [0] * len(binders), [0] * len(comps), 0
+    def hoisted(term: Process) -> tuple[list[str], list[Process]]:
+        # the level of a normalized term, its binders renamed apart from every
+        # name in use, ready to join another level
+        cb, cc = level_parts(term)
+        ren = {}
+        for b in cb:
+            ren[b] = fresh_name(b, used)
+            used.add(ren[b])
+        return list(ren.values()), [substitute(x, ren) for x in cc]
+
+    # Each replication adds two copies of its body to the level as ordinary
+    # components: a reaction involves at most two components, so two copies
+    # find every reaction. Copy k > 0 owns its binders and components; the
+    # level's own are owned by 0.
+    binder_owner, owner, copies = dict.fromkeys(binders, 0), [0] * len(comps), 0
     for c in tuple(comps):
         if isinstance(c, Bang):
-            cb, cc = level_parts(c.body)
             for _ in range(2):
                 copies += 1
-                ren = {}
-                for b in cb:
-                    ren[b] = fresh_name(b, used)
-                    used.add(ren[b])
-                binders += ren.values()
-                binder_owner += [copies] * len(ren)
-                comps += [substitute(x, ren) for x in cc]
+                cb, cc = hoisted(c.body)
+                binders += cb
+                binder_owner.update(dict.fromkeys(cb, copies))
+                comps += cc
                 owner += [copies] * len(cc)
+
+    # The level is labelled once. A successor keeps the groups that the
+    # reaction leaves alone, with their keys, and only the rest is labelled.
+    groups = level_groups(binders, comps, {}, 0)
+    group_of = {i: g for g, (_, _, members) in enumerate(groups) for i in members}
+    labelled = [(key, bs, [comps[i] for i in members]) for key, bs, members in groups]
 
     # Two components are interchangeable when they are congruent and every
     # level binder they use is their own, that is when each is a group of one
     # with the same key: swapping them, with those binders, maps the term to
     # itself. Any other component is a class of its own. A class keeps two
     # members, enough for a reaction inside it.
-    alone = {members[0]: key for key, _, members in level_groups(binders, comps, {}, 0) if len(members) == 1}
     classes: dict = {}
     for i, comp in enumerate(comps):
         if isinstance(comp, Sum):
-            members = classes.setdefault(alone.get(i, i), [])
+            key, _, group = groups[group_of[i]]
+            members = classes.setdefault(key if len(group) == 1 else i, [])
             if len(members) < 2:
                 members.append((i, comp))
 
@@ -63,9 +77,19 @@ def reduce_step(p: Process) -> frozenset[tuple[str, Process]]:
         # Replacements map component indices to their continuations. The copies
         # the reaction did not touch are dropped, as the replication absorbs them.
         keep = {0} | {owner[i] for i in replacements}
-        new_binders = [b for b, k in zip(binders, binder_owner) if k in keep]
-        new_comps = [replacements.get(i, c) for i, c in enumerate(comps) if owner[i] in keep]
-        found.add((tag, standard_form(assemble(new_binders, new_comps))))
+        touched = {group_of[i] for i, k in enumerate(owner) if i in replacements or k not in keep}
+        new_binders, new_comps = [], []
+        for g in touched:
+            new_binders += [b for b in groups[g][1] if binder_owner[b] in keep]
+            for i in groups[g][2]:
+                if i in replacements:
+                    cb, cc = hoisted(normalize(replacements[i]))
+                    new_binders += cb
+                    new_comps += cc
+                elif owner[i] in keep:
+                    new_comps.append(comps[i])
+        kept = [group for g, group in enumerate(labelled) if g not in touched]
+        found.add((tag, standard_level(kept, new_binders, new_comps)))
 
     for members in classes.values():
         i, comp = members[0]

@@ -241,6 +241,15 @@ def test_model_file_that_is_not_utf8_is_exit_2(tmp_path, monkeypatch, capsys):
     assert err.startswith(f"error: cannot read model file {str(path)!r}") and len(err.splitlines()) == 1
 
 
+def test_state_named_false_is_exit_2(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "false.model"
+    path.write_text(render_model(builtin_dh()).replace("Init", "false"))
+    code, out, err = run_main(monkeypatch, capsys, "analyze", "--model", str(path), "--dual")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'false' is a formula keyword and cannot name a state or an event (line ")
+    assert len(err.splitlines()) == 1
+
+
 def test_unexpected_exception_is_exit_2_through_main(monkeypatch, capsys):
     import lpict.cli
 
@@ -295,4 +304,27 @@ def test_analyze_output_is_byte_exact(golden, color, code, args, monkeypatch, ca
     assert got == code
     out = re.sub(r"duration: [0-9.]+ ms", "duration: 0.0 ms", out)
     out = re.sub(r'"duration_ms": [0-9.eE+-]+', '"duration_ms": 0', out)
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+# Terms of the benchmark's pi-terms shape, and a replication that reacts with
+# itself, stepped twice. The files were recorded before successors were keyed
+# from their parent's labelling, so they pin that the output did not move.
+REDUCE_GOLDENS = {
+    "reduce_plain_4.txt": " | ".join(
+        f"ch417<{m}>.0" if m else "ch417(y).y<c588>.0"
+        for m in ["m203", None, "m911", None, None, "m350", "m764", None]
+    ),
+    "reduce_restricted_4.txt": " | ".join(
+        f"ch602(y).y<{b}>.0" if b else "new k ch602<k>.k(v).0"
+        for b in ["b319", None, None, "b847", None, "b125", "b560", None]
+    ),
+    "reduce_bang.txt": "!(a.0 + a<>.0) | new k a<k>.0",
+}
+
+
+@pytest.mark.parametrize("golden", sorted(REDUCE_GOLDENS))
+def test_reduce_output_is_byte_exact(golden, capsys):
+    code, out, err = run(capsys, "reduce", "--term", REDUCE_GOLDENS[golden], "--steps", "2")
+    assert (code, err) == (0, "")
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")

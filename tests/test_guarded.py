@@ -67,6 +67,13 @@ def test_terminal_with_outgoing_transitions_rejected():
         build_guarded_lts(states, transitions, "S1", "S2")
 
 
+@pytest.mark.parametrize("state", [simple_state("false", "e"), simple_state("S1", "e", "false")], ids=["id", "event"])
+def test_formula_keyword_cannot_name_a_state_or_an_event(state):
+    # a guard would read `false` as falsum, not as the state or event
+    with pytest.raises(ValidationError, match="^'false' is a formula keyword and cannot name a state or an event$"):
+        build_guarded_lts([state], [], state.id, state.id)
+
+
 def test_duplicate_event_names_rejected():
     state = StateNode("S1", (Event("e"), Event("e")), build_event_tree(["e", "e"], ["and"]))
     with pytest.raises(ValidationError, match="duplicate event"):

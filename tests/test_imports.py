@@ -9,13 +9,14 @@ import lpict
 
 SRC = Path(lpict.__file__).parent
 
-# bench/tracing.py wraps these names where analysis.py imports them, so they
-# stay imported there although analysis.py no longer calls them
+# bench/tracing.py wraps these names where these modules import them, so they
+# stay imported there although the modules no longer call them
 TRACED_ONLY = {
     ("analysis.py", "event_leaves"),
     ("analysis.py", "kmp_match"),
     ("analysis.py", "search_contradiction"),
     ("analysis.py", "search_forward_chain"),
+    ("pi/reduction.py", "standard_form"),
 }
 
 

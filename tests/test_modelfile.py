@@ -172,6 +172,8 @@ READER_ERRORS = [
     ("close-shape", _edit("  combine or\n}", "  combine or\n} trailing"), "unexpected '}'", 10),
     ("combine-missing", _edit("  combine or\n", ""), "state 'B' needs a combine line", 9),
     ("state-twice", _edit("state B {", "state A {"), "duplicate state id 'A'", 10),
+    ("state-false", _edit("state B {", "state false {"), "'false' is a formula keyword and cannot name a state or an event", 10),
+    ("event-false", _edit("  event halt", "  event false"), "'false' is a formula keyword and cannot name a state or an event", 8),
     ("alias-shape", MINIMAL + "alias C A\n", "expected: alias <id> = <id>", 16),
     ("alias-target", MINIMAL + "alias C = Ghost\n", "alias target 'Ghost' is not defined yet", 16),
     ("alias-twice", MINIMAL + "alias B = A\n", "duplicate state id 'B'", 16),

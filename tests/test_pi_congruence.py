@@ -6,6 +6,7 @@ import pytest
 from lpict.pi.congruence import (
     is_standard_form,
     level_parts,
+    normalize,
     standard_form,
     structurally_congruent,
 )
@@ -295,3 +296,34 @@ def test_replication_absorbs_its_copy_among_many_binders():
     shared = standard_form(P("new u (a<u>.0 | b<u>.0) | !(new y a<y>.0)"))
     binders, comps = level_parts(shared)
     assert len(binders) == 1 and len(comps) == 3
+
+
+def test_normalize_is_a_fixpoint(rng):
+    for _ in range(2000):
+        once = normalize(random_term(rng, 4))
+        assert normalize(once) == once
+
+
+def test_normalize_keeps_a_binder_name_that_does_not_clash():
+    term = P("new k (k.0 | a<k>.0)")
+    printed = []
+    for _ in range(3):
+        term = normalize(term)
+        printed.append(pretty_print(term))
+    assert printed == ["new k (k.0 | a<k>.0)"] * 3
+
+
+def test_normalize_renames_a_binder_that_would_capture():
+    # hoisting `new k` over the level would capture the free k of k<>.0,
+    # and two sibling binders named m cannot both keep the name
+    assert pretty_print(normalize(P("new k k.0 | k<>.0"))) == "new k1 (k1.0 | k<>.0)"
+    assert pretty_print(normalize(P("new m m.0 | new m m<>.0"))) == "new m new m1 (m.0 | m1<>.0)"
+    # an inner restriction of the same name holds only its own components
+    shadowed = P("new k (k<>.0 | new k k.0)")
+    assert pretty_print(normalize(shadowed)) == "new k new k1 (k<>.0 | k1.0)"
+    assert not cong(shadowed, P("new k (k<>.0 | k.0)"))
+
+
+def test_standard_form_binders_skip_the_free_names():
+    sf = standard_form(P("new k (a<k>.0 | v0<k>.0) | v2(y).y<v1>.0 | new m m<v0>.0"))
+    assert pretty_print(sf) == "new v3 new v4 (v2(v5).v5<v1>.0 | v3<v0>.0 | a<v4>.0 | v0<v4>.0)"

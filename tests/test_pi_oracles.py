@@ -13,8 +13,8 @@ binders per level it must agree with congruence and standard forms.
 import itertools
 import random
 
-from lpict.pi.congruence import canonical_key, level_parts, normalize, standard_form, structurally_congruent
-from lpict.pi.reduction import reduce_step
+from lpict.pi.congruence import assemble, canonical_key, level_parts, normalize, standard_form, structurally_congruent
+from lpict.pi.reduction import REACT, REACT_POLYADIC, TAU, reduce_step
 from lpict.pi.terms import (
     NIL,
     Bang,
@@ -25,7 +25,9 @@ from lpict.pi.terms import (
     Send,
     Sum,
     Tau,
+    all_names,
     free_names,
+    fresh_name,
     substitute,
 )
 
@@ -344,3 +346,53 @@ def test_standard_forms_equal_exactly_when_congruent():
             assert expected in (None, congruent)
             verdicts.append(congruent)
     assert 40 < sum(verdicts) < len(verdicts)
+
+
+# ---------------------------------------------------------------------------
+# Exact successors
+
+
+def _from_scratch(term):
+    """reduce_step without classes or kept labels: every pair of components
+    of the normalized level reacts, each replication !Q adds two copies of Q
+    that stay in the successor, and each successor is standardized whole."""
+    binders, comps = map(list, level_parts(normalize(term)))
+    used = set(all_names(term)) | set(binders)
+    for c in tuple(comps):
+        if isinstance(c, Bang):
+            for _ in range(2):
+                cb, cc = level_parts(c.body)
+                ren = {}
+                for b in cb:
+                    ren[b] = fresh_name(b, used)
+                    used.add(ren[b])
+                binders += ren.values()
+                comps += [substitute(x, ren) for x in cc]
+    sums = [(i, c) for i, c in enumerate(comps) if isinstance(c, Sum)]
+    out = set()
+    for i, c in sums:
+        for pi, cont in c.branches:
+            steps = [(TAU, {i: cont})] if isinstance(pi, Tau) else []
+            for j, d in sums if isinstance(pi, Receive) else ():
+                for spi, scont in d.branches:
+                    if j != i and isinstance(spi, Send) and spi.channel == pi.channel and len(spi.args) == len(pi.params):
+                        landed = substitute(cont, dict(zip(pi.params, spi.args)))
+                        steps.append((REACT_POLYADIC if pi.params else REACT, {i: landed, j: scont}))
+            for tag, repl in steps:
+                out.add((tag, standard_form(assemble(binders, [repl.get(k, x) for k, x in enumerate(comps)]))))
+    return out
+
+
+def test_successors_are_exactly_the_standard_forms_from_scratch():
+    # not just up to congruence: the same terms, bound names included
+    rng = random.Random(31337)
+    for _ in range(300):
+        term = random_term(rng, rng.randrange(0, 6))
+        assert reduce_step(term) == _from_scratch(term)
+    for _ in range(60):
+        term = _wide_term(rng, rng.randrange(5, 10))
+        assert reduce_step(term) == _from_scratch(term)
+    # free names that standard forms would otherwise give to binders
+    for _ in range(200):
+        term = substitute(random_term(rng, rng.randrange(2, 6)), {"a": "v0", "b": "v1", "x": "v2"})
+        assert reduce_step(term) == _from_scratch(term)

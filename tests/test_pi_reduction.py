@@ -127,3 +127,31 @@ def test_components_sharing_a_binder_are_not_interchangeable():
     outs = reduce_step(term)
     assert len(outs) == 2
     assert (REACT_POLYADIC, standard_form(P("new k (k<b>.0 | k(z).z<>.0) | new k x<k>.0"))) in outs
+
+
+def _free_names_calls(monkeypatch, term):
+    # counted where congruence looks free_names up, as the benchmark's tracer does
+    import lpict.pi.congruence as congruence
+
+    calls = []
+    monkeypatch.setattr(congruence, "free_names", lambda p: calls.append(p) or free_names(p))
+    reduce_step(term)
+    return len(calls)
+
+
+def test_free_names_calls_grow_linearly_with_the_level(monkeypatch):
+    # a successor keeps the labels of the groups its reaction leaves alone,
+    # so a step does not re-scan the whole level once per successor
+    def restricted(n):
+        return P(" | ".join(["new k x<k>.k(v).0"] * n + [f"x(y).y<b{i}>.0" for i in range(n)]))
+
+    at16 = _free_names_calls(monkeypatch, restricted(16))
+    at32 = _free_names_calls(monkeypatch, restricted(32))
+    assert at32 <= 5000
+    assert at32 <= 2.5 * at16
+
+
+def test_successor_binders_skip_only_the_names_still_free():
+    # v0 is free in the term but not in its successor, so a binder may take it
+    assert successors(P("tau.(new k k<>.0) + v0<>.0")) == {(TAU, P("new v0 v0<>.0"))}
+    assert successors(P("tau.(new k k<v0>.0) + v1<>.0")) == {(TAU, P("new v1 v1<v0>.0"))}
