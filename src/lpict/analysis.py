@@ -214,18 +214,14 @@ def dual_environment_verdict(model: ProtocolModel) -> DualVerdict:
 
     Entailment does not depend on the environment, so it is judged once, and
     only if some walk reaches the terminal state. Secure means: the ideal run
-    is secure, the non-ideal trace matches it in full, and the non-ideal
-    judgments hold."""
+    is secure and the non-ideal trace matches it in full. Equal traces mean
+    the non-ideal walk reached the terminal state too, so its judgments are
+    the ideal walk's."""
     walks = [_walk(model, model.environment(kind)) for kind in (IDEAL, NONIDEAL)]
     reached = any(failing is None for _, failing in walks)
     entailment = entailment_judgment(model.lts) if reached else None
     ideal, nonideal = (_judge(model.lts, trace, failing, entailment) for trace, failing in walks)
     matched = nonideal.trace == ideal.trace
-    secure = (
-        ideal.secure
-        and matched
-        and nonideal.judgments.partial_order
-        and nonideal.judgments.entailment
-    )
+    secure = ideal.secure and matched
     nonideal = replace(nonideal, judgments=replace(nonideal.judgments, matching=matched))
     return DualVerdict(ideal, nonideal, matched, secure)

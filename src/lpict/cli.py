@@ -22,93 +22,49 @@ from .errors import LpictError
 from .kmp import kmp_match
 from .logic.proofs import check_proof, proof_records, render_proof_table, render_sequent
 from .models import BUILTIN_MODELS, load_model, with_attackers
-from .models.core import AttackerCapability
 from .pi.parser import parse_process, pretty_print
 from .pi.reduction import reduce_step
 from .report import build_dual_report, build_single_report, paint, render_report, yesno
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lpict", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    analyze = sub.add_parser("analyze", help="run the chain analysis on a model")
-    analyze.add_argument("--model", required=True, help="built-in name or path to a model file")
-    group = analyze.add_mutually_exclusive_group()
-    group.add_argument("--env", choices=["ideal", "nonideal"], default=None)
-    group.add_argument("--dual", action="store_true", help="analyze both environments and match traces")
-    analyze.add_argument("--attackers", default=None, help="comma-separated capability overrides for the non-ideal environment")
-    analyze.add_argument("--format", choices=["text", "json"], default="text")
-
-    prove = sub.add_parser("prove", help="emit the entailment proof for a model's chain")
-    prove.add_argument("--model", required=True)
-    prove.add_argument("--style", choices=["forward", "contradiction"], default="forward")
-    prove.add_argument("--format", choices=["text", "json"], default="text")
-
-    reduce = sub.add_parser("reduce", help="step a process term")
-    reduce.add_argument("--term", required=True, help="process term, e.g. 'x(y).y<c>.0 | x<z>.0'")
-    reduce.add_argument("--steps", type=int, default=16)
-
-    match = sub.add_parser("match", help="match an ideal trace against an actual one")
-    match.add_argument("--ideal", required=True, help="file of trace tokens (the pattern)")
-    match.add_argument("--actual", required=True, help="file of trace tokens (the text)")
-    match.add_argument("--pos", type=int, default=1, help="1-based search start")
-
-    sub.add_parser("models", help="list built-in models")
-    return parser
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LpictError(f"cannot read {what} file {path!r}: {exc}") from None
 
 
 def _resolve_model(spec: str):
     ctor = BUILTIN_MODELS.get(spec)
     if ctor is not None:
         return ctor()
-    path = Path(spec)
-    if not path.exists():
+    if not Path(spec).exists():
         raise LpictError(f"no built-in model or file named {spec!r}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise LpictError(f"cannot read model file {spec!r}: {exc}") from None
-    return load_model(text)
+    return load_model(_read_text(spec, "model"))
 
 
-def _parse_attackers(text: str) -> list[AttackerCapability]:
-    caps = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            caps.append(AttackerCapability(chunk))
-        except ValueError:
-            raise LpictError(f"unknown attacker capability {chunk!r}") from None
-    return caps
-
-
-def _cmd_analyze(args, color: bool) -> int:
+def _cmd_analyze(args) -> int:
     model = _resolve_model(args.model)
     if args.attackers is not None:
         if not args.dual and args.env != "nonideal":
             raise LpictError("--attackers requires --env nonideal or --dual")
-        model = with_attackers(model, _parse_attackers(args.attackers))
+        model = with_attackers(model, [w.strip() for w in args.attackers.split(",") if w.strip()])
     started = time.perf_counter()
     if args.dual:
         verdict = dual_environment_verdict(model)
-        report = build_dual_report(model, verdict, (time.perf_counter() - started) * 1000.0)
-        secure = verdict.secure
     else:
-        kind = args.env or "ideal"
-        env = model.environment(kind)
-        outcome = analyze_protocol(model, env)
-        report = build_single_report(
-            model, env, outcome, duration_ms=(time.perf_counter() - started) * 1000.0
-        )
-        secure = outcome.secure
-    sys.stdout.write(render_report(report, args.format, color=color))
-    return 0 if secure else 1
+        env = model.environment(args.env or "ideal")
+        verdict = analyze_protocol(model, env)
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    if args.dual:
+        report = build_dual_report(model, verdict, elapsed_ms)
+    else:
+        report = build_single_report(model, env, verdict, duration_ms=elapsed_ms)
+    sys.stdout.write(render_report(report, args.format, color=args.color))
+    return 0 if verdict.secure else 1
 
 
-def _cmd_prove(args, color: bool) -> int:
+def _cmd_prove(args) -> int:
     model = _resolve_model(args.model)
     result = entailment_judgment(model.lts)
     proof = result.forward if args.style == "forward" else result.contradiction
@@ -134,14 +90,15 @@ def _cmd_prove(args, color: bool) -> int:
         sys.stdout.write(f"sequent: {render_sequent(result.sequent)}\n")
         sys.stdout.write(f"{args.style} proof ({len(proof)} lines):\n")
         sys.stdout.write(render_proof_table(proof) + "\n")
-        sys.stdout.write(f"valid: {paint(yesno(valid), valid, color)}\n")
+        sys.stdout.write(f"valid: {paint(yesno(valid), valid, args.color)}\n")
     return 0 if valid else 1
 
 
 def _cmd_reduce(args) -> int:
     term = parse_process(args.term)
     text = pretty_print(term)
-    for step in range(max(args.steps, 0)):
+    steps = max(args.steps, 0)
+    for step in range(steps):
         successors = sorted(((tag, pretty_print(s), s) for tag, s in reduce_step(term)), key=lambda t: t[:2])
         sys.stdout.write(f"step {step}: {text}\n")
         if not successors:
@@ -150,20 +107,13 @@ def _cmd_reduce(args) -> int:
         for tag, succ_text, _ in successors:
             sys.stdout.write(f"  [{tag}] {succ_text}\n")
         _, text, term = successors[0]
-    sys.stdout.write(f"step {max(args.steps, 0)}: {text}\n")
+    sys.stdout.write(f"step {steps}: {text}\n")
     return 0
 
 
-def _read_trace(path: str) -> list[str]:
-    try:
-        return Path(path).read_text(encoding="utf-8").split()
-    except OSError as exc:
-        raise LpictError(f"cannot read trace file {path!r}: {exc}") from None
-
-
 def _cmd_match(args) -> int:
-    text = _read_trace(args.actual)
-    pattern = _read_trace(args.ideal)
+    text = _read_text(args.actual, "trace").split()
+    pattern = _read_text(args.ideal, "trace").split()
     index = kmp_match(text, pattern, args.pos)
     if index is None:
         sys.stdout.write("no match\n")
@@ -172,7 +122,7 @@ def _cmd_match(args) -> int:
     return 0
 
 
-def _cmd_models() -> int:
+def _cmd_models(args) -> int:
     for name, ctor in sorted(BUILTIN_MODELS.items()):
         model = ctor()
         envs = []
@@ -187,31 +137,55 @@ def _cmd_models() -> int:
     return 0
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser; each subcommand's `run` default is its handler."""
+    parser = argparse.ArgumentParser(prog="lpict", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    analyze = sub.add_parser("analyze", help="run the chain analysis on a model")
+    analyze.set_defaults(run=_cmd_analyze)
+    analyze.add_argument("--model", required=True, help="built-in name or path to a model file")
+    group = analyze.add_mutually_exclusive_group()
+    group.add_argument("--env", choices=["ideal", "nonideal"], default=None)
+    group.add_argument("--dual", action="store_true", help="analyze both environments and match traces")
+    analyze.add_argument("--attackers", default=None, help="comma-separated capability overrides for the non-ideal environment")
+    analyze.add_argument("--format", choices=["text", "json"], default="text")
+
+    prove = sub.add_parser("prove", help="emit the entailment proof for a model's chain")
+    prove.set_defaults(run=_cmd_prove)
+    prove.add_argument("--model", required=True)
+    prove.add_argument("--style", choices=["forward", "contradiction"], default="forward")
+    prove.add_argument("--format", choices=["text", "json"], default="text")
+
+    reduce = sub.add_parser("reduce", help="step a process term")
+    reduce.set_defaults(run=_cmd_reduce)
+    reduce.add_argument("--term", required=True, help="process term, e.g. 'x(y).y<c>.0 | x<z>.0'")
+    reduce.add_argument("--steps", type=int, default=16)
+
+    match = sub.add_parser("match", help="match an ideal trace against an actual one")
+    match.set_defaults(run=_cmd_match)
+    match.add_argument("--ideal", required=True, help="file of trace tokens (the pattern)")
+    match.add_argument("--actual", required=True, help="file of trace tokens (the text)")
+    match.add_argument("--pos", type=int, default=1, help="1-based search start")
+
+    sub.add_parser("models", help="list built-in models").set_defaults(run=_cmd_models)
+    return parser
+
+
 def run_cli(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    color = os.environ.get("LPICT_COLOR", "0") == "1"
+    args.color = os.environ.get("LPICT_COLOR", "0") == "1"
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args, color)
-        if args.command == "prove":
-            return _cmd_prove(args, color)
-        if args.command == "reduce":
-            return _cmd_reduce(args)
-        if args.command == "match":
-            return _cmd_match(args)
-        if args.command == "models":
-            return _cmd_models()
+        return args.run(args)
     except LpictError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except RecursionError:
         sys.stderr.write("error: input is nested too deeply\n")
         return 2
-    return 2  # pragma: no cover
 
 
 def main() -> None:

@@ -83,11 +83,21 @@ def apply_environment(model: ProtocolModel, env: EnvironmentConfig) -> dict[str,
     }
 
 
+def capabilities(attackers) -> frozenset[AttackerCapability]:
+    """The capabilities that `attackers` names, by member or by word."""
+    caps = set()
+    for a in attackers:
+        try:
+            caps.add(AttackerCapability(a))
+        except ValueError:
+            raise ValidationError(f"unknown attacker capability {a!r}") from None
+    return frozenset(caps)
+
+
 def with_attackers(model: ProtocolModel, attackers) -> ProtocolModel:
-    """A copy of the model whose non-ideal environment has these attackers."""
-    caps = frozenset(
-        a if isinstance(a, AttackerCapability) else AttackerCapability(a) for a in attackers
-    )
+    """A copy of the model whose non-ideal environment has these attackers
+    (capabilities or their words); an unknown word is a ValidationError."""
+    caps = capabilities(attackers)
     envs = []
     replaced = False
     for env in model.environments:

@@ -39,13 +39,12 @@ from ..guarded import (
 )
 from ..logic.formulas import KEYWORDS, And, Atom, Formula, Or, format_formula, parse_formula
 from ..trees import build_event_tree, event_leaves
-from .core import IDEAL, NONIDEAL, AttackerCapability, EnvironmentConfig, ProtocolModel
+from .core import IDEAL, NONIDEAL, EnvironmentConfig, ProtocolModel, capabilities
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _PROTOCOL_RE = re.compile(r'\s*protocol\s+"([^"]+)"\s*$')
 _BLOCK_KEYWORDS = frozenset({"event", "combine", "}"})
 _RESIST_VALUES = {tag.value: tag for tag in ResistTag}
-_CAPABILITY_VALUES = {cap.value: cap for cap in AttackerCapability}
 
 
 def _tail(text: str, n: int) -> str:
@@ -75,7 +74,9 @@ class _ModelReader:
     def fail(self, message: str, line: int):
         raise ParseError(message, line=line)
 
-    def check_name(self, name: str, line: int):
+    def check_name(self, name: str, what: str, line: int):
+        if not _IDENT_RE.match(name):
+            self.fail(f"bad {what} {name!r}", line)
         if name in KEYWORDS:
             self.fail(f"{name!r} is a formula keyword and cannot name a state or an event", line)
 
@@ -132,7 +133,7 @@ class _ModelReader:
             self.fail("event outside a state block", lineno)
         if len(words) < 2:
             self.fail("expected: event <name> [resists ...] [payload ...]", lineno)
-        self.check_name(words[1], lineno)
+        self.check_name(words[1], "event name", lineno)
         tags: list[str] = []
         payload: list[str] = []
         into = None
@@ -192,7 +193,7 @@ class _ModelReader:
     def add_state(self, state: StateNode, lineno: int):
         if state.id in self.by_id:
             self.fail(f"duplicate state id {state.id!r}", lineno)
-        self.check_name(state.id, lineno)
+        self.check_name(state.id, "state id", lineno)
         self.states.append(state)
         self.by_id[state.id] = state
 
@@ -240,19 +241,10 @@ class _ModelReader:
     def key_environment(self, text, words, lineno):
         if len(words) < 2 or words[1] not in (IDEAL, NONIDEAL):
             self.fail("expected: environment ideal|nonideal [attackers ...]", lineno)
-        kind = words[1]
-        attackers: list[AttackerCapability] = []
-        rest = words[2:]
-        if rest:
-            if rest[0] != "attackers":
-                self.fail(f"unexpected token {rest[0]!r} in environment", lineno)
-            for w in rest[1:]:
-                cap = _CAPABILITY_VALUES.get(w)
-                if cap is None:
-                    self.fail(f"unknown attacker capability {w!r}", lineno)
-                attackers.append(cap)
+        if len(words) > 2 and words[2] != "attackers":
+            self.fail(f"unexpected token {words[2]!r} in environment", lineno)
         try:
-            self.environments.append(EnvironmentConfig(kind, frozenset(attackers)))
+            self.environments.append(EnvironmentConfig(words[1], capabilities(words[3:])))
         except ValidationError as exc:
             self.fail(str(exc), lineno)
 

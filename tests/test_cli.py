@@ -183,6 +183,25 @@ def test_match_missing_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_match_trace_that_is_not_utf8_is_exit_2(tmp_path, monkeypatch, capsys):
+    ideal = tmp_path / "ideal.trace"
+    actual = tmp_path / "latin1.trace"
+    ideal.write_text("S1:11\n", encoding="utf-8")
+    actual.write_bytes("S1:11 Inité:1\n".encode("latin-1"))
+    args = ["match", "--ideal", str(ideal), "--actual", str(actual)]
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read trace file {str(actual)!r}") and len(err.splitlines()) == 1
+    assert run_main(monkeypatch, capsys, *args) == (code, out, err)
+
+
+@pytest.mark.parametrize("command", ["analyze", "prove", "reduce", "match", "models"])
+def test_every_subcommand_has_help(command, capsys):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: lpict {command}")
+
+
 def test_analyze_missing_environment(tmp_path, capsys):
     from lpict.models import EnvironmentConfig, ProtocolModel
 
@@ -253,7 +272,7 @@ def test_state_named_false_is_exit_2(tmp_path, monkeypatch, capsys):
 def test_unexpected_exception_is_exit_2_through_main(monkeypatch, capsys):
     import lpict.cli
 
-    def broken():
+    def broken(args):
         raise KeyError("boom\nsecond line")
 
     monkeypatch.setattr(lpict.cli, "_cmd_models", broken)

@@ -150,6 +150,7 @@ READER_ERRORS = [
     ("event-outside", MINIMAL + "event loose\n", "event outside a state block", 16),
     ("event-shape", _edit("  event go resists replay", "  event"), "expected: event <name> [resists ...] [payload ...]", 4),
     ("resist-tag", _edit("resists replay", "resists teleport"), "unknown resist tag 'teleport'", 4),
+    ("event-name", _edit("  event stop", "  event st-op"), "bad event name 'st-op'", 7),
     ("event-token", _edit("  event go resists replay", "  event go replay"), "unexpected token 'replay' in event declaration", 4),
     ("combine-outside", MINIMAL + "combine and\n", "combine outside a state block", 16),
     ("combine-twice", _edit("  combine or\n", "  combine or\n  combine and\n"), "duplicate combine line", 10),
@@ -177,6 +178,7 @@ READER_ERRORS = [
     ("alias-shape", MINIMAL + "alias C A\n", "expected: alias <id> = <id>", 16),
     ("alias-target", MINIMAL + "alias C = Ghost\n", "alias target 'Ghost' is not defined yet", 16),
     ("alias-twice", MINIMAL + "alias B = A\n", "duplicate state id 'B'", 16),
+    ("alias-id", MINIMAL + "alias a-b = A\n", "bad state id 'a-b'", 16),
     (
         "transition-shape",
         _edit("transition A -> B", "transition A B"),

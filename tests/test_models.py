@@ -173,3 +173,10 @@ def test_with_attackers_replaces_nonideal():
     assert env.attackers == frozenset({AttackerCapability.TAMPER})
     # the ideal environment is untouched
     assert model.environment("ideal").attackers == frozenset()
+
+
+def test_with_attackers_rejects_an_unknown_word():
+    with pytest.raises(ValidationError) as exc:
+        with_attackers(builtin_dh(), ["mitm", "quantum"])
+    assert str(exc.value) == "unknown attacker capability 'quantum'"
+    assert with_attackers(builtin_dh(), [AttackerCapability.MITM]) == with_attackers(builtin_dh(), ["mitm"])
