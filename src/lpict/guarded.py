@@ -13,6 +13,7 @@ from enum import Enum
 from functools import cached_property
 
 from .errors import BranchingPathError, BrokenChainError, ValidationError
+from .lexing import IDENTIFIER
 from .logic.formulas import KEYWORDS, Atom, Formula, atoms
 from .logic.search import search_forward_chain
 from .logic.semantics import semantic_entails
@@ -32,15 +33,27 @@ class ResistTag(Enum):
     VERIFICATION = "verification"
 
 
+def check_name(name: str, what: str) -> None:
+    """A state id or event name must be an identifier a guard reads as an atom."""
+    if not IDENTIFIER.fullmatch(name):
+        raise ValidationError(f"bad {what} {name!r}")
+    if name in KEYWORDS:
+        raise ValidationError(f"{name!r} is a formula keyword and cannot name a state or an event")
+
+
 @dataclass(frozen=True, slots=True)
 class EventMessage:
-    """Ordered field names of the message exchanged when an event happens."""
+    """Ordered field names of the message exchanged when an event happens.
+    Each is one word, and no word that starts a list on an `event` line."""
 
     items: tuple[str, ...]
 
     def __post_init__(self):
         if not self.items:
             raise ValidationError("an event message cannot be empty")
+        for item in self.items:
+            if item.split() != [item] or "#" in item or item in ("resists", "payload"):
+                raise ValidationError(f"bad payload item {item!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,12 +143,13 @@ class GuardedLTS:
 def build_guarded_lts(states, transitions, initial: str, terminal: str) -> GuardedLTS:
     """Validate and assemble a guarded system.
 
-    Rejects duplicate state ids, duplicate event names within a state, an
-    event named like a state, a state or event named like a formula keyword,
-    dangling transition endpoints, guard atoms that resolve to nothing, event
-    trees outside the event fragment or whose leaves are not the state's
-    events, non-terminal states with no events, a terminal state with outgoing
-    transitions, and states unreachable from the initial one.
+    Rejects duplicate state ids, state ids and event names that `check_name`
+    rejects, duplicate event names within a state, an event named like a
+    state, dangling transition endpoints, an action that is not one word
+    free of `#`, guard atoms that resolve to nothing, event trees outside the
+    event fragment or whose leaves are not the state's events, non-terminal
+    states with no events, a terminal state with outgoing transitions, and
+    states unreachable from the initial one.
     """
     states = tuple(states)
     transitions = tuple(transitions)
@@ -151,7 +165,10 @@ def build_guarded_lts(states, transitions, initial: str, terminal: str) -> Guard
 
     event_names: set[str] = set()
     for s in states:
+        check_name(s.id, "state id")
         names = [e.name for e in s.events]
+        for name in names:
+            check_name(name, "event name")
         if len(set(names)) != len(names):
             raise ValidationError(f"duplicate event name in state {s.id!r}")
         if not s.events:
@@ -175,14 +192,12 @@ def build_guarded_lts(states, transitions, initial: str, terminal: str) -> Guard
     if ambiguous:
         raise ValidationError(f"{sorted(ambiguous)[0]!r} names both a state and an event")
     resolvable = known | event_names
-    # a guard or an event tree would read such a name as the keyword
-    reserved = resolvable & KEYWORDS
-    if reserved:
-        raise ValidationError(f"{sorted(reserved)[0]!r} is a formula keyword and cannot name a state or an event")
     for t in transitions:
         for end in (t.source, t.target):
             if end not in known:
                 raise ValidationError(f"transition {t.source}->{t.target} references undeclared state {end!r}")
+        if t.action.split() != [t.action] or "#" in t.action:
+            raise ValidationError(f"bad action {t.action!r}")
         loose = atoms(t.guard.formula) - resolvable
         if loose:
             raise ValidationError(

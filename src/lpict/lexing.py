@@ -18,11 +18,14 @@ from .errors import ParseError
 # inside Python's recursion limit.
 MAX_NESTING = 100
 
+# The names of formulas, process terms and model files.
+IDENTIFIER = re.compile("[A-Za-z_][A-Za-z0-9_]*")
+
 
 def token_pattern(symbols: str) -> re.Pattern:
     """Identifiers, `symbols`, and any other character that is not space,
     which is unexpected."""
-    return re.compile(rf"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|({symbols})|(\S))")
+    return re.compile(rf"\s*(?:({IDENTIFIER.pattern})|({symbols})|(\S))")
 
 
 class Cursor:

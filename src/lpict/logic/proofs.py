@@ -45,9 +45,6 @@ class Proof:
     def __len__(self) -> int:
         return len(self.lines)
 
-    def __iter__(self):
-        return iter(self.lines)
-
 
 @dataclass(frozen=True, slots=True)
 class Sequent:

@@ -56,6 +56,9 @@ class ProtocolModel:
     environments: tuple[EnvironmentConfig, ...]
 
     def __post_init__(self):
+        # a model file writes the name between quotes on one line
+        if '"' in self.name or "#" in self.name or self.name.splitlines() != [self.name]:
+            raise ValidationError(f"bad protocol name {self.name!r}")
         kinds = [e.kind for e in self.environments]
         if len(set(kinds)) != len(kinds):
             raise ValidationError("duplicate environment declaration")

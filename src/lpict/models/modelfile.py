@@ -36,12 +36,13 @@ from ..guarded import (
     ResistTag,
     StateNode,
     build_guarded_lts,
+    check_name,
 )
-from ..logic.formulas import KEYWORDS, And, Atom, Formula, Or, format_formula, parse_formula
+from ..lexing import IDENTIFIER
+from ..logic.formulas import And, Atom, Formula, Or, format_formula, parse_formula
 from ..trees import build_event_tree, event_leaves
 from .core import IDEAL, NONIDEAL, EnvironmentConfig, ProtocolModel, capabilities
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _PROTOCOL_RE = re.compile(r'\s*protocol\s+"([^"]+)"\s*$')
 _BLOCK_KEYWORDS = frozenset({"event", "combine", "}"})
 _RESIST_VALUES = {tag.value: tag for tag in ResistTag}
@@ -56,6 +57,7 @@ def _tail(text: str, n: int) -> str:
 class _ModelReader:
     def __init__(self, source: str):
         self.source = source
+        self.lineno = 0
         self.protocol: str | None = None
         self.states: list[StateNode] = []
         self.by_id: dict[str, StateNode] = {}
@@ -71,69 +73,63 @@ class _ModelReader:
         self.block_combine: Formula | None = None
         self.block_line = 0
 
-    def fail(self, message: str, line: int):
-        raise ParseError(message, line=line)
-
-    def check_name(self, name: str, what: str, line: int):
-        if not _IDENT_RE.match(name):
-            self.fail(f"bad {what} {name!r}", line)
-        if name in KEYWORDS:
-            self.fail(f"{name!r} is a formula keyword and cannot name a state or an event", line)
-
     def read(self) -> ProtocolModel:
+        """The model; any error on a line becomes a ParseError naming the line."""
         handlers = self.HANDLERS
-        for lineno, raw in enumerate(self.source.splitlines(), start=1):
-            text = raw.partition("#")[0]
-            words = text.split()
-            if not words:
-                continue
-            key = words[0]
-            if self.block_id is not None and key not in _BLOCK_KEYWORDS:
-                self.fail(f"unexpected {key!r} inside state block", lineno)
-            handler = handlers.get(key)
-            if handler is None:
-                self.fail(f"unknown keyword {key!r}", lineno)
-            handler(self, text, words, lineno)
+        try:
+            for self.lineno, raw in enumerate(self.source.splitlines(), start=1):
+                text = raw.partition("#")[0]
+                words = text.split()
+                if not words:
+                    continue
+                key = words[0]
+                if self.block_id is not None and key not in _BLOCK_KEYWORDS:
+                    raise ParseError(f"unexpected {key!r} inside state block")
+                handler = handlers.get(key)
+                if handler is None:
+                    raise ParseError(f"unknown keyword {key!r}")
+                handler(self, text, words)
+        except (ParseError, ValidationError) as exc:
+            raise ParseError(str(exc), line=self.lineno) from None
         if self.block_id is not None:
-            self.fail(f"state block {self.block_id!r} is never closed", self.block_line)
+            raise ParseError(f"state block {self.block_id!r} is never closed", line=self.block_line)
         if self.protocol is None:
-            self.fail("missing protocol declaration", 1)
+            raise ParseError("missing protocol declaration", line=1)
         if self.initial is None or self.terminal is None:
-            self.fail("missing initial or terminal declaration", 1)
+            raise ParseError("missing initial or terminal declaration", line=1)
         lts = build_guarded_lts(self.states, self.transitions, self.initial, self.terminal)
         return ProtocolModel(self.protocol, lts, tuple(self.environments))
 
-    # Each handler takes the line without its comment, the line's words
-    # (the keyword first) and the line number.
+    # Each handler takes the line without its comment, and its words.
 
-    def key_protocol(self, text, words, lineno):
+    def key_protocol(self, text, words):
         m = _PROTOCOL_RE.match(text)
         if m is None:
-            self.fail('expected: protocol "<name>"', lineno)
+            raise ParseError('expected: protocol "<name>"')
         if self.protocol is not None:
-            self.fail("duplicate protocol declaration", lineno)
+            raise ParseError("duplicate protocol declaration")
         self.protocol = m.group(1)
 
-    def key_state(self, text, words, lineno):
+    def key_state(self, text, words):
         inline_empty = len(words) == 4 and words[2] == "{" and words[3] == "}"
         if not inline_empty and (len(words) != 3 or words[2] != "{"):
-            self.fail("expected: state <id> {", lineno)
-        if not _IDENT_RE.match(words[1]):
-            self.fail(f"bad state id {words[1]!r}", lineno)
+            raise ParseError("expected: state <id> {")
+        if not IDENTIFIER.fullmatch(words[1]):  # a keyword fails at its '}'
+            check_name(words[1], "state id")
         if inline_empty:
-            self.add_state(StateNode(words[1], (), None), lineno)
+            self.add_state(StateNode(words[1], (), None))
             return
         self.block_id = words[1]
         self.block_events = []
         self.block_combine = None
-        self.block_line = lineno
+        self.block_line = self.lineno
 
-    def key_event(self, text, words, lineno):
+    def key_event(self, text, words):
         if self.block_id is None:
-            self.fail("event outside a state block", lineno)
+            raise ParseError("event outside a state block")
         if len(words) < 2:
-            self.fail("expected: event <name> [resists ...] [payload ...]", lineno)
-        self.check_name(words[1], "event name", lineno)
+            raise ParseError("expected: event <name> [resists ...] [payload ...]")
+        check_name(words[1], "event name")
         tags: list[str] = []
         payload: list[str] = []
         into = None
@@ -143,7 +139,7 @@ class _ModelReader:
             elif w == "payload":
                 into = payload
             elif into is None:
-                self.fail(f"unexpected token {w!r} in event declaration", lineno)
+                raise ParseError(f"unexpected token {w!r} in event declaration")
             else:
                 into.append(w)
         key = tuple(tags)
@@ -151,63 +147,56 @@ class _ModelReader:
         if resists is None:
             for w in tags:
                 if w not in _RESIST_VALUES:
-                    self.fail(f"unknown resist tag {w!r}", lineno)
+                    raise ParseError(f"unknown resist tag {w!r}")
             resists = self.resist_sets[key] = frozenset(_RESIST_VALUES[w] for w in tags)
         self.block_events.append(
             Event(words[1], resists, EventMessage(tuple(payload)) if payload else None)
         )
 
-    def key_combine(self, text, words, lineno):
+    def key_combine(self, text, words):
         if self.block_id is None:
-            self.fail("combine outside a state block", lineno)
+            raise ParseError("combine outside a state block")
         if self.block_combine is not None:
-            self.fail("duplicate combine line", lineno)
+            raise ParseError("duplicate combine line")
         if len(words) >= 2 and words[1] == "expr":
             try:
                 self.block_combine = parse_formula(_tail(text, 2))
                 event_leaves(self.block_combine)
             except (ParseError, ValidationError) as exc:
-                self.fail(f"bad combine expression: {exc}", lineno)
+                raise ParseError(f"bad combine expression: {exc}") from None
             return
-        ops = words[1:]
-        bad = [op for op in ops if op not in ("and", "or")]
-        if bad:
-            self.fail(f"unknown operator {bad[0]!r} in combine", lineno)
-        try:
-            self.block_combine = build_event_tree(self.block_events, ops)
-        except ValidationError as exc:
-            self.fail(str(exc), lineno)
+        self.block_combine = build_event_tree(self.block_events, words[1:])
 
-    def key_close(self, text, words, lineno):
+    def key_close(self, text, words):
         if self.block_id is None or len(words) != 1:
-            self.fail("unexpected '}'", lineno)
+            raise ParseError("unexpected '}'")
         events = tuple(self.block_events)
         combine = self.block_combine
         if combine is None and len(events) == 1:
             combine = Atom(events[0].name)
         if combine is None and len(events) > 1:
-            self.fail(f"state {self.block_id!r} needs a combine line", lineno)
-        self.add_state(StateNode(self.block_id, events, combine), lineno)
+            raise ParseError(f"state {self.block_id!r} needs a combine line")
+        self.add_state(StateNode(self.block_id, events, combine))
         self.block_id = None
 
-    def add_state(self, state: StateNode, lineno: int):
+    def add_state(self, state: StateNode):
         if state.id in self.by_id:
-            self.fail(f"duplicate state id {state.id!r}", lineno)
-        self.check_name(state.id, "state id", lineno)
+            raise ParseError(f"duplicate state id {state.id!r}")
+        check_name(state.id, "state id")
         self.states.append(state)
         self.by_id[state.id] = state
 
-    def key_alias(self, text, words, lineno):
+    def key_alias(self, text, words):
         if len(words) != 4 or words[2] != "=":
-            self.fail("expected: alias <id> = <id>", lineno)
+            raise ParseError("expected: alias <id> = <id>")
         target = self.by_id.get(words[3])
         if target is None:
-            self.fail(f"alias target {words[3]!r} is not defined yet", lineno)
-        self.add_state(StateNode(words[1], target.events, target.combine), lineno)
+            raise ParseError(f"alias target {words[3]!r} is not defined yet")
+        self.add_state(StateNode(words[1], target.events, target.combine))
 
-    def key_transition(self, text, words, lineno):
+    def key_transition(self, text, words):
         if len(words) < 4 or words[2] != "->":
-            self.fail("expected: transition <src> -> <dst> [action <name>] [when <formula>]", lineno)
+            raise ParseError("expected: transition <src> -> <dst> [action <name>] [when <formula>]")
         src, dst = words[1], words[3]
         action = f"{src}->{dst}"
         guard_formula: Formula = Atom(src)
@@ -215,38 +204,35 @@ class _ModelReader:
         while i < len(words):
             if words[i] == "action":
                 if i + 1 >= len(words):
-                    self.fail("action needs a name", lineno)
+                    raise ParseError("action needs a name")
                 action = words[i + 1]
                 i += 2
             elif words[i] == "when":
                 try:
                     guard_formula = parse_formula(_tail(text, i + 1))
                 except ParseError as exc:
-                    self.fail(f"bad guard: {exc}", lineno)
+                    raise ParseError(f"bad guard: {exc}") from None
                 break
             else:
-                self.fail(f"unexpected token {words[i]!r} in transition", lineno)
+                raise ParseError(f"unexpected token {words[i]!r} in transition")
         self.transitions.append(GuardedTransition(src, action, dst, Guard(guard_formula)))
 
-    def key_initial(self, text, words, lineno):
+    def key_initial(self, text, words):
         if len(words) != 2:
-            self.fail("expected: initial <id>", lineno)
+            raise ParseError("expected: initial <id>")
         self.initial = words[1]
 
-    def key_terminal(self, text, words, lineno):
+    def key_terminal(self, text, words):
         if len(words) != 2:
-            self.fail("expected: terminal <id>", lineno)
+            raise ParseError("expected: terminal <id>")
         self.terminal = words[1]
 
-    def key_environment(self, text, words, lineno):
+    def key_environment(self, text, words):
         if len(words) < 2 or words[1] not in (IDEAL, NONIDEAL):
-            self.fail("expected: environment ideal|nonideal [attackers ...]", lineno)
+            raise ParseError("expected: environment ideal|nonideal [attackers ...]")
         if len(words) > 2 and words[2] != "attackers":
-            self.fail(f"unexpected token {words[2]!r} in environment", lineno)
-        try:
-            self.environments.append(EnvironmentConfig(words[1], capabilities(words[3:])))
-        except ValidationError as exc:
-            self.fail(str(exc), lineno)
+            raise ParseError(f"unexpected token {words[2]!r} in environment")
+        self.environments.append(EnvironmentConfig(words[1], capabilities(words[3:])))
 
     HANDLERS = {
         "protocol": key_protocol,

@@ -15,7 +15,7 @@ Grammar (ASCII):
               | IDENT '(' IDENT,... ')'  receive
               | IDENT '<' IDENT,... '>'  send ('x<>' is a nullary send)
 
-Identifiers are [A-Za-z_][A-Za-z0-9_]* except the keywords `new` and `tau`.
+Identifiers match `lexing.IDENTIFIER` except the keywords `new` and `tau`.
 The pretty-printer emits exactly this grammar; parse/print round-trips are
 stable in both directions.
 """

@@ -91,10 +91,6 @@ Process = Union[Nil, Sum, Par, Restrict, Bang]
 NIL = Nil()
 
 
-def prefixed(prefix: Prefix, cont: Process) -> Sum:
-    return Sum(((prefix, cont),))
-
-
 def free_names(p: Process) -> frozenset[Name]:
     if isinstance(p, Nil):
         return frozenset()

@@ -37,6 +37,9 @@ def build_event_tree(events, operators) -> Formula:
     event order. `events` may be names or objects with a `.name`."""
     names = [getattr(e, "name", e) for e in events]
     operators = tuple(operators)
+    for op in operators:
+        if op not in _OPERATORS:
+            raise ValidationError(f"unknown operator {op!r} in combine")
     if not names:
         raise ValidationError("an event tree needs at least one event")
     if len(operators) != len(names) - 1:
@@ -45,8 +48,6 @@ def build_event_tree(events, operators) -> Formula:
         )
     tree: Formula = Atom(names[0])
     for op, name in zip(operators, names[1:]):
-        if op not in _OPERATORS:
-            raise ValidationError(f"unknown operator {op!r}")
         tree = _OPERATORS[op](tree, Atom(name))
     return tree
 

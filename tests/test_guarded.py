@@ -1,10 +1,11 @@
 import pytest
 
-from lpict.errors import ValidationError
+from lpict.errors import BrokenChainError, ValidationError
 from lpict.guarded import (
     Event,
     EventMessage,
     Guard,
+    GuardedLTS,
     GuardedTransition,
     StateNode,
     build_guarded_lts,
@@ -192,3 +193,47 @@ def test_index_leaves_equality_and_hash_alone():
     assert queried == fresh
     assert hash(queried) == hash(fresh)
     assert {queried: 1}[fresh] == 1
+
+
+@pytest.mark.parametrize(
+    "initial, terminal, message",
+    [
+        ("S0", "S1", "initial state 'S0' is not declared"),
+        ("S1", "S9", "terminal state 'S9' is not declared"),
+    ],
+)
+def test_initial_and_terminal_must_be_declared(initial, terminal, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build_guarded_lts([simple_state("S1", "e1")], [], initial, terminal)
+
+
+def test_eventless_state_cannot_carry_a_tree():
+    state = StateNode("S1", (), Atom("e1"))
+    with pytest.raises(ValidationError, match="^event-less state 'S1' cannot carry an event tree$"):
+        build_guarded_lts([state], [], "S1", "S1")
+
+
+def test_state_with_events_needs_a_tree():
+    state = StateNode("S1", (Event("e1"),), None)
+    with pytest.raises(ValidationError, match="^state 'S1' has events but no event tree$"):
+        build_guarded_lts([state], [], "S1", "S1")
+
+
+def _direct_lts(edges, terminal):
+    """A GuardedLTS over S1..S3 built without `build_guarded_lts`, which
+    would reject it."""
+    states = tuple(simple_state(f"S{i}", f"e{i}") for i in (1, 2, 3))
+    transitions = tuple(GuardedTransition(a, "t", b, Guard(Atom(a))) for a, b in edges)
+    return GuardedLTS(states, transitions, "S1", terminal)
+
+
+def test_chain_rejects_a_cycle():
+    lts = _direct_lts([("S1", "S2"), ("S2", "S1")], "S3")
+    with pytest.raises(BrokenChainError, match="^transition cycle through 'S1'$"):
+        lts.chain
+
+
+def test_chain_rejects_a_terminal_with_outgoing_transitions():
+    lts = _direct_lts([("S1", "S2"), ("S2", "S3")], "S2")
+    with pytest.raises(BrokenChainError, match="^terminal state 'S2' has outgoing transitions$"):
+        lts.chain

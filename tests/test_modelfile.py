@@ -1,9 +1,13 @@
 import pytest
 
 from lpict.errors import ParseError, ValidationError
+from lpict.guarded import Event, EventMessage, Guard, GuardedTransition, ResistTag, StateNode, build_guarded_lts
 from lpict.lexing import MAX_NESTING
-from lpict.logic.formulas import parse_formula
+from lpict.logic.formulas import Atom, parse_formula
 from lpict.models import (
+    AttackerCapability,
+    EnvironmentConfig,
+    ProtocolModel,
     builtin_dh,
     builtin_tls13,
     load_model,
@@ -230,3 +234,66 @@ def test_deep_guard_is_a_parse_error():
     )
     at_limit = _edit("transition A -> B", "transition A -> B when " + "!" * MAX_NESTING + "go")
     assert load_model(at_limit).lts.transitions[0].guard.formula is not None
+
+
+# Words for the round trip through the format: valid names, and words that
+# the format cannot write or would read back as something else.
+VALID_WORDS = ["A", "go", "S_1", "step", "msg2"]
+ODD_WORDS = ["a-b", "a b", "a#b", 'a"b', "", "resists", "payload", "false", "é", "x\ny"]
+ROLES = ("protocol", "state", "event", "action", "item")
+
+
+def _library_model(protocol="P", state="S", event="e", action="go", item="x"):
+    """A model built through the library, not the reader: `state` with one
+    event that carries a one-item payload, then the event-less terminal T."""
+    events = (Event(event, frozenset({ResistTag.MITM}), EventMessage((item,))),)
+    states = [StateNode(state, events, Atom(event)), StateNode("T", (), None)]
+    transitions = [GuardedTransition(state, action, "T", Guard(Atom(state)))]
+    lts = build_guarded_lts(states, transitions, state, "T")
+    environments = (EnvironmentConfig("ideal"), EnvironmentConfig("nonideal", frozenset({AttackerCapability.MITM})))
+    return ProtocolModel(protocol, lts, environments)
+
+
+def _assert_rejected_or_round_trips(words):
+    try:
+        model = _library_model(**words)
+    except ValidationError:
+        return
+    text = render_model(model)
+    assert load_model(text) == model, words
+    assert render_model(load_model(text)) == text, words
+
+
+def test_every_word_in_every_role_is_rejected_or_round_trips():
+    for word in VALID_WORDS + ODD_WORDS:
+        for role in ROLES:
+            _assert_rejected_or_round_trips({role: word})
+
+
+def test_random_models_are_rejected_or_round_trip(rng):
+    pool = VALID_WORDS + ODD_WORDS
+    for _ in range(300):
+        _assert_rejected_or_round_trips({role: rng.choice(pool) for role in ROLES})
+
+
+# Models the library accepted although their file could not be read back
+# (the first seven) or was read back as a different model (the last three).
+UNWRITABLE = [
+    ({"state": "a-b"}, "bad state id 'a-b'"),
+    ({"state": "9"}, "bad state id '9'"),
+    ({"event": "st op"}, "bad event name 'st op'"),
+    ({"event": "é"}, "bad event name 'é'"),
+    ({"protocol": 'a"b'}, "bad protocol name 'a\"b'"),
+    ({"protocol": ""}, "bad protocol name ''"),
+    ({"action": "a b"}, "bad action 'a b'"),
+    ({"item": "resists"}, "bad payload item 'resists'"),
+    ({"item": "a#b"}, "bad payload item 'a#b'"),
+    ({"action": "x#y"}, "bad action 'x#y'"),
+]
+
+
+@pytest.mark.parametrize("words, message", UNWRITABLE, ids=[m for _, m in UNWRITABLE])
+def test_the_library_rejects_what_the_format_cannot_write(words, message):
+    with pytest.raises(ValidationError) as exc:
+        _library_model(**words)
+    assert str(exc.value) == message

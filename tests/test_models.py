@@ -5,6 +5,7 @@ from lpict.guarded import ResistTag
 from lpict.models import (
     AttackerCapability,
     EnvironmentConfig,
+    ProtocolModel,
     apply_environment,
     builtin_dh,
     builtin_tls13,
@@ -180,3 +181,24 @@ def test_with_attackers_rejects_an_unknown_word():
         with_attackers(builtin_dh(), ["mitm", "quantum"])
     assert str(exc.value) == "unknown attacker capability 'quantum'"
     assert with_attackers(builtin_dh(), [AttackerCapability.MITM]) == with_attackers(builtin_dh(), ["mitm"])
+
+
+def test_unknown_environment_kind_rejected():
+    with pytest.raises(ValidationError, match="^unknown environment kind 'hostile'$"):
+        EnvironmentConfig("hostile")
+
+
+def test_two_ideal_environments_rejected():
+    base = builtin_dh()
+    with pytest.raises(ValidationError, match="^duplicate environment declaration$"):
+        ProtocolModel(base.name, base.lts, (EnvironmentConfig("ideal"), EnvironmentConfig("ideal")))
+
+
+def test_with_attackers_appends_a_missing_nonideal_environment():
+    base = builtin_dh()
+    only_ideal = ProtocolModel(base.name, base.lts, (EnvironmentConfig("ideal"),))
+    model = with_attackers(only_ideal, ["replay"])
+    assert model.environments == (
+        EnvironmentConfig("ideal"),
+        EnvironmentConfig("nonideal", frozenset({AttackerCapability.REPLAY})),
+    )
