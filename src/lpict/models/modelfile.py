@@ -217,21 +217,21 @@ class _ModelReader:
                 raise ParseError(f"unexpected token {words[i]!r} in transition")
         self.transitions.append(GuardedTransition(src, action, dst, Guard(guard_formula)))
 
-    def key_initial(self, text, words):
+    def key_end(self, text, words):
+        """An `initial` or `terminal` line: words[0] names the field it sets."""
         if len(words) != 2:
-            raise ParseError("expected: initial <id>")
-        self.initial = words[1]
-
-    def key_terminal(self, text, words):
-        if len(words) != 2:
-            raise ParseError("expected: terminal <id>")
-        self.terminal = words[1]
+            raise ParseError(f"expected: {words[0]} <id>")
+        if getattr(self, words[0]) is not None:
+            raise ParseError(f"duplicate {words[0]} declaration")
+        setattr(self, words[0], words[1])
 
     def key_environment(self, text, words):
         if len(words) < 2 or words[1] not in (IDEAL, NONIDEAL):
             raise ParseError("expected: environment ideal|nonideal [attackers ...]")
         if len(words) > 2 and words[2] != "attackers":
             raise ParseError(f"unexpected token {words[2]!r} in environment")
+        if any(env.kind == words[1] for env in self.environments):
+            raise ParseError("duplicate environment declaration")
         self.environments.append(EnvironmentConfig(words[1], capabilities(words[3:])))
 
     HANDLERS = {
@@ -242,8 +242,8 @@ class _ModelReader:
         "}": key_close,
         "alias": key_alias,
         "transition": key_transition,
-        "initial": key_initial,
-        "terminal": key_terminal,
+        "initial": key_end,
+        "terminal": key_end,
         "environment": key_environment,
     }
 

@@ -12,7 +12,6 @@ back into a term, with sorted components and canonically named binders.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 
 from .terms import NIL, Bang, Nil, Par, Process, Receive, Restrict, Send, Sum, Tau
@@ -284,54 +283,65 @@ def standard_form(p: Process) -> Process:
     """A congruent term shaped new a1..an (M1 | .. | Mm | !Q1 | .. | !Qn),
     with sorted components and canonically renamed binders: the term that
     the canonical key describes."""
-    return _decoded(canonical_key(p))
+    return _decoded(canonical_key(p), {})
 
 
-def standard_level(kept, binders, comps) -> Process:
+def standard_level(kept, binders, comps, memo: dict) -> Process:
     """The standard form of the level of the labelled groups `kept`, as
     (key, binders, components), and of the normalized `comps` under
     `binders`, which share no name with them. Replication copies are
     absorbed; unless one is, the kept groups keep their keys and only `comps`
-    are labelled. Binders that no component uses fall in no group."""
+    are labelled. Binders that no component uses fall in no group; `memo`
+    is as in `_decoded`."""
     level = [c for _, _, cs in kept for c in cs] + comps
     final = _finalize_level([b for _, bs, _ in kept for b in bs] + binders, level)
     if len(final[1]) < len(level):
         kept, (binders, comps) = [], final
     keys = [g[0] for g in kept] + [g[0] for g in level_groups(binders, comps, {}, 0)]
-    return _decoded(tuple(sorted(keys)))
+    return _decoded(tuple(sorted(keys)), memo)
 
 
-def _decoded(key) -> Process:
+class _Namer:
+    """Names binders v0, v1, .. skipping `avoid`; `index` numbers the next try."""
+
+    def __init__(self, avoid: frozenset[str]):
+        self.avoid, self.index = avoid, 0
+
+    def __call__(self) -> str:
+        while f"v{self.index}" in self.avoid:
+            self.index += 1
+        self.index += 1
+        return f"v{self.index - 1}"
+
+
+def _decoded(key, memo: dict) -> Process:
     """The term that a level key describes. Binders are named v0, v1, .. in
     print order, skipping the key's free names; a first reading names them
-    regardless, and a second runs only if one of these names is free."""
-    avoid: set[str] = set()
+    regardless, and a second runs only if one of these names is free. A
+    top-level component depends only on its key, the names in scope, the
+    namer's index and `avoid`, so `memo` maps these to the component, the
+    index after it and its free names, for all the terms decoded with it."""
+
+    def shared(ck, scope, namer: _Namer, free: set[str]) -> Process:
+        at = (ck, scope, namer.index, namer.avoid)
+        hit = memo.get(at)
+        if hit is None:
+            own: set[str] = set()
+            hit = memo[at] = (_decode_comp(ck, scope, namer, own), namer.index, own)
+        comp, namer.index, own = hit
+        free |= own
+        return comp
+
+    avoid: frozenset[str] = frozenset()
     while True:
-        made, free, counter = [], set(), itertools.count()
-
-        def fresh() -> str:
-            made.append(next(n for n in (f"v{i}" for i in counter) if n not in avoid))
-            return made[-1]
-
-        term = _decode(key, [], fresh, free)
-        if free.isdisjoint(made):
+        namer, free = _Namer(avoid), set()
+        term = _decode(key, (), namer, free, shared)
+        if free.isdisjoint({f"v{i}" for i in range(namer.index)} - avoid):
             return term
-        avoid = free
+        avoid = frozenset(free)
 
 
-def _decode(key, names: list[str], fresh, free: set[str]) -> Process:
-    """Rebuild a level from its key; names[i] is the name bound at depth i.
-    Binders are named in print order; free names are added to `free`."""
-    binders, items = [], []
-    for gi, (m, cert) in enumerate(key):
-        local = [fresh() for _ in range(m)]
-        binders += local
-        items += [((ck[0], gi), ck, names + local) for ck in cert]
-    items.sort(key=lambda item: item[0])
-    return assemble(binders, [_decode_comp(ck, scope, fresh, free) for _, ck, scope in items])
-
-
-def _decode_comp(ck, names: list[str], fresh, free: set[str]) -> Process:
+def _decode_comp(ck, names: tuple[str, ...], fresh, free: set[str]) -> Process:
     kind, body = ck
     if kind == 1:
         return Bang(_decode(body, names, fresh, free))
@@ -343,9 +353,22 @@ def _decode_comp(ck, names: list[str], fresh, free: set[str]) -> Process:
         elif pk[0] == "s":
             branches.append((Send(name(pk[1]), tuple(map(name, pk[2]))), _decode(cont, names, fresh, free)))
         else:
-            params = [fresh() for _ in range(pk[2])]
-            branches.append((Receive(name(pk[1]), tuple(params)), _decode(cont, names + params, fresh, free)))
+            params = tuple([fresh() for _ in range(pk[2])])
+            branches.append((Receive(name(pk[1]), params), _decode(cont, names + params, fresh, free)))
     return Sum(tuple(branches))
+
+
+def _decode(key, names: tuple[str, ...], fresh, free: set[str], comp=_decode_comp) -> Process:
+    """Rebuild a level from its key; names[i] is the name bound at depth i.
+    Binders are named in print order; free names are added to `free`, and
+    `comp` decodes each component."""
+    binders, items = [], []
+    for m, cert in key:
+        local = tuple([fresh() for _ in range(m)])
+        binders += local
+        items += [(ck, names + local) for ck in cert]
+    items.sort(key=lambda item: item[0][0])  # sums first; stable, so in group order
+    return assemble(binders, [comp(ck, scope, fresh, free) for ck, scope in items])
 
 
 def is_standard_form(p: Process) -> bool:

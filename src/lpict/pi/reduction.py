@@ -8,7 +8,7 @@ body reacts with the level and with itself. Interchangeable components give
 congruent successors, so only one representative of each class of them takes
 part in a reaction. Successors are returned in standard form, keyed from the
 parent's labelling: only the groups of components that a reaction touches
-are labelled again.
+are labelled again, and components the successors share are decoded once.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ def reduce_step(p: Process) -> frozenset[tuple[str, Process]]:
                 members.append((i, comp))
 
     found: set[tuple[str, Process]] = set()
+    memo: dict = {}  # the successors decode the components they share once
 
     def emit(tag: str, replacements: dict[int, Process]) -> None:
         # Replacements map component indices to their continuations. The copies
@@ -89,7 +90,7 @@ def reduce_step(p: Process) -> frozenset[tuple[str, Process]]:
                 elif owner[i] in keep:
                     new_comps.append(comps[i])
         kept = [group for g, group in enumerate(labelled) if g not in touched]
-        found.add((tag, standard_level(kept, new_binders, new_comps)))
+        found.add((tag, standard_level(kept, new_binders, new_comps, memo)))
 
     for members in classes.values():
         i, comp = members[0]

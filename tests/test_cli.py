@@ -328,7 +328,8 @@ def test_analyze_output_is_byte_exact(golden, color, code, args, monkeypatch, ca
 
 # Terms of the benchmark's pi-terms shape, and a replication that reacts with
 # itself, stepped twice. The files were recorded before successors were keyed
-# from their parent's labelling, so they pin that the output did not move.
+# from their parent's labelling, and the 8 restricted one before successors
+# shared their decoded components, so they pin that the output did not move.
 REDUCE_GOLDENS = {
     "reduce_plain_4.txt": " | ".join(
         f"ch417<{m}>.0" if m else "ch417(y).y<c588>.0"
@@ -339,6 +340,7 @@ REDUCE_GOLDENS = {
         for b in ["b319", None, None, "b847", None, "b125", "b560", None]
     ),
     "reduce_bang.txt": "!(a.0 + a<>.0) | new k a<k>.0",
+    "reduce_restricted_8_steps2.txt": " | ".join(["new k x<k>.k(v).0"] * 8 + [f"x(y).y<b{i}>.0" for i in range(8)]),
 }
 
 

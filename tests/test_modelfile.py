@@ -205,10 +205,21 @@ READER_ERRORS = [
     ("transition-token", _edit("transition A -> B", "transition A -> B via go"), "unexpected token 'via' in transition", 11),
     ("initial-shape", _edit("initial A", "initial A B"), "expected: initial <id>", 12),
     ("terminal-shape", _edit("terminal B", "terminal"), "expected: terminal <id>", 13),
+    ("initial-twice", MINIMAL + "initial B\n", "duplicate initial declaration", 16),
+    ("initial-repeated", MINIMAL + "initial A\n", "duplicate initial declaration", 16),
+    ("terminal-twice", MINIMAL + "terminal A\n", "duplicate terminal declaration", 16),
+    ("terminal-repeated", MINIMAL + "terminal B\n", "duplicate terminal declaration", 16),
     ("environment-kind", _edit("environment ideal", "environment hostile"), "expected: environment ideal|nonideal [attackers ...]", 14),
     ("environment-token", _edit("nonideal attackers", "nonideal with"), "unexpected token 'with' in environment", 15),
     ("capability", _edit("attackers mitm", "attackers quantum"), "unknown attacker capability 'quantum'", 15),
     ("ideal-attackers", _edit("environment ideal", "environment ideal attackers mitm"), "the ideal environment admits no attackers", 14),
+    ("environment-twice", MINIMAL + "environment ideal\n", "duplicate environment declaration", 16),
+    (
+        "environment-kind-twice",
+        MINIMAL + "environment nonideal attackers replay\n",
+        "duplicate environment declaration",
+        16,
+    ),
 ]
 
 

@@ -14,6 +14,7 @@ import itertools
 import random
 
 from lpict.pi.congruence import assemble, canonical_key, level_parts, normalize, standard_form, structurally_congruent
+from lpict.pi.parser import pretty_print
 from lpict.pi.reduction import REACT, REACT_POLYADIC, TAU, reduce_step
 from lpict.pi.terms import (
     NIL,
@@ -175,6 +176,24 @@ def test_reduction_agrees_with_reference_reducer():
         mine = {(tag, canonical_key(s)) for tag, s in reduce_step(term)}
         reference = {(tag, canonical_key(s)) for tag, s in _ref_successors(term)}
         assert mine == reference
+
+
+def test_successors_sharing_decoded_components_agree_with_reference_reducer():
+    # reduce_step decodes the components its successors share once. Each
+    # successor must still be its own standard form, print as one, and key
+    # like the reference reducer's raw successor, also when a free v<i>
+    # sends some successors through the second naming pass.
+    rng = random.Random(2718)
+    for k in range(300):
+        names = FREE_NAMES + ["v0", "v1", "v2"] if k % 2 else FREE_NAMES
+        term = Par(*(random_term(rng, rng.randrange(0, 4), names) for _ in range(3)))
+        outs = reduce_step(term)
+        for _, s in outs:
+            assert standard_form(s) == s
+            assert pretty_print(standard_form(s)) == pretty_print(s)
+        if _free_of(term, Bang):
+            reference = _ref_successors(normalize(term))
+            assert {(tag, canonical_key(s)) for tag, s in outs} == {(tag, canonical_key(s)) for tag, s in reference}
 
 
 def _self_reacting_sum(rng):

@@ -1,5 +1,5 @@
 from lpict.pi.congruence import standard_form, structurally_congruent
-from lpict.pi.parser import parse_process
+from lpict.pi.parser import parse_process, pretty_print
 from lpict.pi.reduction import REACT, REACT_POLYADIC, TAU, reduce_step
 from lpict.pi.terms import free_names, substitute
 
@@ -155,3 +155,27 @@ def test_successor_binders_skip_only_the_names_still_free():
     # v0 is free in the term but not in its successor, so a binder may take it
     assert successors(P("tau.(new k k<>.0) + v0<>.0")) == {(TAU, P("new v0 v0<>.0"))}
     assert successors(P("tau.(new k k<v0>.0) + v1<>.0")) == {(TAU, P("new v1 v1<v0>.0"))}
+
+
+def test_only_some_successors_take_the_second_naming_pass():
+    # both successors share the receiver, decoded at the same index; only the
+    # first has v0 free, so only there is its parameter named around it
+    outs = reduce_step(P("y(z).z<>.0 | (tau.v0<>.0 + tau.0)"))
+    assert {(tag, pretty_print(s)) for tag, s in outs} == {(TAU, "y(v1).v1<>.0 | v0<>.0"), (TAU, "y(v0).v0<>.0")}
+
+
+def test_reduce_step_keeps_no_state_between_calls():
+    import lpict.pi.congruence as congruence
+    import lpict.pi.reduction as reduction
+
+    def state():
+        return {
+            m.__name__: {k: (id(v), len(v) if isinstance(v, (dict, list, set)) else None) for k, v in vars(m).items()}
+            for m in (congruence, reduction)
+        }
+
+    term = P(" | ".join(["new k x<k>.k(v).0"] * 4 + [f"x(y).y<b{i}>.0" for i in range(4)]))
+    before = state()
+    first = reduce_step(term)
+    assert reduce_step(term) == first
+    assert state() == before
