@@ -62,6 +62,9 @@ class Event:
     resists: frozenset[ResistTag] = frozenset()
     payload: EventMessage | None = None
 
+    def __post_init__(self):
+        check_name(self.name, "event name")
+
 
 @dataclass(frozen=True, slots=True)
 class Guard:
@@ -73,6 +76,9 @@ class StateNode:
     id: str
     events: tuple[Event, ...]
     combine: Formula | None = None  # None only for an event-less terminal
+
+    def __post_init__(self):
+        check_name(self.id, "state id")
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,13 +149,13 @@ class GuardedLTS:
 def build_guarded_lts(states, transitions, initial: str, terminal: str) -> GuardedLTS:
     """Validate and assemble a guarded system.
 
-    Rejects duplicate state ids, state ids and event names that `check_name`
-    rejects, duplicate event names within a state, an event named like a
-    state, dangling transition endpoints, an action that is not one word
-    free of `#`, guard atoms that resolve to nothing, event trees outside the
-    event fragment or whose leaves are not the state's events, non-terminal
-    states with no events, a terminal state with outgoing transitions, and
-    states unreachable from the initial one.
+    Each `Event` and `StateNode` checks its name when it is built. This
+    rejects duplicate state ids, duplicate event names within a state, an
+    event named like a state, dangling transition endpoints, an action that
+    is not one word free of `#`, guard atoms that resolve to nothing, event
+    trees outside the event fragment or whose leaves are not the state's
+    events, non-terminal states with no events, a terminal state with
+    outgoing transitions, and states unreachable from the initial one.
     """
     states = tuple(states)
     transitions = tuple(transitions)
@@ -165,10 +171,7 @@ def build_guarded_lts(states, transitions, initial: str, terminal: str) -> Guard
 
     event_names: set[str] = set()
     for s in states:
-        check_name(s.id, "state id")
         names = [e.name for e in s.events]
-        for name in names:
-            check_name(name, "event name")
         if len(set(names)) != len(names):
             raise ValidationError(f"duplicate event name in state {s.id!r}")
         if not s.events:

@@ -7,45 +7,100 @@ implication. Precedence: ! > & > | > ->.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from operator import attrgetter
 from typing import Mapping, Union
 
 from ..errors import LpictError, ParseError
 from ..lexing import Cursor, token_pattern
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    name: str
+class _Node:
+    """A formula node stores its hash, computed once at construction from its
+    children's stored hashes, and `format_formula` stores its text on first
+    use. So neither `hash` nor `==` recurses. Nodes are immutable: their
+    constructors set their slots through the slot descriptors."""
+
+    __slots__ = ("_hash", "_text")
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        # type and hash first; only then both trees, walked with a stack
+        if not isinstance(other, _Node):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b:
+                if type(a) is not type(b) or a._hash != b._hash or type(a) is Atom and a.name != b.name:
+                    return False
+                if type(a) is not Atom:
+                    stack += [(getattr(a, name), getattr(b, name)) for name in a.__match_args__]
+        return True
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot change field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
-    operand: "Formula"
+class Atom(_Node):
+    __slots__ = __match_args__ = ("name",)
+    _text = property(attrgetter("name"))  # an atom prints as its name
+
+    def __init__(self, name: str):
+        _set_name(self, name)
+        _set_hash(self, hash(name))
 
 
-@dataclass(frozen=True, slots=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class Not(_Node):
+    __slots__ = __match_args__ = ("operand",)
+
+    def __init__(self, operand: Formula):
+        _set_operand(self, operand)
+        _set_hash(self, hash((Not, operand._hash)))
+        _set_text(self, None)
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class _Binary(_Node):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_hash(self, hash((type(self), left._hash, right._hash)))
+        _set_text(self, None)
 
 
-@dataclass(frozen=True, slots=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Falsum:
-    pass
+class Or(_Binary):
+    __slots__ = ()
 
+
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class Falsum(_Node):
+    __slots__ = __match_args__ = ()
+    _hash, _text = hash("false"), "false"  # constants, read in place of the slots
+
+
+_set_hash, _set_text = _Node._hash.__set__, _Node._text.__set__
+_set_name, _set_operand = Atom.name.__set__, Not.operand.__set__
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 
 Formula = Union[Atom, Not, And, Or, Implies, Falsum]
 
@@ -158,32 +213,36 @@ def parse_formula(source: str) -> Formula:
     return parser.finish(parser.implication(0))
 
 
-_PREC = {Implies: 1, Or: 2, And: 3, Not: 4}
+_PREC = {Implies: 1, Or: 2, And: 3, Not: 4, Atom: 5, Falsum: 5}
 
 
 def format_formula(f: Formula) -> str:
-    return _fmt(f, 0)
+    """The formula's text, made once per node and stored on it."""
+    text = f._text
+    if text is None:
+        text = _make_text(f)
+        _set_text(f, text)
+    return text
 
 
 def _fmt(f: Formula, parent: int) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Falsum):
-        return "false"
-    if isinstance(f, Not):
-        return f"!{_fmt(f.operand, _PREC[Not])}"
+    text = format_formula(f)
+    return f"({text})" if _PREC[type(f)] < parent else text
+
+
+def _make_text(f: Formula) -> str:
     op = type(f)
     prec = _PREC[op]
+    if op is Not:
+        return f"!{_fmt(f.operand, prec)}"
     if op is Implies:
         # right-associative: left side needs the tighter context
-        out = f"{_fmt(f.left, prec + 1)} -> {_fmt(f.right, prec)}"
-    else:
-        # a chain of one operator is left-deep: walk its left spine in a loop
-        rights = []
-        while type(f) is op:
-            rights.append(f.right)
-            f = f.left
-        parts = [_fmt(f, prec)]
-        parts += [_fmt(right, prec + 1) for right in reversed(rights)]
-        out = (" & " if op is And else " | ").join(parts)
-    return f"({out})" if prec < parent else out
+        return f"{_fmt(f.left, prec + 1)} -> {_fmt(f.right, prec)}"
+    # a chain of one operator is left-deep: walk its left spine in a loop
+    rights = []
+    while type(f) is op:
+        rights.append(f.right)
+        f = f.left
+    parts = [_fmt(f, prec)]
+    parts += [_fmt(right, prec + 1) for right in reversed(rights)]
+    return (" & " if op is And else " | ").join(parts)

@@ -137,9 +137,10 @@ def _check_line(line: ProofLine, lines, premises, refuted: Formula | None) -> st
 
 
 def justification(line: ProofLine) -> str:
-    if line.refs:
-        return f"{line.rule.value} {','.join(map(str, line.refs))}"
-    return line.rule.value
+    # `_value_` is where Enum stores a member's value; `value` is a property
+    # and a table prints one rule per line
+    text = line.rule._value_
+    return f"{text} {','.join(map(str, line.refs))}" if line.refs else text
 
 
 def render_proof_table(proof: Proof) -> str:
@@ -162,7 +163,7 @@ def proof_records(proof: Proof) -> list[dict]:
         {
             "n": line.index,
             "formula": format_formula(line.formula),
-            "rule": line.rule.value,
+            "rule": line.rule._value_,
             "refs": list(line.refs),
         }
         for line in proof.lines

@@ -129,7 +129,6 @@ class _ModelReader:
             raise ParseError("event outside a state block")
         if len(words) < 2:
             raise ParseError("expected: event <name> [resists ...] [payload ...]")
-        check_name(words[1], "event name")
         tags: list[str] = []
         payload: list[str] = []
         into = None
@@ -182,7 +181,6 @@ class _ModelReader:
     def add_state(self, state: StateNode):
         if state.id in self.by_id:
             raise ParseError(f"duplicate state id {state.id!r}")
-        check_name(state.id, "state id")
         self.states.append(state)
         self.by_id[state.id] = state
 
@@ -254,22 +252,18 @@ def load_model(source: str) -> ProtocolModel:
 
 
 def _left_deep_ops(tree: Formula | None, names: list[str]) -> list[str] | None:
-    """The `combine` operators that build `tree` over `names`, if any do.
-    The left spine is checked against the names in a loop, not by `==`,
-    which recurses once per operator."""
+    """The `combine` operators that build `tree` over `names`, if any do."""
     ops: list[str] = []
     node = tree
-    for name in reversed(names[1:]):
-        if not isinstance(node, (And, Or)) or node.right != Atom(name):
-            return None
+    while isinstance(node, (And, Or)):
         ops.append("and" if isinstance(node, And) else "or")
         node = node.left
-    return ops[::-1] if node == Atom(names[0]) else None
+    ops.reverse()
+    return ops if len(ops) == len(names) - 1 and build_event_tree(names, ops) == tree else None
 
 
 def _render_state(state: StateNode, seen: dict) -> list[str]:
-    # keyed by the formula's text: hashing a deep formula recurses
-    key = (state.events, None if state.combine is None else format_formula(state.combine))
+    key = (state.events, state.combine)
     if key in seen:
         return [f"alias {state.id} = {seen[key]}"]
     seen[key] = state.id

@@ -11,6 +11,22 @@ from typing import Mapping, Union
 Name = str
 
 
+class _Term:
+    """A compound term stores its hash on first use: the successors of one
+    reduction step share their components. Each subclass names this
+    `__hash__` in its body, where a frozen dataclass would make its own. A
+    pickle leaves the stored hash out: string hashes differ between processes."""
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(tuple(getattr(self, name) for name in self.__match_args__))
+        return h
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+
 @dataclass(frozen=True)
 class Tau:
     """Internal action prefix."""
@@ -45,13 +61,14 @@ class Nil:
 
 
 @dataclass(frozen=True)
-class Sum:
+class Sum(_Term):
     """Guarded choice. Each branch pairs an action prefix with its continuation.
 
     A lone prefixed term is a one-branch sum; the zero-branch sum is Nil.
     """
 
     branches: tuple[tuple[Prefix, "Process"], ...]
+    __hash__ = _Term.__hash__
 
     def __post_init__(self):
         if not self.branches:
@@ -59,11 +76,12 @@ class Sum:
 
 
 @dataclass(frozen=True, init=False)
-class Par:
+class Par(_Term):
     """Parallel composition `P1 | .. | Pn` of two or more components, one node
     for the whole level. A nested Par component is a parenthesized group."""
 
     components: tuple["Process", ...]
+    __hash__ = _Term.__hash__
 
     def __init__(self, *components: "Process"):
         if len(components) < 2:
@@ -72,18 +90,20 @@ class Par:
 
 
 @dataclass(frozen=True)
-class Restrict:
+class Restrict(_Term):
     """`new name body`: name is private to body."""
 
     name: Name
     body: "Process"
+    __hash__ = _Term.__hash__
 
 
 @dataclass(frozen=True)
-class Bang:
+class Bang(_Term):
     """Replication."""
 
     body: "Process"
+    __hash__ = _Term.__hash__
 
 
 Process = Union[Nil, Sum, Par, Restrict, Bang]

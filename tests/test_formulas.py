@@ -1,3 +1,7 @@
+import pickle
+import sys
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from lpict.errors import AtomBudgetError, ParseError
@@ -6,6 +10,7 @@ from lpict.logic.formulas import (
     FALSUM,
     And,
     Atom,
+    Falsum,
     Implies,
     MissingAtomError,
     Not,
@@ -212,3 +217,77 @@ def test_atom_budget():
 
 def test_atoms():
     assert atoms(parse_formula("p -> q & !r | false")) == {"p", "q", "r"}
+
+
+@pytest.fixture
+def low_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def _chain(build, n, last="a"):
+    f = Atom(last)
+    for _ in range(n):
+        f = build(f)
+    return f
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda f: And(f, Atom("a")), lambda f: Not(f), lambda f: Implies(Atom("a"), f), lambda f: Implies(f, Atom("a"))],
+    ids=["conjuncts", "negations", "right-implications", "left-implications"],
+)
+def test_eq_and_hash_of_deep_formulas_do_not_recurse(build, low_recursion_limit):
+    # each node's hash is stored at construction, and == walks with a stack
+    f, g = _chain(build, 10**5), _chain(build, 10**5)
+    assert f is not g
+    assert f == g and hash(f) == hash(g)
+    assert f != _chain(build, 10**5, last="b")
+    assert f != _chain(build, 10**5 - 1)
+    assert {f: 1}[g] == 1
+
+
+def test_eq_agrees_with_the_printed_text():
+    import random
+
+    r = random.Random(41)
+    formulas = [random_formula(r, r.randrange(0, 4)) for _ in range(300)]
+    equal_pairs = 0
+    for a in formulas:
+        for b in formulas:
+            same = format_formula(a) == format_formula(b)
+            assert (a == b) is same and (a != b) is not same
+            if same:
+                equal_pairs += a is not b
+                assert hash(a) == hash(b)
+    assert equal_pairs > 300  # the pool repeats formulas as distinct objects
+
+
+def test_nodes_of_different_kinds_differ():
+    x, y = Atom("x"), Atom("y")
+    assert And(x, y) != Or(x, y) and And(x, y) != Implies(x, y)
+    assert Atom("a") != Not(Atom("a"))
+    assert Atom("a") != "a" and FALSUM != None  # noqa: E711
+    assert FALSUM == Falsum() and hash(FALSUM) == hash(Falsum())
+
+
+def test_formulas_pickle_and_stay_immutable():
+    f = parse_formula("!(p & q) | r -> false")
+    format_formula(f)  # the copy is rebuilt from its fields and makes its own text
+    copy = pickle.loads(pickle.dumps(f))
+    assert copy == f and hash(copy) == hash(f) and repr(copy) == repr(f)
+    assert format_formula(copy) == format_formula(f)
+    for node, field in ((f, "left"), (f.left, "left"), (Atom("p"), "name"), (Not(Atom("p")), "operand")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, field, Atom("z"))
+        with pytest.raises(FrozenInstanceError):
+            delattr(node, field)
+    assert format_formula(f) == "!(p & q) | r -> false"
+
+
+def test_repr_shows_the_fields():
+    assert repr(parse_formula("!p -> q & false")) == (
+        "Implies(left=Not(operand=Atom(name='p')), right=And(left=Atom(name='q'), right=Falsum()))"
+    )

@@ -68,11 +68,12 @@ def test_terminal_with_outgoing_transitions_rejected():
         build_guarded_lts(states, transitions, "S1", "S2")
 
 
-@pytest.mark.parametrize("state", [simple_state("false", "e"), simple_state("S1", "e", "false")], ids=["id", "event"])
-def test_formula_keyword_cannot_name_a_state_or_an_event(state):
-    # a guard would read `false` as falsum, not as the state or event
+@pytest.mark.parametrize("names", [("false", "e"), ("S1", "e", "false")], ids=["id", "event"])
+def test_formula_keyword_cannot_name_a_state_or_an_event(names):
+    # a guard would read `false` as falsum, not as the state or event; the
+    # state or event is rejected when it is built
     with pytest.raises(ValidationError, match="^'false' is a formula keyword and cannot name a state or an event$"):
-        build_guarded_lts([state], [], state.id, state.id)
+        simple_state(*names)
 
 
 def test_duplicate_event_names_rejected():

@@ -49,6 +49,22 @@ def test_render_deterministic():
     assert render_model(builtin_tls13()) == render_model(builtin_tls13())
 
 
+def test_each_name_is_checked_once(monkeypatch):
+    # records check their names when built; neither the reader nor
+    # build_guarded_lts checks them again
+    import lpict.guarded
+    import lpict.models.modelfile
+
+    checked = []
+    check = lpict.guarded.check_name
+    for module in (lpict.guarded, lpict.models.modelfile):
+        monkeypatch.setattr(module, "check_name", lambda name, what: checked.append((name, what)) or check(name, what))
+    load_model(MINIMAL)
+    assert sorted(checked) == sorted(
+        [("A", "state id"), ("B", "state id"), ("go", "event name"), ("stop", "event name"), ("halt", "event name")]
+    )
+
+
 def test_comments_and_blank_lines():
     text = MINIMAL.replace('state A {', '# leading comment\nstate A {  # trailing')
     assert load_model(text) == load_model(MINIMAL)

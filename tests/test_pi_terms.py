@@ -133,3 +133,16 @@ WIDE = " | ".join(["x<a>.0"] * 1500)
 def test_wide_level_does_not_recurse(holds):
     # one parallel level of 1500 components is one node, walked in a loop
     assert holds(parse_process(WIDE))
+
+
+def test_stored_hashes_agree_and_stay_out_of_a_pickle():
+    import pickle
+
+    source = "new k (x<k>.0 | !x(y).(y<a>.0 + tau.0) | (a.0 | b.0))"
+    p, q = parse_process(source), parse_process(source)
+    assert hash(p) == hash(q) and hash(p) == hash(p)
+    assert {p: 1}[q] == 1 and p == q
+    state = pickle.dumps(p)
+    assert b"_hash" not in state
+    copy = pickle.loads(state)
+    assert copy == p and hash(copy) == hash(p)
