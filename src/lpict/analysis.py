@@ -19,12 +19,12 @@ position of two traces of equal length, which is their equality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
-from .errors import BrokenChainError, ValidationError
+from .errors import ValidationError
 from .guarded import GuardedLTS
-from .logic.formulas import And, Atom, Implies, Or, eval_formula
+from .logic.formulas import And, Atom, Implies, Or, eval_formula, frozen_record
 from .logic.proofs import Proof, Sequent, check_proof
 from .logic.search import search_both
 from .models.core import IDEAL, NONIDEAL, ProtocolModel, apply_environment
@@ -40,7 +40,7 @@ SECURE = "secure"
 FLAWED = "flawed"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class TraceSymbol:
     """One analysed state: its event-tree outcome and the leaf outcomes in
     leaf order."""
@@ -54,14 +54,14 @@ class TraceSymbol:
         return f"{self.state}:{bits}"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Judgments:
     partial_order: bool
     entailment: bool
     matching: bool | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class EntailmentResult:
     sequent: Sequent
     forward: Proof | None
@@ -69,7 +69,7 @@ class EntailmentResult:
     holds: bool
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class AnalysisOutcome:
     verdict: str
     trace: tuple[TraceSymbol, ...]
@@ -82,7 +82,7 @@ class AnalysisOutcome:
         return self.verdict == SECURE
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class DualVerdict:
     ideal: AnalysisOutcome
     nonideal: AnalysisOutcome
@@ -131,12 +131,8 @@ def entailment_sequent(lts: GuardedLTS) -> Sequent:
     """The chain encoded as a sequent: the initial state plus one implication
     per transition entail the terminal state. Raises BranchingPathError, from
     `lts.chain`, for the first state met from the initial one that has two
-    outgoing transitions; a chain that is broken otherwise yields no
-    derivation."""
-    try:
-        lts.chain
-    except BrokenChainError:
-        pass
+    outgoing transitions."""
+    lts.chain
     atom = {sid: Atom(sid) for sid in lts.state_ids}
     premises = tuple(
         [atom[lts.initial]]
@@ -148,8 +144,7 @@ def entailment_sequent(lts: GuardedLTS) -> Sequent:
 def entailment_judgment(lts: GuardedLTS) -> EntailmentResult:
     """Encode the transitions as implications and derive the terminal state
     twice, forward and by contradiction, from one search of the implication
-    path. Holds when both proofs check; a broken chain simply yields no
-    derivation."""
+    path. Holds when both proofs check, and not when the search finds none."""
     sequent = entailment_sequent(lts)
     proofs = search_both(sequent.premises, sequent.conclusion)
     if proofs is None:

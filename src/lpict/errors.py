@@ -35,10 +35,5 @@ class BranchingPathError(LpictError):
     """The transition relation is not a single chain from initial to terminal."""
 
 
-class BrokenChainError(BranchingPathError):
-    """No state on the way from the initial state branches, but the way ends
-    before the terminal state, runs in a cycle or goes on past it."""
-
-
 class MissingEnvironmentError(LpictError):
     """The model does not declare the requested environment."""

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .errors import BranchingPathError, BrokenChainError, ValidationError
+from .errors import BranchingPathError, ValidationError
 from .lexing import IDENTIFIER
-from .logic.formulas import KEYWORDS, Atom, Formula, atoms
+from .logic.formulas import KEYWORDS, Atom, Formula, Not, atoms, frozen_record
 from .logic.search import search_forward_chain
 from .logic.semantics import semantic_entails
-from .trees import event_leaves, leaf_atom
+from .trees import event_leaves
 
 
 class ResistTag(Enum):
@@ -41,7 +41,7 @@ def check_name(name: str, what: str) -> None:
         raise ValidationError(f"{name!r} is a formula keyword and cannot name a state or an event")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class EventMessage:
     """Ordered field names of the message exchanged when an event happens.
     Each is one word, and no word that starts a list on an `event` line."""
@@ -56,7 +56,7 @@ class EventMessage:
                 raise ValidationError(f"bad payload item {item!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Event:
     name: str
     resists: frozenset[ResistTag] = frozenset()
@@ -66,38 +66,103 @@ class Event:
         check_name(self.name, "event name")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Guard:
     formula: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class StateNode:
+    """Its events have distinct names, and it has an event tree exactly when
+    it has events: a tree in the event fragment whose leaves are its events."""
+
     id: str
     events: tuple[Event, ...]
     combine: Formula | None = None  # None only for an event-less terminal
 
     def __post_init__(self):
         check_name(self.id, "state id")
+        names = {e.name for e in self.events}
+        if len(names) != len(self.events):
+            raise ValidationError(f"duplicate event name in state {self.id!r}")
+        if not self.events:
+            if self.combine is not None:
+                raise ValidationError(f"event-less state {self.id!r} cannot carry an event tree")
+        elif self.combine is None:
+            raise ValidationError(f"state {self.id!r} has events but no event tree")
+        else:
+            try:
+                leaves = event_leaves(self.combine)
+            except ValidationError as exc:
+                raise ValidationError(f"event tree of state {self.id!r}: {exc}") from None
+            if {(leaf.operand if type(leaf) is Not else leaf).name for leaf in leaves} != names:
+                raise ValidationError(f"event tree of state {self.id!r} does not match its events")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class GuardedTransition:
     source: str
     action: str
     target: str
     guard: Guard
 
+    def __post_init__(self):
+        if self.action.split() != [self.action] or "#" in self.action:
+            raise ValidationError(f"bad action {self.action!r}")
+
 
 @dataclass(frozen=True)
 class GuardedLTS:
-    """The indexes below are built on first use and cached on the instance;
-    they take no part in equality or hashing."""
+    """Built only from records that fit together: distinct state ids, the
+    initial and terminal ones among them; transitions between those states,
+    each state reachable from the initial one, none leaving the terminal one;
+    events on every other state; guards over state and event names, which
+    differ. The indexes below are cached on first use, outside equality."""
 
     states: tuple[StateNode, ...]
     transitions: tuple[GuardedTransition, ...]
     initial: str
     terminal: str
+
+    def __post_init__(self):
+        known = self._by_id
+        if len(known) != len(self.states):
+            ids = self.state_ids
+            raise ValidationError(f"duplicate state id {next(i for i in ids if ids.count(i) > 1)!r}")
+        for end, sid in (("initial", self.initial), ("terminal", self.terminal)):
+            if sid not in known:
+                raise ValidationError(f"{end} state {sid!r} is not declared")
+        event_names: set[str] = set()
+        for s in self.states:
+            if not s.events and s.id != self.terminal:
+                raise ValidationError(f"non-terminal state {s.id!r} declares no events")
+            event_names.update(e.name for e in s.events)
+        # State ids and event names are the atoms of guards, so they must differ.
+        ambiguous = known.keys() & event_names
+        if ambiguous:
+            raise ValidationError(f"{sorted(ambiguous)[0]!r} names both a state and an event")
+        resolvable = known.keys() | event_names
+        for t in self.transitions:
+            for end in (t.source, t.target):
+                if end not in known:
+                    raise ValidationError(f"transition {t.source}->{t.target} references undeclared state {end!r}")
+            loose = atoms(t.guard.formula) - resolvable
+            if loose:
+                raise ValidationError(
+                    f"guard of {t.source}->{t.target} references unknown atom {sorted(loose)[0]!r}"
+                )
+        outgoing = self._outgoing
+        reached, frontier = {self.initial}, [self.initial]
+        while frontier:
+            for t in outgoing.get(frontier.pop(), ()):
+                if t.target not in reached:
+                    reached.add(t.target)
+                    frontier.append(t.target)
+        unreachable = known.keys() - reached
+        if unreachable:
+            raise ValidationError(f"state {sorted(unreachable)[0]!r} is unreachable from {self.initial!r}")
+        if self.terminal in outgoing:
+            raise ValidationError(f"terminal state {self.terminal!r} has outgoing transitions")
 
     @cached_property
     def _by_id(self) -> dict[str, StateNode]:
@@ -122,105 +187,24 @@ class GuardedLTS:
 
     @cached_property
     def chain(self) -> tuple[StateNode, ...]:
-        """States along the single transition chain from initial to terminal.
-        Raises BranchingPathError at the first state on the way with two
-        outgoing transitions, and BrokenChainError, a subclass, when the way
-        ends early, cycles or goes on past the terminal state."""
+        """States from initial to terminal. All are reachable and the terminal
+        state has no outgoing transitions, so a way that does not branch ends
+        there; BranchingPathError names the first state on it that branches."""
         outgoing = self._outgoing
-        order = [self.initial]
-        seen = {self.initial}
+        order = [self._by_id[self.initial]]
         cur = self.initial
         while cur != self.terminal:
-            outs = outgoing.get(cur, ())
+            outs = outgoing[cur]
             if len(outs) > 1:
                 raise BranchingPathError(f"state {cur!r} has {len(outs)} outgoing transitions")
-            if not outs:
-                raise BrokenChainError(f"chain breaks at {cur!r} before reaching the terminal")
             cur = outs[0].target
-            if cur in seen:
-                raise BrokenChainError(f"transition cycle through {cur!r}")
-            seen.add(cur)
-            order.append(cur)
-        if cur in outgoing:
-            raise BrokenChainError(f"terminal state {cur!r} has outgoing transitions")
-        return tuple(self._by_id[sid] for sid in order)
+            order.append(self._by_id[cur])
+        return tuple(order)
 
 
 def build_guarded_lts(states, transitions, initial: str, terminal: str) -> GuardedLTS:
-    """Validate and assemble a guarded system.
-
-    Each `Event` and `StateNode` checks its name when it is built. This
-    rejects duplicate state ids, duplicate event names within a state, an
-    event named like a state, dangling transition endpoints, an action that
-    is not one word free of `#`, guard atoms that resolve to nothing, event
-    trees outside the event fragment or whose leaves are not the state's
-    events, non-terminal states with no events, a terminal state with
-    outgoing transitions, and states unreachable from the initial one.
-    """
-    states = tuple(states)
-    transitions = tuple(transitions)
-    ids = [s.id for s in states]
-    if len(set(ids)) != len(ids):
-        dup = next(i for i in ids if ids.count(i) > 1)
-        raise ValidationError(f"duplicate state id {dup!r}")
-    known = set(ids)
-    if initial not in known:
-        raise ValidationError(f"initial state {initial!r} is not declared")
-    if terminal not in known:
-        raise ValidationError(f"terminal state {terminal!r} is not declared")
-
-    event_names: set[str] = set()
-    for s in states:
-        names = [e.name for e in s.events]
-        if len(set(names)) != len(names):
-            raise ValidationError(f"duplicate event name in state {s.id!r}")
-        if not s.events:
-            if s.id != terminal:
-                raise ValidationError(f"non-terminal state {s.id!r} declares no events")
-            if s.combine is not None:
-                raise ValidationError(f"event-less state {s.id!r} cannot carry an event tree")
-        else:
-            if s.combine is None:
-                raise ValidationError(f"state {s.id!r} has events but no event tree")
-            try:
-                leaves = event_leaves(s.combine)
-            except ValidationError as exc:
-                raise ValidationError(f"event tree of state {s.id!r}: {exc}") from None
-            if {leaf_atom(leaf).name for leaf in leaves} != set(names):
-                raise ValidationError(f"event tree of state {s.id!r} does not match its events")
-        event_names.update(names)
-
-    # State ids and event names are the atoms of guards, so they must differ.
-    ambiguous = known & event_names
-    if ambiguous:
-        raise ValidationError(f"{sorted(ambiguous)[0]!r} names both a state and an event")
-    resolvable = known | event_names
-    for t in transitions:
-        for end in (t.source, t.target):
-            if end not in known:
-                raise ValidationError(f"transition {t.source}->{t.target} references undeclared state {end!r}")
-        if t.action.split() != [t.action] or "#" in t.action:
-            raise ValidationError(f"bad action {t.action!r}")
-        loose = atoms(t.guard.formula) - resolvable
-        if loose:
-            raise ValidationError(
-                f"guard of {t.source}->{t.target} references unknown atom {sorted(loose)[0]!r}"
-            )
-
-    lts = GuardedLTS(states, transitions, initial, terminal)
-    reached = {initial}
-    frontier = [initial]
-    while frontier:
-        for t in lts._outgoing.get(frontier.pop(), ()):
-            if t.target not in reached:
-                reached.add(t.target)
-                frontier.append(t.target)
-    unreachable = known - reached
-    if unreachable:
-        raise ValidationError(f"state {sorted(unreachable)[0]!r} is unreachable from {initial!r}")
-    if terminal in lts._outgoing:
-        raise ValidationError(f"terminal state {terminal!r} has outgoing transitions")
-    return lts
+    """A guarded system over any iterables of states and transitions."""
+    return GuardedLTS(tuple(states), tuple(transitions), initial, terminal)
 
 
 def _derivable(facts: tuple[Formula, ...], goal: Formula) -> bool:

@@ -7,12 +7,25 @@ implication. Precedence: ! > & > | > ->.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, dataclass
 from operator import attrgetter
 from typing import Mapping, Union
 
 from ..errors import LpictError, ParseError
 from ..lexing import Cursor, token_pattern
+
+
+def _refuse(self, name, value=None):
+    raise FrozenInstanceError(f"cannot change field {name!r}")
+
+
+def frozen_record(cls):
+    """`dataclass(frozen=True, slots=True)` that refuses every assignment and
+    delete with FrozenInstanceError; the generated `__setattr__` names the
+    class that `slots=True` replaces, and raises TypeError for a non-field."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__ = cls.__delattr__ = _refuse
+    return cls
 
 
 class _Node:
@@ -40,10 +53,7 @@ class _Node:
                     stack += [(getattr(a, name), getattr(b, name)) for name in a.__match_args__]
         return True
 
-    def __setattr__(self, name, value=None):
-        raise FrozenInstanceError(f"cannot change field {name!r}")
-
-    __delattr__ = __setattr__
+    __setattr__ = __delattr__ = _refuse
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)

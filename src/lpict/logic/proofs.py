@@ -10,10 +10,9 @@ Either way every accepted proof is classically sound for its sequent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .formulas import FALSUM, Falsum, Formula, Implies, Not, format_formula
+from .formulas import FALSUM, Falsum, Formula, Implies, Not, format_formula, frozen_record
 
 
 class Rule(Enum):
@@ -30,7 +29,7 @@ _PREMISE, _ASSUMPTION, _IMPL_ELIM = Rule.PREMISE, Rule.ASSUMPTION, Rule.IMPL_ELI
 _MODUS_TOLLENS, _NEG_ELIM, _COPY = Rule.MODUS_TOLLENS, Rule.NEG_ELIM, Rule.COPY
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class ProofLine:
     index: int
     formula: Formula
@@ -38,7 +37,7 @@ class ProofLine:
     refs: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Proof:
     lines: tuple[ProofLine, ...]
 
@@ -46,13 +45,13 @@ class Proof:
         return len(self.lines)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Sequent:
     premises: tuple[Formula, ...]
     conclusion: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class CheckResult:
     valid: bool
     line: int | None = None

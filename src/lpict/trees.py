@@ -12,10 +12,9 @@ walked in loops, so it may be as long as the state has events.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import ValidationError
-from .logic.formulas import And, Atom, Formula, MissingAtomError, Not, Or
+from .logic.formulas import And, Atom, Formula, MissingAtomError, Not, Or, frozen_record
 
 # An event leaf is an atom. The name stays because the benchmark's
 # bench/workloads.py builds leaves with it.
@@ -25,7 +24,7 @@ _OPERATORS = {"and": And, "or": Or}
 _AND_OR = frozenset(_OPERATORS.values())
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class StateTreeNode:
     state: str
     events: Formula | None

@@ -10,7 +10,7 @@ from lpict.analysis import (
     entailment_judgment,
     partial_order_check,
 )
-from lpict.errors import BranchingPathError, BrokenChainError, ValidationError
+from lpict.errors import BranchingPathError, ValidationError
 from lpict.guarded import Event, Guard, GuardedTransition, ResistTag, StateNode, build_guarded_lts
 from lpict.logic.formulas import Atom, Not, Or
 from lpict.logic.proofs import check_proof
@@ -113,8 +113,8 @@ def test_partial_order_accepts_trace_symbols():
 
 
 def test_entailment_broken_chain_does_not_hold():
-    # constructed directly: S3 -> S4 is missing, so the terminal state has
-    # no derivation and the judgment reports not holding
+    # S3 -> S4 is missing, so the terminal state would have no derivation;
+    # such a system cannot be built, even directly
     from lpict.guarded import GuardedLTS
 
     ids = ["S1", "S2", "S3", "S4"]
@@ -123,12 +123,8 @@ def test_entailment_broken_chain_does_not_hold():
         GuardedTransition(a, f"{a}->{b}", b, Guard(Atom(a)))
         for a, b in [("S1", "S2"), ("S2", "S3")]
     )
-    lts = GuardedLTS(states, transitions, "S1", "S4")
-    result = entailment_judgment(lts)
-    assert result.holds is False
-    assert result.forward is None and result.contradiction is None
-    with pytest.raises(BrokenChainError, match="chain breaks at 'S3'"):
-        lts.chain
+    with pytest.raises(ValidationError, match="^state 'S4' is unreachable from 'S1'$"):
+        GuardedLTS(states, transitions, "S1", "S4")
 
 
 def test_entailment_judgment_line_counts():

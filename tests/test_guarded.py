@@ -1,6 +1,6 @@
 import pytest
 
-from lpict.errors import BrokenChainError, ValidationError
+from lpict.errors import BranchingPathError, ValidationError
 from lpict.guarded import (
     Event,
     EventMessage,
@@ -77,9 +77,8 @@ def test_formula_keyword_cannot_name_a_state_or_an_event(names):
 
 
 def test_duplicate_event_names_rejected():
-    state = StateNode("S1", (Event("e"), Event("e")), build_event_tree(["e", "e"], ["and"]))
     with pytest.raises(ValidationError, match="duplicate event"):
-        build_guarded_lts([state], [], "S1", "S1")
+        StateNode("S1", (Event("e"), Event("e")), build_event_tree(["e", "e"], ["and"]))
 
 
 @pytest.mark.parametrize(
@@ -92,9 +91,8 @@ def test_duplicate_event_names_rejected():
     ],
 )
 def test_event_tree_must_be_an_event_formula_over_its_events(tree, message):
-    state = StateNode("S1", (Event("e1"), Event("e2")), tree)
     with pytest.raises(ValidationError, match=message) as exc:
-        build_guarded_lts([state], [], "S1", "S1")
+        StateNode("S1", (Event("e1"), Event("e2")), tree)
     assert str(exc.value).startswith("event tree of state 'S1'")
 
 
@@ -209,32 +207,80 @@ def test_initial_and_terminal_must_be_declared(initial, terminal, message):
 
 
 def test_eventless_state_cannot_carry_a_tree():
-    state = StateNode("S1", (), Atom("e1"))
     with pytest.raises(ValidationError, match="^event-less state 'S1' cannot carry an event tree$"):
-        build_guarded_lts([state], [], "S1", "S1")
+        StateNode("S1", (), Atom("e1"))
 
 
 def test_state_with_events_needs_a_tree():
-    state = StateNode("S1", (Event("e1"),), None)
     with pytest.raises(ValidationError, match="^state 'S1' has events but no event tree$"):
-        build_guarded_lts([state], [], "S1", "S1")
+        StateNode("S1", (Event("e1"),), None)
 
 
 def _direct_lts(edges, terminal):
-    """A GuardedLTS over S1..S3 built without `build_guarded_lts`, which
-    would reject it."""
+    """A GuardedLTS over S1..S3 built without `build_guarded_lts`: it
+    checks itself all the same."""
     states = tuple(simple_state(f"S{i}", f"e{i}") for i in (1, 2, 3))
     transitions = tuple(GuardedTransition(a, "t", b, Guard(Atom(a))) for a, b in edges)
     return GuardedLTS(states, transitions, "S1", terminal)
 
 
 def test_chain_rejects_a_cycle():
-    lts = _direct_lts([("S1", "S2"), ("S2", "S1")], "S3")
-    with pytest.raises(BrokenChainError, match="^transition cycle through 'S1'$"):
-        lts.chain
+    # a cycle that does not branch leaves the terminal state unreachable
+    with pytest.raises(ValidationError, match="^state 'S3' is unreachable from 'S1'$"):
+        _direct_lts([("S1", "S2"), ("S2", "S1")], "S3")
 
 
 def test_chain_rejects_a_terminal_with_outgoing_transitions():
-    lts = _direct_lts([("S1", "S2"), ("S2", "S3")], "S2")
-    with pytest.raises(BrokenChainError, match="^terminal state 'S2' has outgoing transitions$"):
-        lts.chain
+    with pytest.raises(ValidationError, match="^terminal state 'S2' has outgoing transitions$"):
+        _direct_lts([("S1", "S2"), ("S2", "S3")], "S2")
+
+
+def _oracle(n, edges, initial, terminal):
+    """(valid, path, branching): whether the system may be built (every state
+    reachable from the initial one, and nothing leaves the terminal one), and
+    the walk from the initial state until it reaches the terminal state or
+    meets a state with two or more successors."""
+    successors = {f"S{i}": [b for a, b in edges if a == f"S{i}"] for i in range(1, n + 1)}
+    reached, frontier = {initial}, [initial]
+    while frontier:
+        for b in successors[frontier.pop()]:
+            if b not in reached:
+                reached.add(b)
+                frontier.append(b)
+    valid = len(reached) == n and not successors[terminal]
+    path = [initial]
+    while path[-1] != terminal and len(successors[path[-1]]) == 1 and len(path) <= n:
+        path.append(successors[path[-1]][0])
+    branching = path[-1] if len(successors[path[-1]]) > 1 and path[-1] != terminal else None
+    return valid, path, branching
+
+
+def test_chain_follows_every_buildable_system(rng):
+    # random edge sets, self-loops included: a system is rejected when it is
+    # built, or its chain is the oracle's walk to the terminal state, or the
+    # chain names the first state on that walk that branches
+    outcomes = set()
+    for _ in range(2000):
+        n = rng.randrange(2, 6)
+        ids = [f"S{i}" for i in range(1, n + 1)]
+        edges = [(a, b) for a in ids for b in ids if rng.random() < 0.3]
+        initial, terminal = rng.choice(ids), rng.choice(ids)
+        valid, path, branching = _oracle(n, edges, initial, terminal)
+        states = [simple_state(sid, f"e{sid}") for sid in ids]
+        transitions = [GuardedTransition(a, "t", b, Guard(Atom(a))) for a, b in edges]
+        try:
+            lts = build_guarded_lts(states, transitions, initial, terminal)
+        except ValidationError:
+            assert not valid, (edges, initial, terminal)
+            outcomes.add("rejected")
+            continue
+        assert valid, (edges, initial, terminal)
+        if branching is None:
+            assert path[-1] == terminal, (edges, initial, terminal)
+            assert [s.id for s in lts.chain] == path
+            outcomes.add("chain")
+        else:
+            with pytest.raises(BranchingPathError, match=f"^state {branching!r} has "):
+                lts.chain
+            outcomes.add("branching")
+    assert outcomes == {"rejected", "chain", "branching"}

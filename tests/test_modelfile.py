@@ -195,6 +195,13 @@ READER_ERRORS = [
     ("state-twice", _edit("state B {", "state A {"), "duplicate state id 'A'", 10),
     ("state-false", _edit("state B {", "state false {"), "'false' is a formula keyword and cannot name a state or an event", 10),
     ("event-false", _edit("  event halt", "  event false"), "'false' is a formula keyword and cannot name a state or an event", 8),
+    ("event-twice", _edit("  event halt", "  event stop"), "duplicate event name in state 'B'", 10),
+    (
+        "combine-expr-events",
+        _edit("combine or", "combine expr stop | ghost"),
+        "event tree of state 'B' does not match its events",
+        10,
+    ),
     ("alias-shape", MINIMAL + "alias C A\n", "expected: alias <id> = <id>", 16),
     ("alias-target", MINIMAL + "alias C = Ghost\n", "alias target 'Ghost' is not defined yet", 16),
     ("alias-twice", MINIMAL + "alias B = A\n", "duplicate state id 'B'", 16),
