@@ -23,6 +23,14 @@ class ValidationError(LpictError):
     """A structured value violates one of its invariants."""
 
 
+class TransitionError(ValidationError):
+    """A transition does not fit its system; `transition` is that transition."""
+
+    def __init__(self, message: str, transition):
+        super().__init__(message)
+        self.transition = transition
+
+
 class FragmentError(LpictError):
     """A formula falls outside the implication-chain fragment."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .errors import BranchingPathError, ValidationError
+from .errors import BranchingPathError, TransitionError, ValidationError
 from .lexing import IDENTIFIER
 from .logic.formulas import KEYWORDS, Atom, Formula, Not, atoms, frozen_record
 from .logic.search import search_forward_chain
@@ -145,11 +145,11 @@ class GuardedLTS:
         for t in self.transitions:
             for end in (t.source, t.target):
                 if end not in known:
-                    raise ValidationError(f"transition {t.source}->{t.target} references undeclared state {end!r}")
+                    raise TransitionError(f"transition {t.source}->{t.target} references undeclared state {end!r}", t)
             loose = atoms(t.guard.formula) - resolvable
             if loose:
-                raise ValidationError(
-                    f"guard of {t.source}->{t.target} references unknown atom {sorted(loose)[0]!r}"
+                raise TransitionError(
+                    f"guard of {t.source}->{t.target} references unknown atom {sorted(loose)[0]!r}", t
                 )
         outgoing = self._outgoing
         reached, frontier = {self.initial}, [self.initial]
@@ -162,7 +162,7 @@ class GuardedLTS:
         if unreachable:
             raise ValidationError(f"state {sorted(unreachable)[0]!r} is unreachable from {self.initial!r}")
         if self.terminal in outgoing:
-            raise ValidationError(f"terminal state {self.terminal!r} has outgoing transitions")
+            raise TransitionError(f"terminal state {self.terminal!r} has outgoing transitions", outgoing[self.terminal][0])
 
     @cached_property
     def _by_id(self) -> dict[str, StateNode]:

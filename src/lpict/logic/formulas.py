@@ -7,7 +7,7 @@ implication. Precedence: ! > & > | > ->.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from operator import attrgetter
 from typing import Mapping, Union
 
@@ -22,9 +22,20 @@ def _refuse(self, name, value=None):
 def frozen_record(cls):
     """`dataclass(frozen=True, slots=True)` that refuses every assignment and
     delete with FrozenInstanceError; the generated `__setattr__` names the
-    class that `slots=True` replaces, and raises TypeError for a non-field."""
-    cls = dataclass(frozen=True, slots=True)(cls)
+    class that `slots=True` replaces, and raises TypeError for a non-field. Its
+    `__init__` sets each slot through its descriptor, as formula nodes do, and
+    then calls `__post_init__`; the dataclass one pays `object.__setattr__`."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
     cls.__setattr__ = cls.__delattr__ = _refuse
+    names = [f.name for f in fields(cls)]
+    namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    body = [f"_set_{name}(self, {name})" for name in names]
+    if hasattr(cls, "__post_init__"):
+        namespace["_post_init"] = cls.__post_init__
+        body.append("_post_init(self)")
+    exec(f"def __init__(self, {', '.join(names)}):\n " + "\n ".join(body), namespace)
+    cls.__init__ = namespace["__init__"]
+    cls.__init__.__defaults__ = tuple(f.default for f in fields(cls) if f.default is not MISSING)
     return cls
 
 

@@ -27,7 +27,7 @@ import functools
 import re
 from importlib import resources
 
-from ..errors import ParseError, ValidationError
+from ..errors import ParseError, TransitionError, ValidationError
 from ..guarded import (
     Event,
     EventMessage,
@@ -62,11 +62,12 @@ class _ModelReader:
         self.states: list[StateNode] = []
         self.by_id: dict[str, StateNode] = {}
         self.transitions: list[GuardedTransition] = []
+        self.transition_lines: list[int] = []
         self.initial: str | None = None
         self.terminal: str | None = None
         self.environments: list[EnvironmentConfig] = []
-        # resist-tag words -> their tag set; events repeat a few tag lists
-        self.resist_sets: dict[tuple[str, ...], frozenset[ResistTag]] = {}
+        # the words after an event's name -> its tags and payload, shared by its events
+        self.event_shapes: dict[tuple[str, ...], tuple[frozenset[ResistTag], EventMessage | None]] = {}
         # open state block, if any
         self.block_id: str | None = None
         self.block_events: list[Event] = []
@@ -97,7 +98,10 @@ class _ModelReader:
             raise ParseError("missing protocol declaration", line=1)
         if self.initial is None or self.terminal is None:
             raise ParseError("missing initial or terminal declaration", line=1)
-        lts = build_guarded_lts(self.states, self.transitions, self.initial, self.terminal)
+        try:
+            lts = build_guarded_lts(self.states, self.transitions, self.initial, self.terminal)
+        except TransitionError as exc:  # of equal transitions, the first one fails first
+            raise ParseError(str(exc), line=self.transition_lines[self.transitions.index(exc.transition)]) from None
         return ProtocolModel(self.protocol, lts, tuple(self.environments))
 
     # Each handler takes the line without its comment, and its words.
@@ -129,28 +133,27 @@ class _ModelReader:
             raise ParseError("event outside a state block")
         if len(words) < 2:
             raise ParseError("expected: event <name> [resists ...] [payload ...]")
-        tags: list[str] = []
-        payload: list[str] = []
-        into = None
-        for w in words[2:]:
-            if w == "resists":
-                into = tags
-            elif w == "payload":
-                into = payload
-            elif into is None:
-                raise ParseError(f"unexpected token {w!r} in event declaration")
-            else:
-                into.append(w)
-        key = tuple(tags)
-        resists = self.resist_sets.get(key)
-        if resists is None:
+        shape = tuple(words[2:])
+        parsed = self.event_shapes.get(shape)
+        if parsed is None:
+            tags: list[str] = []
+            payload: list[str] = []
+            into = None
+            for w in shape:
+                if w == "resists":
+                    into = tags
+                elif w == "payload":
+                    into = payload
+                elif into is None:
+                    raise ParseError(f"unexpected token {w!r} in event declaration")
+                else:
+                    into.append(w)
             for w in tags:
                 if w not in _RESIST_VALUES:
                     raise ParseError(f"unknown resist tag {w!r}")
-            resists = self.resist_sets[key] = frozenset(_RESIST_VALUES[w] for w in tags)
-        self.block_events.append(
-            Event(words[1], resists, EventMessage(tuple(payload)) if payload else None)
-        )
+            resists = frozenset(_RESIST_VALUES[w] for w in tags)
+            parsed = self.event_shapes[shape] = (resists, EventMessage(tuple(payload)) if payload else None)
+        self.block_events.append(Event(words[1], *parsed))
 
     def key_combine(self, text, words):
         if self.block_id is None:
@@ -214,6 +217,7 @@ class _ModelReader:
             else:
                 raise ParseError(f"unexpected token {words[i]!r} in transition")
         self.transitions.append(GuardedTransition(src, action, dst, Guard(guard_formula)))
+        self.transition_lines.append(self.lineno)
 
     def key_end(self, text, words):
         """An `initial` or `terminal` line: words[0] names the field it sets."""

@@ -78,12 +78,14 @@ class Sum(_Term):
 @dataclass(frozen=True, init=False)
 class Par(_Term):
     """Parallel composition `P1 | .. | Pn` of two or more components, one node
-    for the whole level. A nested Par component is a parenthesized group."""
+    for the whole level. A nested Par component is a parenthesized group. The
+    components come positionally, or as `components=`, which `replace` passes."""
 
     components: tuple["Process", ...]
     __hash__ = _Term.__hash__
 
-    def __init__(self, *components: "Process"):
+    def __init__(self, *parts: "Process", components: tuple["Process", ...] = ()):
+        components = parts or tuple(components)
         if len(components) < 2:
             raise ValueError("a parallel composition needs two or more components")
         object.__setattr__(self, "components", components)

@@ -99,7 +99,7 @@ def test_terminal_with_outgoing_transitions_is_exit_2(tmp_path, capsys):
     for command in ("analyze", "prove"):
         code, out, err = run(capsys, command, "--model", str(path))
         assert code == 2 and out == ""
-        assert err == "error: terminal state 'B' has outgoing transitions\n"
+        assert err == "error: terminal state 'B' has outgoing transitions (line 12)\n"
 
 
 def test_reduce_steps(capsys):

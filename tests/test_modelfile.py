@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from lpict.errors import ParseError, ValidationError
@@ -143,8 +145,9 @@ def test_duplicate_protocol_rejected():
 
 def test_dangling_transition_rejected():
     text = MINIMAL + "\ntransition B -> Z\n"
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError) as exc:
         load_model(text)
+    assert exc.value.line == 17
 
 
 def _edit(old, new):
@@ -226,6 +229,14 @@ READER_ERRORS = [
         11,
     ),
     ("transition-token", _edit("transition A -> B", "transition A -> B via go"), "unexpected token 'via' in transition", 11),
+    ("transition-undeclared", MINIMAL + "transition B -> Z\n", "transition B->Z references undeclared state 'Z'", 16),
+    ("terminal-outgoing", MINIMAL + "transition B -> A\n", "terminal state 'B' has outgoing transitions", 16),
+    (
+        "guard-atom",
+        _edit("transition A -> B", "transition A -> B when ghost"),
+        "guard of A->B references unknown atom 'ghost'",
+        11,
+    ),
     ("initial-shape", _edit("initial A", "initial A B"), "expected: initial <id>", 12),
     ("terminal-shape", _edit("terminal B", "terminal"), "expected: terminal <id>", 13),
     ("initial-twice", MINIMAL + "initial B\n", "duplicate initial declaration", 16),
@@ -252,6 +263,98 @@ def test_reader_error_messages(text, message, line):
         load_model(text)
     assert str(exc.value) == f"{message} (line {line})"
     assert exc.value.line == line
+
+
+def test_events_of_one_shape_share_their_tags_and_payload():
+    text = _edit("  event stop\n  event halt\n", "  event stop resists mitm payload k m\n  event halt resists  mitm payload k\tm\n")
+    stop, halt = load_model(text).lts.state("B").events
+    assert stop.resists is halt.resists and stop.payload is halt.payload
+    assert (stop.resists, stop.payload) == (frozenset({ResistTag.MITM}), EventMessage(("k", "m")))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("event late resists replay teleport", "unknown resist tag 'teleport'"),
+        ("event late replay", "unexpected token 'replay' in event declaration"),
+        ("event 9x resists replay", "bad event name '9x'"),
+    ],
+)
+def test_a_bad_event_line_names_its_own_line_after_valid_repeats(bad, message):
+    repeats = "".join(f"  event go{i} resists replay\n" for i in range(3))
+    text = _edit("  event go resists replay\n", repeats + f"  {bad}\n")
+    with pytest.raises(ParseError) as exc:
+        load_model(text)
+    assert (str(exc.value), exc.value.line) == (f"{message} (line 7)", 7)
+
+
+# Words after an event's name: list starters, tags, an unknown tag, payload
+# items and words that start a comment. The format cannot write a bad payload
+# item: a word with '#' ends the line, and 'resists'/'payload' start a list.
+EVENT_WORDS = ["resists", "payload", "mitm", "replay", "integrity", "teleport", "k", "Key_share", "a#b", "#"]
+BAD_EVENT_NAMES = ["9x", "false", "a-b", "é"]
+
+
+def _reference_event(line):
+    """The Event an `event` line declares, or the message that rejects it,
+    read word by word without the model reader."""
+    words = line.partition("#")[0].split()
+    if len(words) < 2:
+        return None, "expected: event <name> [resists ...] [payload ...]"
+    lists = {"resists": [], "payload": []}
+    into = None
+    for word in words[2:]:
+        if word in lists:
+            into = lists[word]
+        elif into is None:
+            return None, f"unexpected token {word!r} in event declaration"
+        else:
+            into.append(word)
+    tags = {tag.value: tag for tag in ResistTag}
+    unknown = [word for word in lists["resists"] if word not in tags]
+    if unknown:
+        return None, f"unknown resist tag {unknown[0]!r}"
+    name = words[1]
+    if not re.fullmatch("[A-Za-z_][A-Za-z0-9_]*", name):
+        return None, f"bad event name {name!r}"
+    if name == "false":
+        return None, "'false' is a formula keyword and cannot name a state or an event"
+    payload = tuple(lists["payload"])
+    return Event(name, frozenset(tags[word] for word in lists["resists"]), EventMessage(payload) if payload else None), None
+
+
+def test_event_lines_read_as_a_reference_parser_reads_them(rng):
+    outcomes = {"loaded": 0, "rejected": 0}
+    for _ in range(400):
+        lines = []
+        for i in range(rng.randrange(1, 7)):
+            name = rng.choice(BAD_EVENT_NAMES) if rng.random() < 0.05 else f"e{i}"
+            words = [rng.choice(EVENT_WORDS) for _ in range(rng.randrange(0, 5))]
+            if words and rng.random() < 0.9:  # most lines start a list
+                words[0] = rng.choice(EVENT_WORDS[:2])
+            head = ["event"] if rng.random() < 0.03 else ["event", name]  # sometimes no name
+            lines.append(" ".join(head + words))
+        combine = " ".join(["combine"] + ["and"] * (len(lines) - 1))
+        body = "".join(f"  {line}\n" for line in lines)
+        text = f'protocol "P"\nstate A {{\n{body}  {combine}\n}}\nstate T {{ }}\n'
+        text += "transition A -> T\ninitial A\nterminal T\nenvironment ideal\n"
+        expected = [_reference_event(line) for line in lines]
+        failing = [(n, message) for n, (_, message) in enumerate(expected, start=3) if message is not None]
+        if failing:
+            line, message = failing[0]
+            with pytest.raises(ParseError) as exc:
+                load_model(text)
+            assert (str(exc.value), exc.value.line) == (f"{message} (line {line})", line), text
+            outcomes["rejected"] += 1
+            continue
+        events = load_model(text).lts.state("A").events
+        assert events == tuple(event for event, _ in expected), text
+        shapes = {}
+        for line, event in zip(lines, events):
+            first = shapes.setdefault(tuple(line.partition("#")[0].split()[2:]), event)
+            assert event.resists is first.resists and event.payload is first.payload, text
+        outcomes["loaded"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_guard_after_a_tab_is_read():

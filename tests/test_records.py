@@ -1,5 +1,8 @@
 """Every frozen dataclass of lpict refuses assignment and delete with
-FrozenInstanceError, and still pickles and goes through `dataclasses.replace`."""
+FrozenInstanceError, and still pickles and goes through `dataclasses.replace`.
+The records that `logic.formulas.frozen_record` builds have a generated
+constructor, which must take exactly their fields and still run
+`__post_init__`."""
 
 import dataclasses
 import importlib
@@ -11,6 +14,7 @@ import pytest
 
 import lpict
 from lpict.analysis import dual_environment_verdict
+from lpict.errors import ValidationError
 from lpict.guarded import Event, EventMessage, Guard, GuardedTransition, ResistTag, StateNode
 from lpict.logic.formulas import Atom
 from lpict.logic.proofs import check_proof
@@ -91,5 +95,47 @@ def test_records_are_frozen_and_still_pickle_and_replace(obj):
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(obj, name)
     assert pickle.loads(pickle.dumps(obj)) == obj
-    if type(obj).__dataclass_params__.init:  # Par takes its components positionally
-        assert dataclasses.replace(obj) == obj
+    assert dataclasses.replace(obj) == obj
+
+
+# frozen_record classes refuse assignment with the function formula nodes use
+RECORDS = [obj for obj in SAMPLES if type(obj).__setattr__ is Atom.__setattr__]
+
+
+@pytest.mark.parametrize("obj", RECORDS, ids=lambda obj: type(obj).__qualname__)
+def test_record_constructor_takes_exactly_its_fields(obj):
+    cls = type(obj)
+    fields = dataclasses.fields(cls)
+    params = inspect.signature(cls).parameters.values()
+    empty = inspect.Parameter.empty
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD, empty if f.default is dataclasses.MISSING else f.default)
+        for f in fields
+    ]
+    values = {f.name: getattr(obj, f.name) for f in fields}
+    assert cls(**values) == obj
+    assert cls(*values.values()) == obj
+    with pytest.raises(TypeError):
+        cls(*values.values(), None)
+    with pytest.raises(TypeError):
+        cls(**values, not_a_field=None)
+    last_required = [f.name for f in fields if f.default is dataclasses.MISSING][-1]
+    with pytest.raises(TypeError):
+        cls(**{name: value for name, value in values.items() if name != last_required})
+
+
+# One constructor call per record class with a __post_init__, which rejects it.
+POST_INIT_REJECTS = {
+    Event: (("9x",), "bad event name '9x'"),
+    EventMessage: (((),), "an event message cannot be empty"),
+    StateNode: (("S", (), Atom("e")), "event-less state 'S' cannot carry an event tree"),
+    GuardedTransition: (("A", "a b", "B", Guard(Atom("A"))), "bad action 'a b'"),
+}
+
+
+def test_every_record_post_init_still_runs():
+    assert {type(obj) for obj in RECORDS if hasattr(obj, "__post_init__")} == set(POST_INIT_REJECTS)
+    for cls, (args, message) in POST_INIT_REJECTS.items():
+        with pytest.raises(ValidationError) as exc:
+            cls(*args)
+        assert str(exc.value) == message
