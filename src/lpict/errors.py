@@ -20,15 +20,16 @@ class ParseError(LpictError):
 
 
 class ValidationError(LpictError):
-    """A structured value violates one of its invariants."""
+    """A structured value violates one of its invariants. `subject`, if any, is
+    the part a guarded system rejects: a transition or a (keyword, id) pair."""
 
-
-class TransitionError(ValidationError):
-    """A transition does not fit its system; `transition` is that transition."""
-
-    def __init__(self, message: str, transition):
+    def __init__(self, message: str, subject=None):
         super().__init__(message)
-        self.transition = transition
+        self.subject = subject
+
+
+class ModelValidationError(ParseError, ValidationError):
+    """A model file's guarded system is invalid; `line` declares the part at fault."""
 
 
 class FragmentError(LpictError):

@@ -8,11 +8,10 @@ source-state atom are derivable from the known facts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .errors import BranchingPathError, TransitionError, ValidationError
+from .errors import BranchingPathError, ValidationError
 from .lexing import IDENTIFIER
 from .logic.formulas import KEYWORDS, Atom, Formula, Not, atoms, frozen_record
 from .logic.search import search_forward_chain
@@ -111,7 +110,7 @@ class GuardedTransition:
             raise ValidationError(f"bad action {self.action!r}")
 
 
-@dataclass(frozen=True)
+@frozen_record
 class GuardedLTS:
     """Built only from records that fit together: distinct state ids, the
     initial and terminal ones among them; transitions between those states,
@@ -131,24 +130,24 @@ class GuardedLTS:
             raise ValidationError(f"duplicate state id {next(i for i in ids if ids.count(i) > 1)!r}")
         for end, sid in (("initial", self.initial), ("terminal", self.terminal)):
             if sid not in known:
-                raise ValidationError(f"{end} state {sid!r} is not declared")
+                raise ValidationError(f"{end} state {sid!r} is not declared", (end, sid))
         event_names: set[str] = set()
         for s in self.states:
             if not s.events and s.id != self.terminal:
-                raise ValidationError(f"non-terminal state {s.id!r} declares no events")
+                raise ValidationError(f"non-terminal state {s.id!r} declares no events", ("state", s.id))
             event_names.update(e.name for e in s.events)
         # State ids and event names are the atoms of guards, so they must differ.
-        ambiguous = known.keys() & event_names
+        ambiguous = sorted(known.keys() & event_names)
         if ambiguous:
-            raise ValidationError(f"{sorted(ambiguous)[0]!r} names both a state and an event")
+            raise ValidationError(f"{ambiguous[0]!r} names both a state and an event", ("event", ambiguous[0]))
         resolvable = known.keys() | event_names
         for t in self.transitions:
             for end in (t.source, t.target):
                 if end not in known:
-                    raise TransitionError(f"transition {t.source}->{t.target} references undeclared state {end!r}", t)
+                    raise ValidationError(f"transition {t.source}->{t.target} references undeclared state {end!r}", t)
             loose = atoms(t.guard.formula) - resolvable
             if loose:
-                raise TransitionError(
+                raise ValidationError(
                     f"guard of {t.source}->{t.target} references unknown atom {sorted(loose)[0]!r}", t
                 )
         outgoing = self._outgoing
@@ -158,11 +157,11 @@ class GuardedLTS:
                 if t.target not in reached:
                     reached.add(t.target)
                     frontier.append(t.target)
-        unreachable = known.keys() - reached
+        unreachable = sorted(known.keys() - reached)
         if unreachable:
-            raise ValidationError(f"state {sorted(unreachable)[0]!r} is unreachable from {self.initial!r}")
+            raise ValidationError(f"state {unreachable[0]!r} is unreachable from {self.initial!r}", ("state", unreachable[0]))
         if self.terminal in outgoing:
-            raise TransitionError(f"terminal state {self.terminal!r} has outgoing transitions", outgoing[self.terminal][0])
+            raise ValidationError(f"terminal state {self.terminal!r} has outgoing transitions", outgoing[self.terminal][0])
 
     @cached_property
     def _by_id(self) -> dict[str, StateNode]:

@@ -8,6 +8,7 @@ implication. Precedence: ! > & > | > ->.
 from __future__ import annotations
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from functools import cached_property
 from operator import attrgetter
 from typing import Mapping, Union
 
@@ -20,22 +21,29 @@ def _refuse(self, name, value=None):
 
 
 def frozen_record(cls):
-    """`dataclass(frozen=True, slots=True)` that refuses every assignment and
-    delete with FrozenInstanceError; the generated `__setattr__` names the
-    class that `slots=True` replaces, and raises TypeError for a non-field. Its
-    `__init__` sets each slot through its descriptor, as formula nodes do, and
-    then calls `__post_init__`; the dataclass one pays `object.__setattr__`."""
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    cls.__setattr__ = cls.__delattr__ = _refuse
-    names = [f.name for f in fields(cls)]
-    namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
-    body = [f"_set_{name}(self, {name})" for name in names]
+    """A dataclass, for `fields` and `replace`, refusing every assignment and
+    delete with FrozenInstanceError. Its fields are slots, set through their
+    descriptors, unless it caches a property in a `__dict__`. One `exec` (file
+    `<Class>`, which profiles show) makes each `__init__`, `__eq__`, `__hash__`
+    it neither defines nor inherits, in a frozen dataclass's shape."""
+    cls.__doc__ = cls.__doc__ or cls.__name__  # else dataclass calls inspect.signature
+    slots = not any(isinstance(value, cached_property) for value in vars(cls).values())
+    cls = dataclass(init=False, repr=False, eq=False, slots=slots)(cls)
+    names = cls.__match_args__
+    namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in names} if slots else {"_set": object.__setattr__}
+    body = [f"_set_{name}(self, {name})" if slots else f"_set(self, {name!r}, {name})" for name in names]
     if hasattr(cls, "__post_init__"):
         namespace["_post_init"] = cls.__post_init__
         body.append("_post_init(self)")
-    exec(f"def __init__(self, {', '.join(names)}):\n " + "\n ".join(body), namespace)
-    cls.__init__ = namespace["__init__"]
-    cls.__init__.__defaults__ = tuple(f.default for f in fields(cls) if f.default is not MISSING)
+    mine, theirs = "".join(f"self.{name}," for name in names), "".join(f"other.{name}," for name in names)
+    exec(compile(f"def __init__(self, {', '.join(names)}):\n {'; '.join(body) or 'pass'}\ndef __eq__(self, other):\n"
+                 f" if other.__class__ is self.__class__:\n  return ({mine})==({theirs})\n return NotImplemented\n"
+                 f"def __hash__(self):\n return hash(({mine}))", f"<{cls.__qualname__}>", "exec"), namespace)
+    namespace["__init__"].__defaults__ = tuple(f.default for f in fields(cls) if f.default is not MISSING)
+    namespace.update(__setattr__=_refuse, __delattr__=_refuse, __repr__=_Node.__repr__, __reduce__=_Node.__reduce__)
+    for name in ("__init__", "__eq__", "__hash__", "__setattr__", "__delattr__", "__repr__", "__reduce__"):
+        if getattr(cls, name) is getattr(object, name):
+            setattr(cls, name, namespace[name])
     return cls
 
 

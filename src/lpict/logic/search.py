@@ -11,10 +11,9 @@ both proofs from one search of the implication path.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from ..errors import FragmentError
-from .formulas import FALSUM, Atom, Formula, Implies, Not
+from .formulas import FALSUM, Atom, Formula, Implies, Not, frozen_record
 from .proofs import Proof, ProofLine, Rule, Sequent, check_proof
 from .semantics import semantic_entails
 
@@ -112,7 +111,7 @@ def in_chain_fragment(f: Formula) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@frozen_record
 class CrossCheck:
     semantic: bool
     provable: bool

@@ -9,11 +9,12 @@ resistance tag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
 
 from ..errors import MissingEnvironmentError, ValidationError
 from ..guarded import GuardedLTS, ResistTag
+from ..logic.formulas import frozen_record
 
 IDEAL = "ideal"
 NONIDEAL = "nonideal"
@@ -37,7 +38,7 @@ CAPABILITY_COUNTERS: dict[AttackerCapability, ResistTag] = {
 }
 
 
-@dataclass(frozen=True)
+@frozen_record
 class EnvironmentConfig:
     kind: str
     attackers: frozenset[AttackerCapability] = frozenset()
@@ -49,7 +50,7 @@ class EnvironmentConfig:
             raise ValidationError("the ideal environment admits no attackers")
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ProtocolModel:
     name: str
     lts: GuardedLTS

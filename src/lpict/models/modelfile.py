@@ -27,7 +27,7 @@ import functools
 import re
 from importlib import resources
 
-from ..errors import ParseError, TransitionError, ValidationError
+from ..errors import ModelValidationError, ParseError, ValidationError
 from ..guarded import (
     Event,
     EventMessage,
@@ -100,9 +100,20 @@ class _ModelReader:
             raise ParseError("missing initial or terminal declaration", line=1)
         try:
             lts = build_guarded_lts(self.states, self.transitions, self.initial, self.terminal)
-        except TransitionError as exc:  # of equal transitions, the first one fails first
-            raise ParseError(str(exc), line=self.transition_lines[self.transitions.index(exc.transition)]) from None
+        except ValidationError as exc:
+            raise ModelValidationError(str(exc), line=self.line_of(exc.subject)) from None
         return ProtocolModel(self.protocol, lts, tuple(self.environments))
+
+    def line_of(self, subject) -> int:
+        """The line of the transition the guarded system rejects (of equal ones the
+        first fails first), or the first that starts with its keyword and id."""
+        if isinstance(subject, GuardedTransition):
+            return self.transition_lines[self.transitions.index(subject)]
+        keyword, name = subject
+        for lineno, raw in enumerate(self.source.splitlines(), start=1):
+            words = raw.partition("#")[0].split()[:2]
+            if words == [keyword, name] or keyword == "state" and words == ["alias", name]:
+                return lineno
 
     # Each handler takes the line without its comment, and its words.
 

@@ -3,40 +3,40 @@ X = S.X + T (least solution star(S).T, defined when epsilon is not in S)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from ..errors import ValidationError
+from ..logic.formulas import frozen_record
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Empty:
     """The empty language."""
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Epsilon:
     """The language containing only the empty word."""
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Symbol:
     name: str
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Concat:
     left: "RegularExpr"
     right: "RegularExpr"
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Union_:
     left: "RegularExpr"
     right: "RegularExpr"
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Star:
     body: "RegularExpr"
 

@@ -5,17 +5,17 @@ Terms are immutable; all operations return new values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Union
+
+from ..logic.formulas import frozen_record
 
 Name = str
 
 
 class _Term:
     """A compound term stores its hash on first use: the successors of one
-    reduction step share their components. Each subclass names this
-    `__hash__` in its body, where a frozen dataclass would make its own. A
-    pickle leaves the stored hash out: string hashes differ between processes."""
+    reduction step share their components. `frozen_record` keeps this inherited
+    `__hash__`; a pickle holds only the fields, as string hashes vary by process."""
 
     def __hash__(self):
         h = self.__dict__.get("_hash")
@@ -23,16 +23,13 @@ class _Term:
             h = self.__dict__["_hash"] = hash(tuple(getattr(self, name) for name in self.__match_args__))
         return h
 
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
-
-@dataclass(frozen=True)
+@frozen_record
 class Tau:
     """Internal action prefix."""
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Receive:
     """Input prefix: receive `params` on `channel`. Params bind in the continuation."""
 
@@ -44,7 +41,7 @@ class Receive:
             raise ValueError(f"duplicate binder in receive prefix on {self.channel!r}")
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Send:
     """Output prefix: send `args` on `channel`."""
 
@@ -55,12 +52,12 @@ class Send:
 Prefix = Union[Tau, Receive, Send]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Nil:
     """The inert process."""
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Sum(_Term):
     """Guarded choice. Each branch pairs an action prefix with its continuation.
 
@@ -68,21 +65,19 @@ class Sum(_Term):
     """
 
     branches: tuple[tuple[Prefix, "Process"], ...]
-    __hash__ = _Term.__hash__
 
     def __post_init__(self):
         if not self.branches:
             raise ValueError("empty sum; use Nil instead")
 
 
-@dataclass(frozen=True, init=False)
+@frozen_record
 class Par(_Term):
     """Parallel composition `P1 | .. | Pn` of two or more components, one node
     for the whole level. A nested Par component is a parenthesized group. The
     components come positionally, or as `components=`, which `replace` passes."""
 
     components: tuple["Process", ...]
-    __hash__ = _Term.__hash__
 
     def __init__(self, *parts: "Process", components: tuple["Process", ...] = ()):
         components = parts or tuple(components)
@@ -90,22 +85,23 @@ class Par(_Term):
             raise ValueError("a parallel composition needs two or more components")
         object.__setattr__(self, "components", components)
 
+    def __reduce__(self):
+        return Par, self.components
 
-@dataclass(frozen=True)
+
+@frozen_record
 class Restrict(_Term):
     """`new name body`: name is private to body."""
 
     name: Name
     body: "Process"
-    __hash__ = _Term.__hash__
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Bang(_Term):
     """Replication."""
 
     body: "Process"
-    __hash__ = _Term.__hash__
 
 
 Process = Union[Nil, Sum, Par, Restrict, Bang]

@@ -254,6 +254,16 @@ READER_ERRORS = [
         "duplicate environment declaration",
         16,
     ),
+    ("initial-undeclared", _edit("initial A", "initial Q"), "initial state 'Q' is not declared", 12),
+    ("event-named-like-state", _edit("  event go", "  event A"), "'A' names both a state and an event", 4),
+    (
+        "state-without-events",
+        _edit("state A {\n  event go resists replay\n}", "state A { }"),
+        "non-terminal state 'A' declares no events",
+        3,
+    ),
+    ("state-unreachable", MINIMAL + "state C {\n  event c\n}\n", "state 'C' is unreachable from 'A'", 16),
+    ("alias-unreachable", MINIMAL + "alias C = B\n", "state 'C' is unreachable from 'A'", 16),
 ]
 
 

@@ -141,6 +141,7 @@ def test_stored_hashes_agree_and_stay_out_of_a_pickle():
     source = "new k (x<k>.0 | !x(y).(y<a>.0 + tau.0) | (a.0 | b.0))"
     p, q = parse_process(source), parse_process(source)
     assert hash(p) == hash(q) and hash(p) == hash(p)
+    assert vars(p)["_hash"] == hash(p)  # stored by the inherited _Term.__hash__
     assert {p: 1}[q] == 1 and p == q
     state = pickle.dumps(p)
     assert b"_hash" not in state
