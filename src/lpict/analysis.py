@@ -19,7 +19,6 @@ position of two traces of equal length, which is their equality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from typing import Sequence
 
 from .errors import ValidationError
@@ -186,10 +185,10 @@ def _walk(model: ProtocolModel, env) -> tuple[tuple[TraceSymbol, ...], tuple[str
     return tuple(trace), None
 
 
-def _judge(lts: GuardedLTS, trace, failing, entailment: EntailmentResult | None) -> AnalysisOutcome:
+def _judge(lts: GuardedLTS, trace, failing, entailment: EntailmentResult | None, matching=None) -> AnalysisOutcome:
     if failing is not None:
-        return AnalysisOutcome(FLAWED, trace, failing, Judgments(False, False), None)
-    judgments = Judgments(partial_order_check(trace, lts), entailment.holds)
+        return AnalysisOutcome(FLAWED, trace, failing, Judgments(False, False, matching), None)
+    judgments = Judgments(partial_order_check(trace, lts), entailment.holds, matching)
     verdict = SECURE if judgments.partial_order and judgments.entailment else FLAWED
     return AnalysisOutcome(verdict, trace, None, judgments, entailment)
 
@@ -212,11 +211,10 @@ def dual_environment_verdict(model: ProtocolModel) -> DualVerdict:
     is secure and the non-ideal trace matches it in full. Equal traces mean
     the non-ideal walk reached the terminal state too, so its judgments are
     the ideal walk's."""
-    walks = [_walk(model, model.environment(kind)) for kind in (IDEAL, NONIDEAL)]
-    reached = any(failing is None for _, failing in walks)
-    entailment = entailment_judgment(model.lts) if reached else None
-    ideal, nonideal = (_judge(model.lts, trace, failing, entailment) for trace, failing in walks)
-    matched = nonideal.trace == ideal.trace
-    secure = ideal.secure and matched
-    nonideal = replace(nonideal, judgments=replace(nonideal.judgments, matching=matched))
-    return DualVerdict(ideal, nonideal, matched, secure)
+    ideal_trace, ideal_failing = _walk(model, model.environment(IDEAL))
+    trace, failing = _walk(model, model.environment(NONIDEAL))
+    entailment = entailment_judgment(model.lts) if ideal_failing is None or failing is None else None
+    ideal = _judge(model.lts, ideal_trace, ideal_failing, entailment)
+    matched = trace == ideal_trace
+    nonideal = _judge(model.lts, trace, failing, entailment, matched)
+    return DualVerdict(ideal, nonideal, matched, ideal.secure and matched)

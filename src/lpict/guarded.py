@@ -13,7 +13,7 @@ from functools import cached_property
 
 from .errors import BranchingPathError, ValidationError
 from .lexing import IDENTIFIER
-from .logic.formulas import KEYWORDS, Atom, Formula, Not, atoms, frozen_record
+from .logic.formulas import KEYWORDS, Atom, Cached, Formula, Not, atoms, frozen_record
 from .logic.search import search_forward_chain
 from .logic.semantics import semantic_entails
 from .trees import event_leaves
@@ -111,7 +111,7 @@ class GuardedTransition:
 
 
 @frozen_record
-class GuardedLTS:
+class GuardedLTS(Cached):
     """Built only from records that fit together: distinct state ids, the
     initial and terminal ones among them; transitions between those states,
     each state reachable from the initial one, none leaving the terminal one;

@@ -8,7 +8,6 @@ implication. Precedence: ! > & > | > ->.
 from __future__ import annotations
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
-from functools import cached_property
 from operator import attrgetter
 from typing import Mapping, Union
 
@@ -23,15 +22,14 @@ def _refuse(self, name, value=None):
 def frozen_record(cls):
     """A dataclass, for `fields` and `replace`, refusing every assignment and
     delete with FrozenInstanceError. Its fields are slots, set through their
-    descriptors, unless it caches a property in a `__dict__`. One `exec` (file
-    `<Class>`, which profiles show) makes each `__init__`, `__eq__`, `__hash__`
-    it neither defines nor inherits, in a frozen dataclass's shape."""
+    descriptors. One `exec` (file `<Class>`, which profiles show) makes each
+    `__init__`, `__eq__`, `__hash__` it neither defines nor inherits, in a
+    frozen dataclass's shape."""
     cls.__doc__ = cls.__doc__ or cls.__name__  # else dataclass calls inspect.signature
-    slots = not any(isinstance(value, cached_property) for value in vars(cls).values())
-    cls = dataclass(init=False, repr=False, eq=False, slots=slots)(cls)
+    cls = dataclass(init=False, repr=False, eq=False, slots=True)(cls)
     names = cls.__match_args__
-    namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in names} if slots else {"_set": object.__setattr__}
-    body = [f"_set_{name}(self, {name})" if slots else f"_set(self, {name!r}, {name})" for name in names]
+    namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    body = [f"_set_{name}(self, {name})" for name in names]
     if hasattr(cls, "__post_init__"):
         namespace["_post_init"] = cls.__post_init__
         body.append("_post_init(self)")
@@ -45,6 +43,18 @@ def frozen_record(cls):
         if getattr(cls, name) is getattr(object, name):
             setattr(cls, name, namespace[name])
     return cls
+
+
+class Cached:
+    """The base of a record that keeps what it computes once in a `__dict__`
+    beside its slots: its hash, stored on first use, and any cached property.
+    A pickle holds only the fields, as string hashes vary by process."""
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(tuple(getattr(self, name) for name in self.__match_args__))
+        return h
 
 
 class _Node:

@@ -9,7 +9,6 @@ resistance tag.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from enum import Enum
 
 from ..errors import MissingEnvironmentError, ValidationError
@@ -101,15 +100,6 @@ def capabilities(attackers) -> frozenset[AttackerCapability]:
 def with_attackers(model: ProtocolModel, attackers) -> ProtocolModel:
     """A copy of the model whose non-ideal environment has these attackers
     (capabilities or their words); an unknown word is a ValidationError."""
-    caps = capabilities(attackers)
-    envs = []
-    replaced = False
-    for env in model.environments:
-        if env.kind == NONIDEAL:
-            envs.append(EnvironmentConfig(NONIDEAL, caps))
-            replaced = True
-        else:
-            envs.append(env)
-    if not replaced:
-        envs.append(EnvironmentConfig(NONIDEAL, caps))
-    return replace(model, environments=tuple(envs))
+    new = EnvironmentConfig(NONIDEAL, capabilities(attackers))
+    envs = tuple(new if env.kind == NONIDEAL else env for env in model.environments)
+    return ProtocolModel(model.name, model.lts, envs if new in envs else envs + (new,))

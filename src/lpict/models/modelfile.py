@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import re
-from importlib import resources
 
 from ..errors import ModelValidationError, ParseError, ValidationError
 from ..guarded import (
@@ -59,7 +58,6 @@ class _ModelReader:
         self.source = source
         self.lineno = 0
         self.protocol: str | None = None
-        self.states: list[StateNode] = []
         self.by_id: dict[str, StateNode] = {}
         self.transitions: list[GuardedTransition] = []
         self.transition_lines: list[int] = []
@@ -99,7 +97,7 @@ class _ModelReader:
         if self.initial is None or self.terminal is None:
             raise ParseError("missing initial or terminal declaration", line=1)
         try:
-            lts = build_guarded_lts(self.states, self.transitions, self.initial, self.terminal)
+            lts = build_guarded_lts(self.by_id.values(), self.transitions, self.initial, self.terminal)
         except ValidationError as exc:
             raise ModelValidationError(str(exc), line=self.line_of(exc.subject)) from None
         return ProtocolModel(self.protocol, lts, tuple(self.environments))
@@ -195,7 +193,6 @@ class _ModelReader:
     def add_state(self, state: StateNode):
         if state.id in self.by_id:
             raise ParseError(f"duplicate state id {state.id!r}")
-        self.states.append(state)
         self.by_id[state.id] = state
 
     def key_alias(self, text, words):
@@ -326,6 +323,7 @@ def render_model(model: ProtocolModel) -> str:
 
 def bundled_model_text(name: str) -> str:
     """Text of a model file shipped with the package (tls13, dh)."""
+    from importlib import resources  # with tempfile, a seventh of `import lpict`
     path = resources.files(__package__).joinpath("data").joinpath(f"{name}.model")
     return path.read_text(encoding="utf-8")
 

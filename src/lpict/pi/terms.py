@@ -1,27 +1,17 @@
 """Process term syntax: prefixes, sums, parallel composition, restriction, replication.
 
-Terms are immutable; all operations return new values.
+Terms are immutable; all operations return new values. A compound term
+stores its hash on first use (`Cached`): the successors of one reduction step
+share their components.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Union
 
-from ..logic.formulas import frozen_record
+from ..logic.formulas import Cached, frozen_record
 
 Name = str
-
-
-class _Term:
-    """A compound term stores its hash on first use: the successors of one
-    reduction step share their components. `frozen_record` keeps this inherited
-    `__hash__`; a pickle holds only the fields, as string hashes vary by process."""
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash(tuple(getattr(self, name) for name in self.__match_args__))
-        return h
 
 
 @frozen_record
@@ -58,7 +48,7 @@ class Nil:
 
 
 @frozen_record
-class Sum(_Term):
+class Sum(Cached):
     """Guarded choice. Each branch pairs an action prefix with its continuation.
 
     A lone prefixed term is a one-branch sum; the zero-branch sum is Nil.
@@ -72,7 +62,7 @@ class Sum(_Term):
 
 
 @frozen_record
-class Par(_Term):
+class Par(Cached):
     """Parallel composition `P1 | .. | Pn` of two or more components, one node
     for the whole level. A nested Par component is a parenthesized group. The
     components come positionally, or as `components=`, which `replace` passes."""
@@ -90,7 +80,7 @@ class Par(_Term):
 
 
 @frozen_record
-class Restrict(_Term):
+class Restrict(Cached):
     """`new name body`: name is private to body."""
 
     name: Name
@@ -98,7 +88,7 @@ class Restrict(_Term):
 
 
 @frozen_record
-class Bang(_Term):
+class Bang(Cached):
     """Replication."""
 
     body: "Process"

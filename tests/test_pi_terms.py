@@ -85,6 +85,12 @@ def test_substitute_avoids_capture():
     assert free_names(result) == {"y"}
 
 
+def test_substitute_renames_only_the_captured_binder():
+    # of the receive's binders a and b only a would capture the new name a
+    term = parse_process("x(a,b).c<a,b>.0")
+    assert pretty_print(substitute(term, {"c": "a"})) == "x(a1,b).a<a1,b>.0"
+
+
 def test_substitute_capture_oracle(rng):
     # fn(result) == (fn(term) - dom) | image-of-applied-keys, for renamings
     # whose domain and range stay disjoint from each other per-application
@@ -141,7 +147,7 @@ def test_stored_hashes_agree_and_stay_out_of_a_pickle():
     source = "new k (x<k>.0 | !x(y).(y<a>.0 + tau.0) | (a.0 | b.0))"
     p, q = parse_process(source), parse_process(source)
     assert hash(p) == hash(q) and hash(p) == hash(p)
-    assert vars(p)["_hash"] == hash(p)  # stored by the inherited _Term.__hash__
+    assert vars(p)["_hash"] == hash(p)  # stored by the inherited Cached.__hash__
     assert {p: 1}[q] == 1 and p == q
     state = pickle.dumps(p)
     assert b"_hash" not in state

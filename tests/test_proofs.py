@@ -145,3 +145,14 @@ def test_proof_records():
     records = proof_records(proof)
     assert records[0] == {"n": 1, "formula": "!S_end", "rule": "assumption", "refs": []}
     assert records[-1] == {"n": 15, "formula": "false", "rule": "!e", "refs": [13, 14]}
+
+
+def test_empty_proof_and_bad_copies_are_rejected():
+    p, q = Atom("p"), Atom("q")
+    sq = Sequent((p, q), p)
+    assert check_proof(sq, Proof(())) == CheckResult(False, 0, "empty proof")
+    assert render_proof_table(Proof(())) == "(empty proof)"
+    two_refs = Proof((ProofLine(1, p, Rule.PREMISE), ProofLine(2, p, Rule.COPY, (1, 1))))
+    assert check_proof(sq, two_refs) == CheckResult(False, 2, "copy takes one reference")
+    other = Proof((ProofLine(1, q, Rule.PREMISE), ProofLine(2, p, Rule.COPY, (1,))))
+    assert check_proof(sq, other) == CheckResult(False, 2, "copy does not repeat the referenced line")
