@@ -49,8 +49,7 @@ class TraceSymbol:
     event_values: tuple[bool, ...]
 
     def token(self) -> str:
-        bits = "".join("1" if v else "0" for v in self.event_values)
-        return f"{self.state}:{bits}"
+        return f"{self.state}:{''.join(['1' if v else '0' for v in self.event_values])}"
 
 
 @frozen_record
@@ -153,30 +152,29 @@ def entailment_judgment(lts: GuardedLTS) -> EntailmentResult:
     return EntailmentResult(sequent, forward, contradiction, holds)
 
 
-def _walk(model: ProtocolModel, env) -> tuple[tuple[TraceSymbol, ...], tuple[str, str] | None]:
-    """Walk the chain under the environment's event assignment, up to and
+def _walk(lts: GuardedLTS, assignment, prior_values=None, prior_trace=()) -> tuple[tuple[TraceSymbol, ...], tuple | None]:
+    """Walk the chain under an environment's event assignment, up to and
     including the first state whose event tree is false (the failing pair is
     that state and its first false leaf) or the source of the first transition
-    whose guard is false (the failing pair is that state and the action).
+    whose guard is false (the failing pair is that state and the action). A
+    state whose event values are its `prior_values` takes its `prior_trace` symbol.
 
     A guard is evaluated over the facts of the run so far: the atoms of the
     visited states, the source included, are true and those of the other
     states false; an event name has its value in the latest visited state that
     declares it, and is false if no visited state does."""
-    lts = model.lts
-    assignment = apply_environment(model, env)
     facts = dict.fromkeys(itertools.chain.from_iterable(assignment.values()), False)
     facts.update(dict.fromkeys(assignment, False))
     trace: list[TraceSymbol] = []
-    for state in lts.chain:
+    for state, symbol in itertools.zip_longest(lts.chain, prior_trace):
         valuation = assignment[state.id]
-        if state.combine is None:  # event-less terminal passes trivially
-            trace.append(TraceSymbol(state.id, True, ()))
-        else:
-            value, leaf_values = eval_event_leaves(state.combine, valuation)
-            trace.append(TraceSymbol(state.id, value, leaf_values))
-            if not value:
-                return tuple(trace), (state.id, _first_false_leaf(state.combine, valuation))
+        if symbol is None or prior_values[state.id] != valuation:
+            # an event-less terminal passes trivially
+            values = eval_event_leaves(state.combine, valuation) if state.combine is not None else (True, ())
+            symbol = TraceSymbol(state.id, *values)
+        trace.append(symbol)
+        if not symbol.value:
+            return tuple(trace), (state.id, _first_false_leaf(state.combine, valuation))
         facts.update(valuation)
         facts[state.id] = True
         for t in lts.outgoing(state.id):
@@ -185,10 +183,11 @@ def _walk(model: ProtocolModel, env) -> tuple[tuple[TraceSymbol, ...], tuple[str
     return tuple(trace), None
 
 
-def _judge(lts: GuardedLTS, trace, failing, entailment: EntailmentResult | None, matching=None) -> AnalysisOutcome:
+def _judge(lts: GuardedLTS, trace, failing, entailment: EntailmentResult | None, matching=None, ideal=None) -> AnalysisOutcome:
     if failing is not None:
         return AnalysisOutcome(FLAWED, trace, failing, Judgments(False, False, matching), None)
-    judgments = Judgments(partial_order_check(trace, lts), entailment.holds, matching)
+    ordered = ideal.judgments.partial_order if matching else partial_order_check(trace, lts)  # matching: the ideal trace
+    judgments = Judgments(ordered, entailment.holds, matching)
     verdict = SECURE if judgments.partial_order and judgments.entailment else FLAWED
     return AnalysisOutcome(verdict, trace, None, judgments, entailment)
 
@@ -199,7 +198,7 @@ def analyze_protocol(model: ProtocolModel, env) -> AnalysisOutcome:
     The two judgments are only established when every state's event tree
     and every transition guard on the way evaluate true; a run stopped at a
     false tree or guard reports them as not holding."""
-    trace, failing = _walk(model, env)
+    trace, failing = _walk(model.lts, apply_environment(model, env))
     return _judge(model.lts, trace, failing, None if failing else entailment_judgment(model.lts))
 
 
@@ -211,10 +210,11 @@ def dual_environment_verdict(model: ProtocolModel) -> DualVerdict:
     is secure and the non-ideal trace matches it in full. Equal traces mean
     the non-ideal walk reached the terminal state too, so its judgments are
     the ideal walk's."""
-    ideal_trace, ideal_failing = _walk(model, model.environment(IDEAL))
-    trace, failing = _walk(model, model.environment(NONIDEAL))
+    ideal_values = apply_environment(model, model.environment(IDEAL))
+    ideal_trace, ideal_failing = _walk(model.lts, ideal_values)
+    trace, failing = _walk(model.lts, apply_environment(model, model.environment(NONIDEAL)), ideal_values, ideal_trace)
     entailment = entailment_judgment(model.lts) if ideal_failing is None or failing is None else None
     ideal = _judge(model.lts, ideal_trace, ideal_failing, entailment)
     matched = trace == ideal_trace
-    nonideal = _judge(model.lts, trace, failing, entailment, matched)
+    nonideal = _judge(model.lts, trace, failing, entailment, matched, ideal)
     return DualVerdict(ideal, nonideal, matched, ideal.secure and matched)

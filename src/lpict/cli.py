@@ -28,8 +28,8 @@ from .report import build_dual_report, build_single_report, paint, render_report
 
 
 def _read_text(path: str, what: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
+    try:  # a byte-order mark that starts the file is not text
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise LpictError(f"cannot read {what} file {path!r}: {exc}") from None
 

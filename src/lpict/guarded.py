@@ -12,11 +12,10 @@ from enum import Enum
 from functools import cached_property
 
 from .errors import BranchingPathError, ValidationError
-from .lexing import IDENTIFIER
-from .logic.formulas import KEYWORDS, Atom, Cached, Formula, Not, atoms, frozen_record
+from .logic.formulas import KEYWORDS, Atom, Cached, Formula, atoms, frozen_record
 from .logic.search import search_forward_chain
 from .logic.semantics import semantic_entails
-from .trees import event_leaves
+from .trees import leaf_names
 
 
 class ResistTag(Enum):
@@ -33,8 +32,9 @@ class ResistTag(Enum):
 
 
 def check_name(name: str, what: str) -> None:
-    """A state id or event name must be an identifier a guard reads as an atom."""
-    if not IDENTIFIER.fullmatch(name):
+    """A state id or event name must be an identifier a guard reads as an atom:
+    what `lexing.IDENTIFIER` matches, an ASCII Python identifier."""
+    if not (name.isascii() and name.isidentifier()):  # a regex match is slower
         raise ValidationError(f"bad {what} {name!r}")
     if name in KEYWORDS:
         raise ValidationError(f"{name!r} is a formula keyword and cannot name a state or an event")
@@ -91,10 +91,10 @@ class StateNode:
             raise ValidationError(f"state {self.id!r} has events but no event tree")
         else:
             try:
-                leaves = event_leaves(self.combine)
+                leaves = leaf_names(self.combine)
             except ValidationError as exc:
                 raise ValidationError(f"event tree of state {self.id!r}: {exc}") from None
-            if {(leaf.operand if type(leaf) is Not else leaf).name for leaf in leaves} != names:
+            if leaves != names:
                 raise ValidationError(f"event tree of state {self.id!r} does not match its events")
 
 
@@ -131,11 +131,10 @@ class GuardedLTS(Cached):
         for end, sid in (("initial", self.initial), ("terminal", self.terminal)):
             if sid not in known:
                 raise ValidationError(f"{end} state {sid!r} is not declared", (end, sid))
-        event_names: set[str] = set()
         for s in self.states:
             if not s.events and s.id != self.terminal:
                 raise ValidationError(f"non-terminal state {s.id!r} declares no events", ("state", s.id))
-            event_names.update(e.name for e in s.events)
+        event_names = {e.name for s in self.states for e in s.events}
         # State ids and event names are the atoms of guards, so they must differ.
         ambiguous = sorted(known.keys() & event_names)
         if ambiguous:

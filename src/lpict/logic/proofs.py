@@ -138,8 +138,10 @@ def _check_line(line: ProofLine, lines, premises, refuted: Formula | None) -> st
 def justification(line: ProofLine) -> str:
     # `_value_` is where Enum stores a member's value; `value` is a property
     # and a table prints one rule per line
-    text = line.rule._value_
-    return f"{text} {','.join(map(str, line.refs))}" if line.refs else text
+    text, refs = line.rule._value_, line.refs
+    if len(refs) == 2:  # most lines; a join of two numbers is slow
+        return f"{text} {refs[0]},{refs[1]}"
+    return f"{text} {','.join(map(str, refs))}" if refs else text
 
 
 def render_proof_table(proof: Proof) -> str:
@@ -148,7 +150,7 @@ def render_proof_table(proof: Proof) -> str:
         return "(empty proof)"
     num_width = len(f"{proof.lines[-1].index}.")
     formulas = [format_formula(line.formula) for line in proof.lines]
-    col = max(len(s) for s in formulas) + 2
+    col = max(map(len, formulas)) + 2
     rows = [
         f"{f'{line.index}.'.rjust(num_width)} {text.ljust(col)}{justification(line)}"
         for line, text in zip(proof.lines, formulas)

@@ -14,7 +14,7 @@ from collections import deque
 
 from ..errors import FragmentError
 from .formulas import FALSUM, Atom, Formula, Implies, Not, frozen_record
-from .proofs import Proof, ProofLine, Rule, Sequent, check_proof
+from .proofs import _ASSUMPTION, _IMPL_ELIM, _MODUS_TOLLENS, _NEG_ELIM, _PREMISE, Proof, ProofLine, Sequent, check_proof
 from .semantics import semantic_entails
 
 
@@ -22,57 +22,57 @@ def _chain_to(premises: tuple[Formula, ...], goal: Formula) -> list[Implies] | N
     """Shortest implication path from some premise to the goal.
 
     Returns the implications along the path in application order, [] when the
-    goal is itself a premise, None when the goal is unreachable.
+    goal is itself a premise, None when the goal is unreachable. The queue
+    holds the implications that each new fact makes usable.
     """
-    seen = set(premises)
-    if goal in seen:
+    back: dict[Formula, Implies | None] = dict.fromkeys(premises)  # fact -> implication that derived it
+    if goal in back:
         return []
     edges: dict[Formula, list[Implies]] = {}
-    for p in premises:
+    for p in back:
         if isinstance(p, Implies):
             edges.setdefault(p.left, []).append(p)
-    back: dict[Formula, Implies] = {}
-    queue: deque[Formula] = deque(premises)
+    to_goal = edges.setdefault(goal, [])  # a fact is the goal when this is its entry
+    queue = deque(out for p in back if (out := edges.get(p)))
     while queue:
-        fact = queue.popleft()
-        for imp in edges.get(fact, ()):
-            if imp.right in seen:
-                continue
-            back[imp.right] = imp
-            if imp.right == goal:
+        for imp in queue.popleft():
+            fact = imp.right
+            if back.setdefault(fact, imp) is not imp:
+                continue  # known already
+            out = edges.get(fact)
+            if out is to_goal:
                 path = []
-                cur: Formula = goal
-                while cur in back:
-                    path.append(back[cur])
-                    cur = back[cur].left
+                while imp is not None:
+                    path.append(imp)
+                    imp = back[imp.left]
                 path.reverse()
                 return path
-            seen.add(imp.right)
-            queue.append(imp.right)
+            if out:
+                queue.append(out)
     return None
 
 
 def _forward_proof(path: list[Implies], goal: Formula) -> Proof:
     if not path:
-        return Proof((ProofLine(1, goal, Rule.PREMISE),))
-    lines = [ProofLine(1, path[0].left, Rule.PREMISE)]
+        return Proof((ProofLine(1, goal, _PREMISE),))
+    lines = [ProofLine(1, path[0].left, _PREMISE)]
     for imp in path:
         n = len(lines)
-        lines.append(ProofLine(n + 1, imp, Rule.ASSUMPTION))
-        lines.append(ProofLine(n + 2, imp.right, Rule.IMPL_ELIM, (n + 1, n)))
+        lines.append(ProofLine(n + 1, imp, _ASSUMPTION))
+        lines.append(ProofLine(n + 2, imp.right, _IMPL_ELIM, (n + 1, n)))
     return Proof(tuple(lines))
 
 
 def _contradiction_proof(path: list[Implies], goal: Formula) -> Proof:
     start = path[0].left if path else goal
-    lines = [ProofLine(1, Not(goal), Rule.ASSUMPTION)]
+    lines = [ProofLine(1, Not(goal), _ASSUMPTION)]
     for imp in reversed(path):
         n = len(lines)
-        lines.append(ProofLine(n + 1, imp, Rule.PREMISE))
-        lines.append(ProofLine(n + 2, Not(imp.left), Rule.MODUS_TOLLENS, (n + 1, n)))
+        lines.append(ProofLine(n + 1, imp, _PREMISE))
+        lines.append(ProofLine(n + 2, Not(imp.left), _MODUS_TOLLENS, (n + 1, n)))
     n = len(lines)
-    lines.append(ProofLine(n + 1, start, Rule.PREMISE))
-    lines.append(ProofLine(n + 2, FALSUM, Rule.NEG_ELIM, (n, n + 1)))
+    lines.append(ProofLine(n + 1, start, _PREMISE))
+    lines.append(ProofLine(n + 2, FALSUM, _NEG_ELIM, (n, n + 1)))
     return Proof(tuple(lines))
 
 

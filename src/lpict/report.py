@@ -14,14 +14,14 @@ from .logic.proofs import render_proof_table, render_sequent
 from .models.core import EnvironmentConfig
 
 
-def _env_report(env: EnvironmentConfig, outcome: AnalysisOutcome) -> dict:
+def _env_report(env: EnvironmentConfig, outcome: AnalysisOutcome, known: dict[int, str]) -> dict:
     judgments = outcome.judgments
     failing = outcome.failing
     return {
         "kind": env.kind,
         "attackers": sorted(c.value for c in env.attackers),
         "verdict": outcome.verdict,
-        "trace": [sym.token() for sym in outcome.trace],
+        "trace": [known.get(id(sym)) or sym.token() for sym in outcome.trace],
         "judgments": {
             "partial_order": judgments.partial_order,
             "entailment": judgments.entailment,
@@ -55,16 +55,15 @@ def _report(model, mode, environments, matched, secure, entailment, duration_ms)
 
 def build_single_report(model, env, outcome: AnalysisOutcome, duration_ms=None) -> dict:
     return _report(
-        model, env.kind, [_env_report(env, outcome)], None, outcome.secure,
+        model, env.kind, [_env_report(env, outcome, {})], None, outcome.secure,
         outcome.entailment, duration_ms,
     )
 
 
 def build_dual_report(model, verdict: DualVerdict, duration_ms=None) -> dict:
-    environments = [
-        _env_report(model.environment("ideal"), verdict.ideal),
-        _env_report(model.environment("nonideal"), verdict.nonideal),
-    ]
+    ideal = _env_report(model.environment("ideal"), verdict.ideal, {})
+    known = dict(zip(map(id, verdict.ideal.trace), ideal["trace"]))  # the tokens of shared symbols
+    environments = [ideal, _env_report(model.environment("nonideal"), verdict.nonideal, known)]
     return _report(
         model, "dual", environments, verdict.matched, verdict.secure,
         verdict.ideal.entailment or verdict.nonideal.entailment, duration_ms,

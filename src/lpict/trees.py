@@ -34,20 +34,18 @@ class StateTreeNode:
 def build_event_tree(events, operators) -> Formula:
     """Left-deep operator tree ((e1 op1 e2) op2 e3)...; leaf order follows
     event order. `events` may be names or objects with a `.name`."""
-    names = [getattr(e, "name", e) for e in events]
+    names = [e if isinstance(e, str) else e.name for e in events]
     operators = tuple(operators)
-    for op in operators:
-        if op not in _OPERATORS:
+    tree = Atom(names[0]) if names else None
+    for i, op in enumerate(operators, start=1):
+        if op not in _OPERATORS:  # reported before a missing event or a count mismatch
             raise ValidationError(f"unknown operator {op!r} in combine")
-    if not names:
+        if i < len(names):
+            tree = _OPERATORS[op](tree, Atom(names[i]))
+    if tree is None:
         raise ValidationError("an event tree needs at least one event")
     if len(operators) != len(names) - 1:
-        raise ValidationError(
-            f"{len(names)} events need {len(names) - 1} operators, got {len(operators)}"
-        )
-    tree: Formula = Atom(names[0])
-    for op, name in zip(operators, names[1:]):
-        tree = _OPERATORS[op](tree, Atom(name))
+        raise ValidationError(f"{len(names)} events need {len(names) - 1} operators, got {len(operators)}")
     return tree
 
 
@@ -72,6 +70,18 @@ def event_leaves(tree: Formula) -> list[Formula]:
             leaf_atom(node)
             out.append(node)
     return out
+
+
+def leaf_names(tree: Formula) -> set[str]:
+    """The names of the leaves' atoms; ValidationError outside the event fragment."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        while type(node) in _AND_OR:  # a left spine in a loop
+            stack.append(node.right)
+            node = node.left
+        names.add(node.name if type(node) is Atom else leaf_atom(node).name)
+    return names
 
 
 def eval_event_tree(tree: Formula, valuation) -> bool:
@@ -103,7 +113,7 @@ def eval_event_leaves(tree: Formula, valuation) -> tuple[bool, tuple[bool, ...]]
 
 
 def _leaf_value(leaf, valuation, values: list[bool]) -> bool:
-    atom = leaf_atom(leaf)
+    atom = leaf if type(leaf) is Atom else leaf_atom(leaf)
     try:
         value = bool(valuation[atom.name]) != (atom is not leaf)
     except KeyError:

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from lpict.cli import run_cli
-from lpict.models import builtin_dh, builtin_tls13, render_model
+from lpict.models import builtin_dh, builtin_tls13, bundled_model_text, render_model
 from lpict.pi.congruence import structurally_congruent
 from lpict.pi.parser import parse_process
 
@@ -195,6 +195,15 @@ def test_match_trace_that_is_not_utf8_is_exit_2(tmp_path, monkeypatch, capsys):
     assert run_main(monkeypatch, capsys, *args) == (code, out, err)
 
 
+def test_match_trace_behind_a_byte_order_mark(tmp_path, capsys):
+    ideal = tmp_path / "ideal.trace"
+    actual = tmp_path / "actual.trace"
+    ideal.write_text("\ufeffS1:1\n", encoding="utf-8")
+    actual.write_text("S1:1 S2:11\n", encoding="utf-8")
+    code, out, _ = run(capsys, "match", "--ideal", str(ideal), "--actual", str(actual))
+    assert (code, out) == (0, "match at index 1\n")
+
+
 @pytest.mark.parametrize("command", ["analyze", "prove", "reduce", "match", "models"])
 def test_every_subcommand_has_help(command, capsys):
     code, out, _ = run(capsys, command, "--help")
@@ -258,6 +267,17 @@ def test_model_file_that_is_not_utf8_is_exit_2(tmp_path, monkeypatch, capsys):
     code, _, err = run_main(monkeypatch, capsys, "analyze", "--model", str(path), "--dual")
     assert code == 2
     assert err.startswith(f"error: cannot read model file {str(path)!r}") and len(err.splitlines()) == 1
+
+
+def test_model_file_behind_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.model"
+    path.write_text("\ufeff" + bundled_model_text("dh"), encoding="utf-8")
+    reports = []
+    for model in (str(path), "dh"):
+        code, out, err = run(capsys, "analyze", "--model", model, "--dual", "--format", "json")
+        assert (code, err) == (1, "")
+        reports.append(dict(json.loads(out), duration_ms=None))
+    assert reports[0] == reports[1]
 
 
 def test_state_named_false_is_exit_2(tmp_path, monkeypatch, capsys):

@@ -12,8 +12,8 @@ import itertools
 import random
 from pathlib import Path
 
-from lpict.analysis import dual_environment_verdict
-from lpict.models import load_model, render_model
+from lpict.analysis import analyze_protocol, dual_environment_verdict
+from lpict.models import apply_environment, load_model, render_model
 
 ORACLE = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
 TAGS = ("replay", "mitm", "confidentiality", "integrity", "identity_auth", "forward_secrecy")
@@ -130,6 +130,28 @@ def test_dual_verdict_agrees_with_oracle():
         seen.add(got.secure)
     # every kind of outcome occurs
     assert seen == {True, False, "guard", "tree"}
+
+
+def test_shared_walk_agrees_with_separate_walks():
+    """The non-ideal walk of a dual verdict takes the ideal walk's symbol for
+    each state whose event values agree; each outcome must still be the one
+    that a walk of its environment alone gives."""
+    rng = random.Random(6)
+    shared_after_differing = 0
+    for _ in range(400):
+        model = load_model(random_model(rng)[0])
+        got = dual_environment_verdict(model)
+        for kind, outcome in (("ideal", got.ideal), ("nonideal", got.nonideal)):
+            alone = analyze_protocol(model, model.environment(kind))
+            assert outcome.trace == alone.trace and outcome.failing == alone.failing
+            assert outcome.verdict == alone.verdict
+            assert outcome.judgments.partial_order == alone.judgments.partial_order
+            assert outcome.judgments.entailment == alone.judgments.entailment
+        values = [apply_environment(model, model.environment(kind)) for kind in ("ideal", "nonideal")]
+        agree = [values[0][sym.state] == values[1][sym.state] for sym in got.nonideal.trace[: len(got.ideal.trace)]]
+        shared_after_differing += False in agree and True in agree[agree.index(False) :]
+    # some walk takes a shared symbol after a state it evaluated itself
+    assert shared_after_differing >= 5
 
 
 def test_generator_reaches_every_shape():

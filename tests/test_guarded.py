@@ -9,8 +9,10 @@ from lpict.guarded import (
     GuardedTransition,
     StateNode,
     build_guarded_lts,
+    check_name,
     check_precondition,
 )
+from lpict.lexing import IDENTIFIER
 from lpict.logic.formulas import And, Atom, Implies, Not
 from lpict.logic.semantics import all_valuations
 from lpict.trees import build_event_tree
@@ -74,6 +76,19 @@ def test_formula_keyword_cannot_name_a_state_or_an_event(names):
     # state or event is rejected when it is built
     with pytest.raises(ValidationError, match="^'false' is a formula keyword and cannot name a state or an event$"):
         simple_state(*names)
+
+
+@pytest.mark.parametrize(
+    "name", ["e", "_", "e1_x", "E9", "1e", "", "e-1", "e 1", "e\n", "\u00e9", "e\u00e9", "\uff45", "e\u0660", "\u212a"]
+)
+def test_names_are_what_the_identifier_pattern_matches(name):
+    # check_name tests identifiers without the regex; it must accept the same names
+    try:
+        check_name(name, "event name")
+    except ValidationError:
+        assert not IDENTIFIER.fullmatch(name)
+    else:
+        assert IDENTIFIER.fullmatch(name)
 
 
 def test_duplicate_event_names_rejected():

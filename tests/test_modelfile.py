@@ -191,6 +191,7 @@ READER_ERRORS = [
     ),
     ("combine-operator", _edit("combine or", "combine xor"), "unknown operator 'xor' in combine", 9),
     ("combine-count", _edit("combine or", "combine or and"), "2 events need 1 operators, got 2", 9),
+    ("combine-operator-before-count", _edit("combine or", "combine and xor"), "unknown operator 'xor' in combine", 9),
     ("combine-no-events", _edit("  event go resists replay\n", "  combine and\n"), "an event tree needs at least one event", 4),
     ("close-outside", MINIMAL + "}\n", "unexpected '}'", 16),
     ("close-shape", _edit("  combine or\n}", "  combine or\n} trailing"), "unexpected '}'", 10),

@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 from lpict.errors import FragmentError
@@ -72,6 +74,51 @@ def test_forward_shortest_path():
     premises = (a, Implies(a, b), Implies(b, g), Implies(a, g))
     proof = search_forward_chain(premises, g)
     assert len(proof) == 3
+
+
+def breadth_first_path(premises, goal):
+    """The implication path of a plain breadth-first search from the premises
+    in order, each fact queued once: the path the proofs must follow."""
+    seen, edges, back = set(premises), {}, {}
+    if goal in seen:
+        return []
+    for p in premises:
+        if isinstance(p, Implies):
+            edges.setdefault(p.left, []).append(p)
+    queue = deque(premises)
+    while queue:
+        for imp in edges.get(queue.popleft(), ()):
+            if imp.right not in seen:
+                back[imp.right] = imp
+                seen.add(imp.right)
+                queue.append(imp.right)
+    if goal not in back:
+        return None
+    path = [back[goal]]
+    while path[-1].left in back:
+        path.append(back[path[-1].left])
+    return path[::-1]
+
+
+def test_proofs_follow_the_breadth_first_path(rng):
+    # fresh but equal formula objects, repeated premises, and implications
+    # whose antecedent or consequent is an implication
+    def fresh(f):
+        return Atom(f.name) if isinstance(f, Atom) else Implies(fresh(f.left), fresh(f.right))
+
+    for _ in range(500):
+        premises, goal = random_chain_sequent(rng)
+        premises = list(premises) + [fresh(rng.choice(premises)) for _ in range(rng.randrange(3))]
+        for _ in range(rng.randrange(3)):
+            imp = rng.choice([p for p in premises if isinstance(p, Implies)])
+            premises.append(rng.choice([Implies(imp, rng.choice(premises)), Implies(goal, imp)]))
+        premises = tuple(fresh(p) if rng.random() < 0.3 else p for p in rng.sample(premises, len(premises)))
+        path = breadth_first_path(premises, goal)
+        fwd = search_forward_chain(premises, fresh(goal))
+        assert (fwd is None) == (path is None)
+        if fwd is not None:
+            assert [line.formula for line in fwd.lines if line.rule is Rule.ASSUMPTION] == path
+            assert check_proof(Sequent(premises, goal), fwd).valid
 
 
 def test_search_results_check(rng):

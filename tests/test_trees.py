@@ -21,6 +21,7 @@ from lpict.trees import (
     eval_event_leaves,
     eval_event_tree,
     event_leaves,
+    leaf_names,
 )
 
 
@@ -79,6 +80,7 @@ def test_negated_leaf():
 def test_leaves_in_order_with_negated_and_repeated_leaves():
     tree = parse_formula("(a & !b) | (b & (!a | a))")
     assert event_leaves(tree) == [Atom("a"), Not(Atom("b")), Atom("b"), Not(Atom("a")), Atom("a")]
+    assert leaf_names(tree) == {"a", "b"}
     value, bits = eval_event_leaves(tree, {"a": True, "b": False})
     assert value is True and bits == (True, True, False, False, True)
 
@@ -92,6 +94,8 @@ def test_unknown_operator_rejected():
 def test_nodes_outside_the_fragment_rejected(tree):
     with pytest.raises(ValidationError, match="allow only atoms"):
         event_leaves(Or(Atom("x"), tree))
+    with pytest.raises(ValidationError, match="allow only atoms"):
+        leaf_names(Or(tree, Atom("x")))
     with pytest.raises(ValidationError):
         eval_event_tree(And(tree, Atom("x")), {"a": True, "b": True, "x": True})
 
@@ -105,6 +109,7 @@ def test_deep_trees_do_not_recurse():
     names = [f"e{i}" for i in range(n)]
     tree = build_event_tree(names, ["and"] * (n - 1))
     assert len(event_leaves(tree)) == n
+    assert leaf_names(tree) == set(names)
     valuation = dict.fromkeys(names, True)
     value, bits = eval_event_leaves(tree, valuation)
     assert value is True and len(bits) == n
