@@ -23,7 +23,7 @@ from .kmp import kmp_match
 from .logic.proofs import check_proof, proof_records, render_proof_table, render_sequent
 from .models import BUILTIN_MODELS, load_model, with_attackers
 from .pi.parser import parse_process, pretty_print
-from .pi.reduction import reduce_step
+from .pi.reduction import nested_replication, reduce_step
 from .report import build_dual_report, build_single_report, paint, render_report, yesno
 
 
@@ -96,6 +96,8 @@ def _cmd_prove(args) -> int:
 
 def _cmd_reduce(args) -> int:
     term = parse_process(args.term)
+    if (nested := nested_replication(term)) is not None:
+        raise LpictError(f"nested replication {pretty_print(nested)!r}: the inner one is not unfolded")
     text = pretty_print(term)
     steps = max(args.steps, 0)
     for step in range(steps):

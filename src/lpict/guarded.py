@@ -144,7 +144,8 @@ class GuardedLTS(Cached):
             for end in (t.source, t.target):
                 if end not in known:
                     raise ValidationError(f"transition {t.source}->{t.target} references undeclared state {end!r}", t)
-            loose = atoms(t.guard.formula) - resolvable
+            f = t.guard.formula  # the usual guard is one atom, which needs no `atoms` walk
+            loose = None if type(f) is Atom and f.name in resolvable else atoms(f) - resolvable
             if loose:
                 raise ValidationError(
                     f"guard of {t.source}->{t.target} references unknown atom {sorted(loose)[0]!r}", t

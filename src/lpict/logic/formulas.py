@@ -47,8 +47,9 @@ def frozen_record(cls):
 
 class Cached:
     """The base of a record that keeps what it computes once in a `__dict__`
-    beside its slots: its hash, stored on first use, and any cached property.
-    A pickle holds only the fields, as string hashes vary by process."""
+    beside its slots: its hash, stored on first use, a π term's text, stored
+    by `pretty_print`, and any cached property. A pickle holds only the
+    fields, as string hashes vary by process; `replace` starts a new record."""
 
     def __hash__(self):
         h = self.__dict__.get("_hash")

@@ -13,6 +13,7 @@ back into a term, with sorted components and canonically named binders.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import is_
 
 from .terms import NIL, Bang, Nil, Par, Process, Receive, Restrict, Send, Sum, Tau
 from .terms import all_names, free_names, fresh_name, substitute
@@ -175,13 +176,26 @@ def _branch_key(pi, cont: Process, env: dict[str, tuple], depth: int):
 
 def normalize(p: Process) -> Process:
     """Prenex shape with nils dropped, levels flattened, and bang bodies
-    absorbed. A restriction keeps its name unless hoisting it would clash, so
-    normalize(normalize(p)) == normalize(p)."""
+    absorbed. A restriction keeps its name unless hoisting it would clash,
+    and a subterm that normalizing leaves alone is returned itself, so
+    normalize(normalize(p)) is normalize(p)."""
     return _norm_term(p, set(all_names(p)))
 
 
 def _norm_term(p: Process, used: set[str]) -> Process:
-    return p if isinstance(p, Nil) else assemble(*_finalize_level(*_prenex(p, used)))
+    # p itself where nothing changes; a lone sum or replication hoists and absorbs nothing
+    if isinstance(p, Bang):
+        body = _norm_term(p.body, used)
+        return p if body is p.body else Bang(body)
+    if isinstance(p, Sum):
+        branches = tuple([(pi, _norm_term(cont, used)) for pi, cont in p.branches])
+        return p if all(b[1] is c[1] for b, c in zip(branches, p.branches)) else Sum(branches)
+    if isinstance(p, Nil):
+        return p
+    binders, comps = _finalize_level(*_prenex(p, used))
+    old_binders, old_comps = level_parts(p)
+    same = tuple(binders) == old_binders and len(comps) == len(old_comps) and all(map(is_, comps, old_comps))
+    return p if same else assemble(binders, comps)
 
 
 def _prenex(p: Process, used: set[str]) -> tuple[list[str], list[Process]]:
@@ -199,10 +213,8 @@ def _prenex(p: Process, used: set[str]) -> tuple[list[str], list[Process]]:
             scopes.append(None)
         elif isinstance(q, Par):
             stack += reversed(q.components)
-        elif isinstance(q, Sum):
-            comps.append(Sum(tuple((pi, _norm_term(cont, used)) for pi, cont in q.branches)))
-        elif isinstance(q, Bang):
-            comps.append(Bang(_norm_term(q.body, used)))
+        elif isinstance(q, (Sum, Bang)):
+            comps.append(_norm_term(q, used))
         elif not isinstance(q, Nil):
             raise TypeError(f"not a process term: {q!r}")
     where: dict[str, list[int]] = {}

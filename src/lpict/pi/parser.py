@@ -143,26 +143,31 @@ def _pp_prefix(pi: Prefix) -> str:
     return f"{pi.channel}<{','.join(pi.args)}>"
 
 
-def _needs_parens_as_body(p: Process) -> bool:
+def _pp_term(p: Process) -> str:
     # Bodies of '.', '!' and 'new' sit at term level: parallels and
     # multi-branch sums must be parenthesized there.
-    return isinstance(p, Par) or (isinstance(p, Sum) and len(p.branches) > 1)
-
-
-def _pp_term(p: Process) -> str:
     out = pretty_print(p)
-    return f"({out})" if _needs_parens_as_body(p) else out
+    return f"({out})" if isinstance(p, Par) or (isinstance(p, Sum) and len(p.branches) > 1) else out
 
 
 def pretty_print(p: Process) -> str:
+    """The term's text. A compound term makes it once and stores it in its
+    `__dict__`, so terms that share components print them once."""
     if isinstance(p, Nil):
         return "0"
+    if not isinstance(p, (Sum, Par, Restrict, Bang)):
+        raise TypeError(f"not a process term: {p!r}")
+    text = p.__dict__.get("_text")
+    if text is None:
+        text = p.__dict__["_text"] = _make_text(p)
+    return text
+
+
+def _make_text(p: Process) -> str:
     if isinstance(p, Sum):
         return " + ".join(f"{_pp_prefix(pi)}.{_pp_term(cont)}" for pi, cont in p.branches)
     if isinstance(p, Par):
         return " | ".join(f"({pretty_print(c)})" if isinstance(c, Par) else pretty_print(c) for c in p.components)
     if isinstance(p, Restrict):
         return f"new {p.name} {_pp_term(p.body)}"
-    if isinstance(p, Bang):
-        return f"!{_pp_term(p.body)}"
-    raise TypeError(f"not a process term: {p!r}")
+    return f"!{_pp_term(p.body)}"

@@ -14,7 +14,7 @@ are labelled again, and components the successors share are decoded once.
 from __future__ import annotations
 
 from .congruence import level_groups, level_parts, normalize, standard_form, standard_level
-from .terms import Bang, Process, Receive, Send, Sum, Tau, all_names, fresh_name, substitute
+from .terms import Bang, Par, Process, Receive, Restrict, Send, Sum, Tau, all_names, fresh_name, substitute
 
 TAU = "TAU"
 REACT = "REACT"
@@ -115,3 +115,20 @@ def reduce_step(p: Process) -> frozenset[tuple[str, Process]]:
                         emit(REACT if not rpi.params else REACT_POLYADIC, {r: cont, s: scont})
 
     return frozenset(found)
+
+
+def nested_replication(p: Process) -> Bang | None:
+    """The first replication, in print order, with a replication on its body's
+    level, through restrictions and parallels: `reduce_step` misses reactions
+    of such a term, as it does not unfold the inner one."""
+    stack: list[tuple[Process, Bang | None]] = [(p, None)]  # a term, the replication whose level it is on
+    while stack:
+        q, bang = stack.pop()
+        if isinstance(q, Bang):
+            if bang is not None:
+                return bang
+            stack.append((q.body, q))
+        elif isinstance(q, (Restrict, Par)):  # the same level
+            stack += [(c, bang) for c in reversed(q.components if isinstance(q, Par) else (q.body,))]
+        elif isinstance(q, Sum):
+            stack += [(cont, None) for _, cont in reversed(q.branches)]

@@ -1,8 +1,9 @@
 """Process term syntax: prefixes, sums, parallel composition, restriction, replication.
 
-Terms are immutable; all operations return new values. A compound term
-stores its hash on first use (`Cached`): the successors of one reduction step
-share their components.
+Terms are immutable. An operation that changes nothing may return the term it
+was given: `normalize` returns a normal term itself. A compound term stores
+its hash and its printed text on first use (`Cached`), and the successors of
+one reduction step share their components, so each is hashed and printed once.
 """
 
 from __future__ import annotations

@@ -119,6 +119,36 @@ def test_reduce_replication_reacts_with_itself(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "term, nested",
+    [
+        ("!!a.0 | a<>.0", "!!a.0"),
+        ("!(a.0 | !a<>.0)", "!(a.0 | !a<>.0)"),
+        ("!(new x (a.0 | !a<>.0))", "!new x (a.0 | !a<>.0)"),
+        # stuck after one step, so the whole term is checked before step 0
+        ("b.!!a.0 | b<>.0 | a<>.0", "!!a.0"),
+        ("!!a.0 | !(c.0 | !!d.0)", "!!a.0"),
+    ],
+)
+def test_reduce_rejects_nested_replication(capsys, term, nested):
+    code, out, err = run(capsys, "reduce", "--term", term, "--steps", "3")
+    assert code == 2 and out == ""
+    assert err == f"error: nested replication {nested!r}: the inner one is not unfolded\n"
+
+
+def test_reduce_accepts_a_replication_under_a_prefix_in_a_replication(capsys):
+    code, out, err = run(capsys, "reduce", "--term", "!(a.!b.0) | a<>.0 | b<>.0", "--steps", "3")
+    assert code == 0 and err == ""
+    assert out == (
+        "step 0: !a.!b.0 | a<>.0 | b<>.0\n"
+        "  [REACT] b<>.0 | !a.!b.0 | !b.0\n"
+        "step 1: b<>.0 | !a.!b.0 | !b.0\n"
+        "  [REACT] !a.!b.0 | !b.0\n"
+        "step 2: !a.!b.0 | !b.0\n"
+        "  (stuck)\n"
+    )
+
+
 def test_deep_nesting_is_exit_2(tmp_path, capsys):
     # exit 1 means "flawed", so a crash on deeply nested input must not exit 1
     term = "(" * 1200 + "0" + ")" * 1200

@@ -299,3 +299,26 @@ def test_chain_follows_every_buildable_system(rng):
                 lts.chain
             outcomes.add("branching")
     assert outcomes == {"rejected", "chain", "branching"}
+
+
+@pytest.mark.parametrize(
+    "guard, loose",
+    [
+        (Atom("S1"), None),
+        (Atom("e1"), None),
+        (And(Atom("S1"), Atom("e1")), None),
+        (Atom("ghost"), "ghost"),
+        (Not(Atom("ghost")), "ghost"),
+        (And(Atom("S1"), Atom("ghost")), "ghost"),
+        (Implies(Atom("zz"), Atom("ghost")), "ghost"),
+    ],
+)
+def test_guard_atoms_resolve_whatever_the_guard_shape(guard, loose):
+    # a lone atom is checked by membership, any other guard through `atoms`
+    states = [simple_state("S1", "e1"), simple_state("S2", "e2")]
+    transitions = [GuardedTransition("S1", "t", "S2", Guard(guard))]
+    if loose is None:
+        assert build_guarded_lts(states, transitions, "S1", "S2").transitions[0].guard.formula == guard
+    else:
+        with pytest.raises(ValidationError, match=f"unknown atom '{loose}'"):
+            build_guarded_lts(states, transitions, "S1", "S2")

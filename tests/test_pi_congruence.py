@@ -304,6 +304,20 @@ def test_normalize_is_a_fixpoint(rng):
         assert normalize(once) == once
 
 
+def test_a_normal_term_normalizes_to_itself(rng):
+    for _ in range(2000):
+        p = random_term(rng, 4)
+        for q in (normalize(p), standard_form(p)):
+            assert normalize(q) is q  # so it keeps its stored hash
+
+
+def test_normalize_keeps_the_components_it_leaves_alone():
+    a, b, c = P("a.0"), P("!b<>.0"), P("new k c<k>.0")
+    flat = normalize(Par(a, Par(NIL, b), c))
+    first, second, third = flat.body.components
+    assert first is a and second is b and third is c.body
+
+
 def test_normalize_keeps_a_binder_name_that_does_not_clash():
     term = P("new k (k.0 | a<k>.0)")
     printed = []

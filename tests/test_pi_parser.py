@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 
 from lpict.errors import ParseError
@@ -5,7 +8,7 @@ from lpict.lexing import MAX_NESTING
 from lpict.pi.congruence import standard_form
 from lpict.pi.parser import parse_process, pretty_print
 from lpict.pi.reduction import reduce_step
-from lpict.pi.terms import NIL, Par, Receive, Restrict, Send, Sum, Tau
+from lpict.pi.terms import NIL, Bang, Nil, Par, Receive, Restrict, Send, Sum, Tau
 
 from conftest import random_term
 
@@ -179,3 +182,69 @@ def test_parse_print_identity_on_asts(rng):
     for _ in range(400):
         term = random_term(rng, rng.randrange(0, 6))
         assert parse_process(pretty_print(term)) == term
+
+
+def plain_print(p):
+    """The grammar's printer again, storing nothing."""
+
+    def body(q):
+        out = plain_print(q)
+        return f"({out})" if isinstance(q, Par) or (isinstance(q, Sum) and len(q.branches) > 1) else out
+
+    def prefix(pi):
+        if isinstance(pi, Tau):
+            return "tau"
+        if isinstance(pi, Receive):
+            return pi.channel + (f"({','.join(pi.params)})" if pi.params else "")
+        return f"{pi.channel}<{','.join(pi.args)}>"
+
+    if isinstance(p, Nil):
+        return "0"
+    if isinstance(p, Sum):
+        return " + ".join(f"{prefix(pi)}.{body(cont)}" for pi, cont in p.branches)
+    if isinstance(p, Par):
+        return " | ".join(f"({plain_print(c)})" if isinstance(c, Par) else plain_print(c) for c in p.components)
+    if isinstance(p, Restrict):
+        return f"new {p.name} {body(p.body)}"
+    return f"!{body(p.body)}"
+
+
+def changed(p):
+    """p with one field replaced through `dataclasses.replace`."""
+    if isinstance(p, Sum):
+        return dataclasses.replace(p, branches=p.branches[::-1] + p.branches[:1])
+    if isinstance(p, Par):
+        return dataclasses.replace(p, components=p.components[::-1] + (NIL,))
+    if isinstance(p, Restrict):
+        return dataclasses.replace(p, name=p.name + "1")
+    return dataclasses.replace(p, body=Bang(p.body)) if isinstance(p, Bang) else p
+
+
+def test_a_term_prints_once_and_as_the_plain_printer_does(rng):
+    for _ in range(1000):
+        term = random_term(rng, rng.randrange(0, 6))
+        expected = plain_print(term)
+        never_printed = pickle.loads(pickle.dumps(term))
+        assert pretty_print(term) == expected
+        assert pretty_print(term) == expected  # the stored text
+        if not isinstance(term, Nil):
+            assert term.__dict__["_text"] == expected
+        # a pickle holds only the fields: the stored text does not travel
+        assert pickle.dumps(term) == pickle.dumps(never_printed)
+        copy = pickle.loads(pickle.dumps(term))
+        assert pretty_print(copy) == expected
+        other = changed(term)
+        assert pretty_print(other) == plain_print(other)
+        assert pretty_print(dataclasses.replace(term)) == expected
+
+
+def test_successors_print_as_the_plain_printer_does():
+    term = parse_process(" | ".join(["new k x<k>.k(v).0"] * 4 + [f"x(y).y<b{i}>.0" for i in range(4)]))
+    for _, successor in reduce_step(term):
+        assert pretty_print(successor) == plain_print(successor)
+
+
+@pytest.mark.parametrize("value", [object(), Tau(), "a.0", None])
+def test_pretty_print_of_a_non_term_is_a_type_error(value):
+    with pytest.raises(TypeError, match="not a process term"):
+        pretty_print(value)

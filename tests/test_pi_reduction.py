@@ -1,7 +1,7 @@
 from lpict.pi.congruence import standard_form, structurally_congruent
 from lpict.pi.parser import parse_process, pretty_print
-from lpict.pi.reduction import REACT, REACT_POLYADIC, TAU, reduce_step
-from lpict.pi.terms import free_names, substitute
+from lpict.pi.reduction import REACT, REACT_POLYADIC, TAU, nested_replication, reduce_step
+from lpict.pi.terms import Bang, Par, Restrict, Sum, free_names, substitute
 
 from conftest import random_term
 
@@ -179,3 +179,38 @@ def test_reduce_step_keeps_no_state_between_calls():
     first = reduce_step(term)
     assert reduce_step(term) == first
     assert state() == before
+
+
+def replication_on_level(p):
+    if isinstance(p, Bang):
+        return True
+    if isinstance(p, Restrict):
+        return replication_on_level(p.body)
+    return isinstance(p, Par) and any(map(replication_on_level, p.components))
+
+
+def nested_replications(p):
+    """Every replication with a replication on its body's level, recursively."""
+    if isinstance(p, Bang):
+        return [p] * replication_on_level(p.body) + nested_replications(p.body)
+    if isinstance(p, Restrict):
+        return nested_replications(p.body)
+    if isinstance(p, Par):
+        return [b for c in p.components for b in nested_replications(c)]
+    if isinstance(p, Sum):
+        return [b for _, cont in p.branches for b in nested_replications(cont)]
+    return []
+
+
+def test_nested_replication_is_the_first_in_print_order(rng):
+    found = 0
+    for _ in range(3000):
+        term = random_term(rng, 5)
+        expected = nested_replications(term)
+        got = nested_replication(term)
+        if expected:
+            found += 1
+            assert got is expected[0]
+        else:
+            assert got is None
+    assert found >= 20
