@@ -37,7 +37,6 @@ from ..guarded import (
     build_guarded_lts,
     check_name,
 )
-from ..lexing import IDENTIFIER
 from ..logic.formulas import And, Atom, Formula, Or, format_formula, parse_formula
 from ..trees import build_event_tree, event_leaves
 from .core import IDEAL, NONIDEAL, EnvironmentConfig, ProtocolModel, capabilities
@@ -127,7 +126,7 @@ class _ModelReader:
         inline_empty = len(words) == 4 and words[2] == "{" and words[3] == "}"
         if not inline_empty and (len(words) != 3 or words[2] != "{"):
             raise ParseError("expected: state <id> {")
-        if not IDENTIFIER.fullmatch(words[1]):  # a keyword fails at its '}'
+        if not (words[1].isascii() and words[1].isidentifier()):  # a keyword fails at its '}'
             check_name(words[1], "state id")
         if inline_empty:
             self.add_state(StateNode(words[1], (), None))

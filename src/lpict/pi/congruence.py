@@ -12,7 +12,7 @@ back into a term, with sorted components and canonically named binders.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from operator import is_
 
 from .terms import NIL, Bang, Nil, Par, Process, Receive, Restrict, Send, Sum, Tau
@@ -55,6 +55,8 @@ def _name_key(n: str, env: dict[str, tuple]):
 def _level_key(p: Process, env: dict[str, tuple], depth: int):
     if isinstance(p, Nil):
         return ()
+    if isinstance(p, Sum):  # one group that binds nothing
+        return ((0, (_comp_key(p, env, depth),)),)
     return tuple(key for key, _, _ in level_groups(*level_parts(p), env, depth))
 
 
@@ -300,8 +302,8 @@ def standard_form(p: Process) -> Process:
 
 def standard_level(kept, binders, comps, memo: dict) -> Process:
     """The standard form of the level of the labelled groups `kept`, as
-    (key, binders, components), and of the normalized `comps` under
-    `binders`, which share no name with them. Replication copies are
+    (key, binders, components) in key order, and of the normalized `comps`
+    under `binders`, which share no name with them. Replication copies are
     absorbed; unless one is, the kept groups keep their keys and only `comps`
     are labelled. Binders that no component uses fall in no group; `memo`
     is as in `_decoded`."""
@@ -309,8 +311,10 @@ def standard_level(kept, binders, comps, memo: dict) -> Process:
     final = _finalize_level([b for _, bs, _ in kept for b in bs] + binders, level)
     if len(final[1]) < len(level):
         kept, (binders, comps) = [], final
-    keys = [g[0] for g in kept] + [g[0] for g in level_groups(binders, comps, {}, 0)]
-    return _decoded(tuple(sorted(keys)), memo)
+    keys = [g[0] for g in kept]
+    for key, _, _ in level_groups(binders, comps, {}, 0):
+        insort(keys, key)
+    return _decoded(tuple(keys), memo)
 
 
 class _Namer:
@@ -331,16 +335,17 @@ def _decoded(key, memo: dict) -> Process:
     print order, skipping the key's free names; a first reading names them
     regardless, and a second runs only if one of these names is free. A
     top-level component depends only on its key, the names in scope, the
-    namer's index and `avoid`, so `memo` maps these to the component, the
-    index after it and its free names, for all the terms decoded with it."""
+    namer's index and `avoid`, so `memo` maps these, by the key's identity, to
+    the key (a hit is checked with `is`), the component, the index after it
+    and its free names, for all the terms decoded with it."""
 
     def shared(ck, scope, namer: _Namer, free: set[str]) -> Process:
-        at = (ck, scope, namer.index, namer.avoid)
+        at = (id(ck), scope, namer.index, namer.avoid)
         hit = memo.get(at)
-        if hit is None:
+        if hit is None or hit[0] is not ck:
             own: set[str] = set()
-            hit = memo[at] = (_decode_comp(ck, scope, namer, own), namer.index, own)
-        comp, namer.index, own = hit
+            hit = memo[at] = (ck, _decode_comp(ck, scope, namer, own), namer.index, own)
+        _, comp, namer.index, own = hit
         free |= own
         return comp
 
@@ -372,15 +377,15 @@ def _decode_comp(ck, names: tuple[str, ...], fresh, free: set[str]) -> Process:
 
 def _decode(key, names: tuple[str, ...], fresh, free: set[str], comp=_decode_comp) -> Process:
     """Rebuild a level from its key; names[i] is the name bound at depth i.
-    Binders are named in print order; free names are added to `free`, and
-    `comp` decodes each component."""
-    binders, items = [], []
+    Binders are named in print order, sums before replications, each in group
+    order; free names are added to `free`, and `comp` decodes each component."""
+    binders, sums, bangs = [], [], []
     for m, cert in key:
-        local = tuple([fresh() for _ in range(m)])
+        local = tuple([fresh() for _ in range(m)]) if m else ()  # else one component
         binders += local
-        items += [(ck, names + local) for ck in cert]
-    items.sort(key=lambda item: item[0][0])  # sums first; stable, so in group order
-    return assemble(binders, [comp(ck, scope, fresh, free) for ck, scope in items])
+        for ck in cert:
+            (bangs if ck[0] else sums).append((ck, names + local if m else names))
+    return assemble(binders, [comp(ck, scope, fresh, free) for ck, scope in sums + bangs])
 
 
 def is_standard_form(p: Process) -> bool:

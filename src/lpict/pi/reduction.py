@@ -6,7 +6,8 @@ implicit: redexes hidden behind restriction or reordered parallels are found
 after hoisting, and each replication !Q is read as Q | Q | !Q, so that its
 body reacts with the level and with itself. Interchangeable components give
 congruent successors, so only one representative of each class of them takes
-part in a reaction. Successors are returned in standard form, keyed from the
+part in a reaction, and reactions are found through an index of the sends
+by channel. Successors are returned in standard form, keyed from the
 parent's labelling: only the groups of components that a reaction touches
 are labelled again, and components the successors share are decoded once.
 """
@@ -71,6 +72,10 @@ def reduce_step(p: Process) -> frozenset[tuple[str, Process]]:
             if len(members) < 2:
                 members.append((i, comp))
 
+    copy_groups: dict[int, set[int]] = {}  # the groups of each copy, the level's as copy 0
+    for i, k in enumerate(owner):
+        copy_groups.setdefault(k, set()).add(group_of[i])
+
     found: set[tuple[str, Process]] = set()
     memo: dict = {}  # the successors decode the components they share once
 
@@ -78,7 +83,7 @@ def reduce_step(p: Process) -> frozenset[tuple[str, Process]]:
         # Replacements map component indices to their continuations. The copies
         # the reaction did not touch are dropped, as the replication absorbs them.
         keep = {0} | {owner[i] for i in replacements}
-        touched = {group_of[i] for i, k in enumerate(owner) if i in replacements or k not in keep}
+        touched = {group_of[i] for i in replacements}.union(*[gs for k, gs in copy_groups.items() if k not in keep])
         new_binders, new_comps = [], []
         for g in touched:
             new_binders += [b for b in groups[g][1] if binder_owner[b] in keep]
@@ -92,27 +97,29 @@ def reduce_step(p: Process) -> frozenset[tuple[str, Process]]:
         kept = [group for g, group in enumerate(labelled) if g not in touched]
         found.add((tag, standard_level(kept, new_binders, new_comps, memo)))
 
+    # Reactions are found by channel: the sends of every class member, keyed
+    # by channel and arity, meet the receives of member 0 of each class.
+    # Member 0 receives from member 0 of another class or from member 1 of
+    # its own, so no component reacts with itself.
+    sends: dict[tuple[str, int], list] = {}
     for members in classes.values():
         i, comp = members[0]
         for pi, cont in comp.branches:
             if isinstance(pi, Tau):
                 emit(TAU, {i: cont})
+        for k, (s, comp) in enumerate(members):
+            for pi, cont in comp.branches:
+                if isinstance(pi, Send):
+                    sends.setdefault((pi.channel, len(pi.args)), []).append((members, k, s, pi.args, cont))
 
-    for r_members in classes.values():
-        for s_members in classes.values():
-            if r_members is s_members:
-                if len(r_members) < 2:
-                    continue
-                (r, r_comp), (s, s_comp) = r_members
-            else:
-                (r, r_comp), (s, s_comp) = r_members[0], s_members[0]
-            receives = [(pi, cont) for pi, cont in r_comp.branches if isinstance(pi, Receive)]
-            sends = [(pi, cont) for pi, cont in s_comp.branches if isinstance(pi, Send)]
-            for rpi, rcont in receives:
-                for spi, scont in sends:
-                    if rpi.channel == spi.channel and len(rpi.params) == len(spi.args):
-                        cont = substitute(rcont, dict(zip(rpi.params, spi.args)))
-                        emit(REACT if not rpi.params else REACT_POLYADIC, {r: cont, s: scont})
+    for members in classes.values():
+        r, comp = members[0]
+        for pi, rcont in comp.branches:
+            if isinstance(pi, Receive):
+                for s_members, k, s, args, scont in sends.get((pi.channel, len(pi.params)), ()):
+                    if (s_members is members) == (k == 1):
+                        cont = substitute(rcont, dict(zip(pi.params, args)))
+                        emit(REACT if not args else REACT_POLYADIC, {r: cont, s: scont})
 
     return frozenset(found)
 

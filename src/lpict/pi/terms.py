@@ -1,9 +1,10 @@
 """Process term syntax: prefixes, sums, parallel composition, restriction, replication.
 
 Terms are immutable. An operation that changes nothing may return the term it
-was given: `normalize` returns a normal term itself. A compound term stores
-its hash and its printed text on first use (`Cached`), and the successors of
-one reduction step share their components, so each is hashed and printed once.
+was given: `normalize` returns a normal term itself, and `substitute` a
+subterm it renames nothing in. A compound term stores its hash, its names and
+its printed text on first use (`Cached`), and the successors of one reduction
+step share their components, so each is hashed and printed once.
 """
 
 from __future__ import annotations
@@ -100,53 +101,52 @@ Process = Union[Nil, Sum, Par, Restrict, Bang]
 NIL = Nil()
 
 
+_NO_NAMES: tuple[frozenset[Name], frozenset[Name]] = (frozenset(), frozenset())
+
+
 def free_names(p: Process) -> frozenset[Name]:
-    if isinstance(p, Nil):
-        return frozenset()
-    if isinstance(p, Sum):
-        out: set[Name] = set()
-        for pi, cont in p.branches:
-            if isinstance(pi, Tau):
-                out |= free_names(cont)
-            elif isinstance(pi, Receive):
-                out.add(pi.channel)
-                out |= free_names(cont) - set(pi.params)
-            else:
-                out.add(pi.channel)
-                out |= set(pi.args)
-                out |= free_names(cont)
-        return frozenset(out)
-    if isinstance(p, Par):
-        return frozenset().union(*map(free_names, p.components))
-    if isinstance(p, Restrict):
-        return free_names(p.body) - {p.name}
-    if isinstance(p, Bang):
-        return free_names(p.body)
-    raise TypeError(f"not a process term: {p!r}")
+    return _names(p)[0]
 
 
 def all_names(p: Process) -> frozenset[Name]:
     """Every name occurring in p, free or bound."""
+    return _names(p)[1]
+
+
+def _names(p: Process) -> tuple[frozenset[Name], frozenset[Name]]:
+    """p's free names and all its names. A compound term finds both in one
+    walk on first use and stores them in its `__dict__`."""
     if isinstance(p, Nil):
-        return frozenset()
+        return _NO_NAMES
+    if not isinstance(p, (Sum, Par, Restrict, Bang)):
+        raise TypeError(f"not a process term: {p!r}")
+    names = p.__dict__.get("_names")
+    if names is not None:
+        return names
     if isinstance(p, Sum):
-        out: set[Name] = set()
+        free: set[Name] = set()
+        every: set[Name] = set()
         for pi, cont in p.branches:
+            cont_free, cont_all = _names(cont)
             if isinstance(pi, Receive):
-                out.add(pi.channel)
-                out |= set(pi.params)
+                free.add(pi.channel)
+                cont_free, cont_all = cont_free.difference(pi.params), cont_all.union(pi.params)
             elif isinstance(pi, Send):
-                out.add(pi.channel)
-                out |= set(pi.args)
-            out |= all_names(cont)
-        return frozenset(out)
-    if isinstance(p, Par):
-        return frozenset().union(*map(all_names, p.components))
-    if isinstance(p, Restrict):
-        return all_names(p.body) | {p.name}
-    if isinstance(p, Bang):
-        return all_names(p.body)
-    raise TypeError(f"not a process term: {p!r}")
+                free.add(pi.channel)
+                free.update(pi.args)
+            free |= cont_free
+            every |= cont_all
+        names = frozenset(free), frozenset(free | every)
+    elif isinstance(p, Par):
+        parts = [_names(c) for c in p.components]
+        names = frozenset().union(*[f for f, _ in parts]), frozenset().union(*[a for _, a in parts])
+    elif isinstance(p, Restrict):
+        free_body, all_body = _names(p.body)
+        names = free_body - {p.name}, all_body if p.name in all_body else all_body | {p.name}
+    else:
+        names = _names(p.body)
+    p.__dict__["_names"] = names
+    return names
 
 
 def fresh_name(base: Name, avoid) -> Name:
@@ -159,26 +159,22 @@ def fresh_name(base: Name, avoid) -> Name:
 
 
 def substitute(p: Process, mapping: Mapping[Name, Name]) -> Process:
-    """Capture-avoiding simultaneous renaming of free names."""
-    mapping = {k: v for k, v in mapping.items() if k != v}
-    if not mapping:
-        return p
-    return _subst(p, mapping)
+    """Capture-avoiding simultaneous renaming of free names. A subterm with
+    no free name that the mapping renames is returned itself."""
+    return _subst(p, {k: v for k, v in mapping.items() if k != v})
 
 
 def _subst(p: Process, m: Mapping[Name, Name]) -> Process:
-    if isinstance(p, Nil):
+    if free_names(p).isdisjoint(m):
         return p
     if isinstance(p, Sum):
-        return Sum(tuple(_subst_branch(pi, cont, m) for pi, cont in p.branches))
+        return Sum(tuple([_subst_branch(pi, cont, m) for pi, cont in p.branches]))
     if isinstance(p, Par):
-        return Par(*(_subst(c, m) for c in p.components))
+        return Par(*[_subst(c, m) for c in p.components])
     if isinstance(p, Restrict):
         body, name = _subst_under_binders(p.body, (p.name,), m)
         return Restrict(name[0], body)
-    if isinstance(p, Bang):
-        return Bang(_subst(p.body, m))
-    raise TypeError(f"not a process term: {p!r}")
+    return Bang(_subst(p.body, m))
 
 
 def _subst_branch(pi: Prefix, cont: Process, m: Mapping[Name, Name]):
@@ -197,23 +193,13 @@ def _subst_under_binders(body: Process, binders: tuple[Name, ...], m: Mapping[Na
     """Apply m under `binders`, alpha-renaming any binder that would capture."""
     fv = free_names(body)
     live = {k: v for k, v in m.items() if k not in binders and k in fv}
-    if not live:
-        return body, binders
     captured = [b for b in binders if b in live.values()]
     if captured:
-        avoid = set(fv) | set(live.values()) | set(live.keys()) | set(binders) | set(
-            all_names(body)
-        )
+        avoid = {*all_names(body), *live.values(), *binders}
         renaming: dict[Name, Name] = {}
-        new_binders = []
-        for b in binders:
-            if b in captured:
-                nb = fresh_name(b, avoid)
-                avoid.add(nb)
-                renaming[b] = nb
-                new_binders.append(nb)
-            else:
-                new_binders.append(b)
+        for b in captured:
+            renaming[b] = fresh_name(b, avoid)
+            avoid.add(renaming[b])
         body = _subst(body, renaming)
-        binders = tuple(new_binders)
+        binders = tuple(renaming.get(b, b) for b in binders)
     return _subst(body, live), binders

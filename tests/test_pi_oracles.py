@@ -415,3 +415,61 @@ def test_successors_are_exactly_the_standard_forms_from_scratch():
     for _ in range(200):
         term = substitute(random_term(rng, rng.randrange(2, 6)), {"a": "v0", "b": "v1", "x": "v2"})
         assert reduce_step(term) == _from_scratch(term)
+
+
+def _channel_level(rng):
+    """A level of 2 to 12 sums over 1 to 3 channels, arities 0 to 2. Some
+    sums hold a send and a receive on one channel, and some come twice, the
+    second time with its receive parameters renamed and its branches
+    reversed, so that the class of the two has two members that differ."""
+    channels = ["a", "b", "c"][: rng.randrange(1, 4)]
+
+    def branch(kind, channel, arity):
+        if kind == "s":
+            return (Send(channel, tuple(rng.choice(FREE_NAMES) for _ in range(arity))), NIL)
+        params = tuple(PARAM_POOL[:arity])
+        cont = Sum(((Send(rng.choice(params + ("x",)), ()), NIL),)) if rng.random() < 0.5 else NIL
+        return (Receive(channel, params), cont)
+
+    comps, size = [], rng.randrange(2, 13)
+    while len(comps) < size:
+        channel, arity = rng.choice(channels), rng.randrange(0, 3)
+        if rng.random() < 0.3:
+            branches = [branch("s", channel, arity), branch("r", channel, arity)]
+        else:
+            branches = [branch(rng.choice("sr"), rng.choice(channels), rng.randrange(0, 3)) for _ in range(rng.randrange(1, 3))]
+        comps.append(Sum(tuple(branches)))
+        if len(comps) < size and rng.random() < 0.3:
+            renamed = {p: p.upper() for p in PARAM_POOL}
+            twin = [(Receive(pi.channel, tuple(renamed[p] for p in pi.params)), substitute(cont, renamed)) if isinstance(pi, Receive) else (pi, cont) for pi, cont in branches]
+            comps.append(Sum(tuple(reversed(twin))))
+    rng.shuffle(comps)
+    return comps
+
+
+def _reacts(receiver, sender, channels=("a", "b", "c")):
+    return any(
+        isinstance(r, Receive) and isinstance(s, Send) and r.channel == s.channel and r.channel in channels and len(r.params) == len(s.args)
+        for r, _ in receiver.branches
+        for s, _ in sender.branches
+    )
+
+
+def test_reactions_found_by_channel_agree_with_reference_reducer():
+    rng = random.Random(5151)
+    inside_a_class = alone_on_a_channel = 0
+    for _ in range(600):
+        comps = _channel_level(rng)
+        term = Par(*comps)
+        mine = reduce_step(term)
+        assert {(tag, canonical_key(s)) for tag, s in mine} == {(tag, canonical_key(s)) for tag, s in _ref_successors(term)}
+        assert mine == _from_scratch(term)
+        # two congruent members, one receiving from the other
+        pairs = [(c, d) for i, c in enumerate(comps) for d in comps[i + 1 :] if canonical_key(c) == canonical_key(d)]
+        inside_a_class += any(_reacts(c, d) for c, d in pairs)
+        # a stuck level where one sum holds the only send and the only
+        # receive on their channel
+        for c in comps:
+            lone = {pi.channel for pi, _ in c.branches} - {pi.channel for d in comps if d is not c for pi, _ in d.branches}
+            alone_on_a_channel += not mine and _reacts(c, c, lone)
+    assert inside_a_class >= 50 and alone_on_a_channel >= 5, (inside_a_class, alone_on_a_channel)  # 265 and 21 occur

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 
 from lpict.pi.congruence import canonical_key, normalize
@@ -14,10 +17,12 @@ from lpict.pi.terms import (
     Tau,
     all_names,
     free_names,
+    fresh_name,
     substitute,
 )
 
 from conftest import halves, random_term
+from test_pi_parser import changed
 
 
 def oracle_free_names(p, bound=frozenset()):
@@ -153,3 +158,118 @@ def test_stored_hashes_agree_and_stay_out_of_a_pickle():
     assert b"_hash" not in state
     copy = pickle.loads(state)
     assert copy == p and hash(copy) == hash(p)
+
+
+# ---------------------------------------------------------------------------
+# Stored names and sharing substitution
+
+
+def walked_names(p, bound=frozenset()):
+    """(free names, all names) of p, from a walk that stores nothing."""
+    if isinstance(p, Nil):
+        return set(), set()
+    if isinstance(p, Sum):
+        free, every = set(), set()
+        for prefix, cont in p.branches:
+            names = () if isinstance(prefix, Tau) else (prefix.channel, *getattr(prefix, "args", ()))
+            params = getattr(prefix, "params", ())
+            free |= {n for n in names if n not in bound}
+            cont_free, cont_all = walked_names(cont, bound | set(params))
+            free |= cont_free
+            every |= set(names) | set(params) | cont_all
+        return free, every
+    if isinstance(p, Par):
+        parts = [walked_names(c, bound) for c in p.components]
+        return set().union(*[f for f, _ in parts]), set().union(*[a for _, a in parts])
+    if isinstance(p, Restrict):
+        free, every = walked_names(p.body, bound | {p.name})
+        return free, every | {p.name}
+    return walked_names(p.body, bound)
+
+
+def plain_substitute(p, m):
+    """Capture-avoiding renaming that rebuilds every node, binders chosen as
+    `substitute` chooses them."""
+    if isinstance(p, Nil):
+        return p
+    if isinstance(p, Sum):
+        branches = []
+        for pi, cont in p.branches:
+            if isinstance(pi, Receive):
+                cont, params = plain_under_binders(cont, pi.params, m)
+                branches.append((Receive(m.get(pi.channel, pi.channel), params), cont))
+            elif isinstance(pi, Send):
+                branches.append((Send(m.get(pi.channel, pi.channel), tuple(m.get(a, a) for a in pi.args)), plain_substitute(cont, m)))
+            else:
+                branches.append((pi, plain_substitute(cont, m)))
+        return Sum(tuple(branches))
+    if isinstance(p, Par):
+        return Par(*(plain_substitute(c, m) for c in p.components))
+    if isinstance(p, Restrict):
+        body, (name,) = plain_under_binders(p.body, (p.name,), m)
+        return Restrict(name, body)
+    return Bang(plain_substitute(p.body, m))
+
+
+def plain_under_binders(body, binders, m):
+    fv, every = walked_names(body)
+    live = {k: v for k, v in m.items() if k not in binders and k in fv}
+    captured = [b for b in binders if b in live.values()]
+    if captured:
+        avoid = fv | set(live.values()) | set(live) | set(binders) | every
+        renaming = {}
+        for b in captured:
+            renaming[b] = fresh_name(b, avoid)
+            avoid.add(renaming[b])
+        body = plain_substitute(body, renaming)
+        binders = tuple(renaming.get(b, b) for b in binders)
+    return plain_substitute(body, live), binders
+
+
+def test_a_term_stores_its_names_once_and_as_a_plain_walk_finds_them(rng):
+    for _ in range(2000):
+        term = random_term(rng, rng.randrange(0, 6))
+        expected = tuple(map(frozenset, walked_names(term)))
+        never_named = pickle.loads(pickle.dumps(term))
+        assert (free_names(term), all_names(term)) == expected
+        assert free_names(term) is free_names(term) and all_names(term) is all_names(term)
+        if not isinstance(term, Nil):
+            assert term.__dict__["_names"] == expected
+        # a pickle holds only the fields: the stored names do not travel
+        assert pickle.dumps(term) == pickle.dumps(never_named)
+        copy = pickle.loads(pickle.dumps(term))
+        assert (free_names(copy), all_names(copy)) == expected
+        for other in (dataclasses.replace(term), changed(term)) if not isinstance(term, Nil) else ():
+            assert (free_names(other), all_names(other)) == tuple(map(frozenset, walked_names(other)))
+
+
+def test_substitute_shares_what_it_leaves_alone(rng):
+    pool = ["a", "b", "c", "x", "y", "z", "p", "q", "m", "n"]
+    captures = 0
+    for k in range(2000):
+        term = random_term(rng, rng.randrange(0, 6))
+        if k % 2:
+            term = Par(term, random_term(rng, rng.randrange(0, 4)), random_term(rng, rng.randrange(0, 4)))
+        mapping = {key: rng.choice(pool) for key in rng.sample(pool, rng.randrange(1, 4))}
+        renames = {key: v for key, v in mapping.items() if key != v}
+        result = substitute(term, mapping)
+        assert result == plain_substitute(term, renames)
+        assert (result is term) == free_names(term).isdisjoint(renames)
+        if isinstance(term, Par):
+            for old, new in zip(term.components, result.components):
+                assert (new is old) == free_names(old).isdisjoint(renames)
+        # a binder renamed to avoid capture takes a name in neither
+        captures += not all_names(result) <= all_names(term) | set(renames.values())
+    assert captures >= 20, captures  # 46 occur
+    away = {"zz": "y"}
+    term = parse_process("a(x).x<b>.0 | c<d>.0 | !e.0")
+    assert substitute(term, away) is term
+    renamed = substitute(term, {"c": "y"})
+    assert renamed.components[0] is term.components[0] and renamed.components[2] is term.components[2]
+
+
+@pytest.mark.parametrize("value", [object(), Tau(), "a.0", None])
+def test_names_of_a_non_term_are_a_type_error(value):
+    for names in (free_names, all_names):
+        with pytest.raises(TypeError, match="not a process term"):
+            names(value)
