@@ -448,3 +448,37 @@ def test_wide_state_renders_and_reads_back():
     assert load_model(text) == model
     assert hash(load_model(text)) == hash(model)
     assert load_model(wide_model_text(1500, weak=700)) != model
+
+
+# SHA-256 of `analyze --dual` on chain_model(n), planted at its middle state or
+# secure, with the duration zeroed. The hashes were taken before the reader,
+# the proof tables and the JSON rendering were made faster.
+DUAL_REPORT_SHA256 = {
+    (10, False, "json"): "d3e8248bac6a8829065b2f3028820062b534104c1581254008b51dee2098c769",
+    (10, False, "text"): "aa3e55976f0518fa72465820174e9d668a8195263bea2f9773cc583d317bff9e",
+    (10, True, "json"): "30c405812873c004f8af49ca27cd03340c83bc45401a61b1d184fc2e625279bb",
+    (10, True, "text"): "e6c7ffc082e97f7140f0d36b224bca4dcfb82eb8d9266f1ebe6c2eeef8bdcf9b",
+    (66, False, "json"): "aec303b8a80a40c20140bc1c465509afb3f4489b1bfbace3162952e729a80a0c",
+    (66, False, "text"): "4b1d158ffd05e1a998f0cf7f9f5e465afd48df6467801276aabb807f326e1424",
+    (66, True, "json"): "2ea2a54f079208511ee5ce7591361069558d438b42447c9f6bb2b130384a0392",
+    (66, True, "text"): "15ecf70cf56207986dfe48e0ff9815176583e0771214f6c9ecf33142a49648fd",
+    (400, False, "json"): "5c44bd7c08927a2ab57b10346aa76bb60d1464ad21c50eec0e94d2bea05fcb49",
+    (400, False, "text"): "86742bb8ed30d2247080bc1009df7dd10911cf22b1cae1880bcb7ea2118b1acc",
+    (400, True, "json"): "c6eb13c0b1c530690ed96241ef83fc50dde256af4367ed6248ffd29cc3584cd0",
+    (400, True, "text"): "d323c8fa4e8a69c8f304a18a6998dec3cd42a0ab1b285c530f29fc6328797454",
+}
+
+
+@pytest.mark.parametrize("n, planted, format", sorted(DUAL_REPORT_SHA256))
+def test_long_dual_reports_keep_their_bytes(n, planted, format, tmp_path, capsys):
+    import hashlib
+    import re
+
+    from lpict.cli import run_cli
+    from lpict.models import render_model
+
+    path = tmp_path / "chain.model"
+    path.write_text(render_model(chain_model(n, f"C{n // 2}" if planted else None)), encoding="utf-8")
+    assert run_cli(["analyze", "--model", str(path), "--dual", "--format", format]) == (1 if planted else 0)
+    out = re.sub(r'(duration: |"duration_ms": )[0-9.eE+-]+', r"\g<1>0", capsys.readouterr().out)
+    assert hashlib.sha256(out.encode()).hexdigest() == DUAL_REPORT_SHA256[n, planted, format]

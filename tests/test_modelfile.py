@@ -445,3 +445,52 @@ def test_the_library_rejects_what_the_format_cannot_write(words, message):
     with pytest.raises(ValidationError) as exc:
         _library_model(**words)
     assert str(exc.value) == message
+
+
+# Every kind of line the reader knows, one per line.
+EVERY_LINE_KIND = [
+    'protocol "Variants"',
+    "state A {",
+    "  event go resists replay mitm payload k m",
+    "  event ok",
+    "  combine and",
+    "}",
+    "state B {",
+    "  event stop",
+    "  event halt",
+    "  combine expr stop | !halt",
+    "}",
+    "alias C = A",
+    "state D { }",
+    "transition A -> B action step when go & A",
+    "transition B -> C",
+    "transition C -> D action done",
+    "initial A",
+    "terminal D",
+    "environment ideal",
+    "environment nonideal attackers mitm replay",
+]
+
+LINE_VARIANTS = {
+    "comment": lambda line: line + "  # note -> B when ghost",
+    "tabs": lambda line: "\t" + line.strip().replace(" ", "\t") + "\t",
+    "spaces": lambda line: "   " + line.strip().replace(" ", "   ") + "  ",
+    "crlf": lambda line: line + "\r",  # joined with "\n"
+}
+
+
+@pytest.mark.parametrize("variant", sorted(LINE_VARIANTS))
+def test_comment_and_whitespace_variants_read_the_same(variant):
+    plain = load_model("\n".join(EVERY_LINE_KIND) + "\n")
+    assert plain.lts.transitions[0].guard == Guard(parse_formula("go & A"))
+    edit = LINE_VARIANTS[variant]
+    for i, line in enumerate(EVERY_LINE_KIND):
+        lines = EVERY_LINE_KIND[:i] + [edit(line)] + EVERY_LINE_KIND[i + 1:]
+        assert load_model("\n".join(lines) + "\n") == plain, lines[i]
+    assert load_model("\n".join(map(edit, EVERY_LINE_KIND)) + "\n") == plain
+
+
+@pytest.mark.parametrize("guard", ["go & A # | ghost", "go & A#| ghost", "go & A\t#\tghost"])
+def test_a_hash_ends_a_when_guard(guard):
+    text = "\n".join(EVERY_LINE_KIND).replace("when go & A", f"when {guard}")
+    assert load_model(text).lts.transitions[0].guard == Guard(parse_formula("go & A"))

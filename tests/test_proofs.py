@@ -1,4 +1,6 @@
-from lpict.logic.formulas import FALSUM, Atom, Implies, Not
+import pytest
+
+from lpict.logic.formulas import FALSUM, Atom, Implies, Not, format_formula
 from lpict.logic.proofs import (
     CheckResult,
     Proof,
@@ -156,3 +158,21 @@ def test_empty_proof_and_bad_copies_are_rejected():
     assert check_proof(sq, two_refs) == CheckResult(False, 2, "copy takes one reference")
     other = Proof((ProofLine(1, q, Rule.PREMISE), ProofLine(2, p, Rule.COPY, (1,))))
     assert check_proof(sq, other) == CheckResult(False, 2, "copy does not repeat the referenced line")
+
+
+@pytest.mark.parametrize("k", [4, 5, 49, 50])
+def test_render_layout_across_number_widths(k):
+    # forward proofs have 2k+1 lines and refutations 2k+3, so these chains
+    # take each style across 9 -> 10 and 99 -> 100 lines
+    chain = [Atom(f"S{i}") for i in range(k + 1)]
+    sq = Sequent(tuple([chain[0]] + [Implies(a, b) for a, b in zip(chain, chain[1:])]), chain[-1])
+    for proof in (search_forward_chain(sq.premises, sq.conclusion), search_contradiction(sq.premises, sq.conclusion)):
+        numbers = [f"{line.index}." for line in proof.lines]
+        formulas = [format_formula(line.formula) for line in proof.lines]
+        justifications = [" ".join([line.rule.value] + ([",".join(map(str, line.refs))] if line.refs else [])) for line in proof.lines]
+        number_width, formula_width = max(map(len, numbers)), max(map(len, formulas))
+        expected = [
+            " " * (number_width - len(n)) + n + " " + f + " " * (formula_width + 2 - len(f)) + j
+            for n, f, j in zip(numbers, formulas, justifications)
+        ]
+        assert render_proof_table(proof).split("\n") == expected
