@@ -131,7 +131,8 @@ def entailment_sequent(lts: GuardedLTS) -> Sequent:
     `lts.chain`, for the first state met from the initial one that has two
     outgoing transitions."""
     lts.chain
-    atom = {sid: Atom(sid) for sid in lts.state_ids}
+    guards = {f.name: f for t in lts.transitions if type(f := t.guard.formula) is Atom}  # a default guard is its source
+    atom = {s.id: guards.get(s.id) or Atom(s.id) for s in lts.states}
     premises = tuple(
         [atom[lts.initial]]
         + [Implies(atom[t.source], atom[t.target]) for t in lts.transitions]
@@ -178,7 +179,8 @@ def _walk(lts: GuardedLTS, assignment, prior_values=None, prior_trace=()) -> tup
         facts.update(valuation)
         facts[state.id] = True
         for t in lts.outgoing(state.id):
-            if not eval_formula(t.guard.formula, facts):
+            f = t.guard.formula  # most guards are one atom, and the facts hold every atom
+            if not (facts[f.name] if type(f) is Atom else eval_formula(f, facts)):
                 return tuple(trace), (t.source, t.action)
     return tuple(trace), None
 
@@ -212,7 +214,11 @@ def dual_environment_verdict(model: ProtocolModel) -> DualVerdict:
     the ideal walk's."""
     ideal_values = apply_environment(model, model.environment(IDEAL))
     ideal_trace, ideal_failing = _walk(model.lts, ideal_values)
-    trace, failing = _walk(model.lts, apply_environment(model, model.environment(NONIDEAL)), ideal_values, ideal_trace)
+    values = apply_environment(model, model.environment(NONIDEAL))
+    if values == ideal_values:  # equal event values make equal walks
+        trace, failing = ideal_trace, ideal_failing
+    else:
+        trace, failing = _walk(model.lts, values, ideal_values, ideal_trace)
     entailment = entailment_judgment(model.lts) if ideal_failing is None or failing is None else None
     ideal = _judge(model.lts, ideal_trace, ideal_failing, entailment)
     matched = trace == ideal_trace

@@ -11,6 +11,7 @@ Set LPICT_COLOR=1 for ANSI color in text output.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -44,24 +45,32 @@ def _resolve_model(spec: str):
 
 
 def _cmd_analyze(args) -> int:
-    model = _resolve_model(args.model)
-    if args.attackers is not None:
-        if not args.dual and args.env != "nonideal":
-            raise LpictError("--attackers requires --env nonideal or --dual")
-        model = with_attackers(model, [w.strip() for w in args.attackers.split(",") if w.strip()])
-    started = time.perf_counter()
-    if args.dual:
-        verdict = dual_environment_verdict(model)
-    else:
-        env = model.environment(args.env or "ideal")
-        verdict = analyze_protocol(model, env)
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    if args.dual:
-        report = build_dual_report(model, verdict, elapsed_ms)
-    else:
-        report = build_single_report(model, env, verdict, duration_ms=elapsed_ms)
-    sys.stdout.write(render_report(report, args.format, color=args.color))
-    return 0 if verdict.secure else 1
+    # An analysis builds thousands of records, none in a cycle, that all die when
+    # it returns: collections during it would only walk them, so the collector waits.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        model = _resolve_model(args.model)
+        if args.attackers is not None:
+            if not args.dual and args.env != "nonideal":
+                raise LpictError("--attackers requires --env nonideal or --dual")
+            model = with_attackers(model, [w.strip() for w in args.attackers.split(",") if w.strip()])
+        started = time.perf_counter()
+        if args.dual:
+            verdict = dual_environment_verdict(model)
+        else:
+            env = model.environment(args.env or "ideal")
+            verdict = analyze_protocol(model, env)
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        if args.dual:
+            report = build_dual_report(model, verdict, elapsed_ms)
+        else:
+            report = build_single_report(model, env, verdict, duration_ms=elapsed_ms)
+        sys.stdout.write(render_report(report, args.format, color=args.color))
+        return 0 if verdict.secure else 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _cmd_prove(args) -> int:

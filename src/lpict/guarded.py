@@ -141,9 +141,9 @@ class GuardedLTS(Cached):
             raise ValidationError(f"{ambiguous[0]!r} names both a state and an event", ("event", ambiguous[0]))
         resolvable = known.keys() | event_names
         for t in self.transitions:
-            for end in (t.source, t.target):
-                if end not in known:
-                    raise ValidationError(f"transition {t.source}->{t.target} references undeclared state {end!r}", t)
+            if t.source not in known or t.target not in known:
+                end = t.source if t.source not in known else t.target
+                raise ValidationError(f"transition {t.source}->{t.target} references undeclared state {end!r}", t)
             f = t.guard.formula  # the usual guard is one atom, which needs no `atoms` walk
             loose = None if type(f) is Atom and f.name in resolvable else atoms(f) - resolvable
             if loose:

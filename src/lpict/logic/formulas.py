@@ -266,7 +266,9 @@ def format_formula(f: Formula) -> str:
 
 
 def _fmt(f: Formula, parent: int) -> str:
-    text = format_formula(f)
+    if type(f) is Atom:  # most operands: an atom needs no parentheses
+        return f.name
+    text = f._text or format_formula(f)
     return f"({text})" if _PREC[type(f)] < parent else text
 
 

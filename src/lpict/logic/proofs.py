@@ -139,22 +139,23 @@ def justification(line: ProofLine) -> str:
     # `_value_` is where Enum stores a member's value; `value` is a property
     # and a table prints one rule per line
     text, refs = line.rule._value_, line.refs
-    if len(refs) == 2:  # most lines; a join of two numbers is slow
-        return f"{text} {refs[0]},{refs[1]}"
     return f"{text} {','.join(map(str, refs))}" if refs else text
 
 
 def render_proof_table(proof: Proof) -> str:
     """Two-column layout: numbered formulas on the left, justifications right."""
-    if not proof.lines:
+    lines = proof.lines
+    if not lines:
         return "(empty proof)"
-    num_width = len(f"{proof.lines[-1].index}.")
-    formulas = [format_formula(line.formula) for line in proof.lines]
+    num_width = len(f"{lines[-1].index}.")
+    formulas = [line.formula._text or format_formula(line.formula) for line in lines]
     col = max(map(len, formulas)) + 2
-    rows = [
-        f"{f'{line.index}.'.rjust(num_width)} {text.ljust(col)}{justification(line)}"
-        for line, text in zip(proof.lines, formulas)
-    ]
+    rows = []
+    for line, text in zip(lines, formulas):
+        just, refs = line.rule._value_, line.refs  # most lines cite two or none: a join is slow
+        if refs:
+            just = f"{just} {refs[0]},{refs[1]}" if len(refs) == 2 else justification(line)
+        rows.append(f"{f'{line.index}.'.rjust(num_width)} {text.ljust(col)}{just}")
     return "\n".join(rows)
 
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import functools
 import re
+from itertools import count
+from operator import itemgetter
 
 from ..errors import ModelValidationError, ParseError, ValidationError
 from ..guarded import (
@@ -42,7 +44,6 @@ from ..trees import build_event_tree, event_leaves
 from .core import IDEAL, NONIDEAL, EnvironmentConfig, ProtocolModel, capabilities
 
 _PROTOCOL_RE = re.compile(r'\s*protocol\s+"([^"]+)"\s*$')
-_BLOCK_KEYWORDS = frozenset({"event", "combine", "}"})
 _RESIST_VALUES = {tag.value: tag for tag in ResistTag}
 
 
@@ -65,32 +66,25 @@ class _ModelReader:
         self.environments: list[EnvironmentConfig] = []
         # the words after an event's name -> its tags and payload, shared by its events
         self.event_shapes: dict[tuple[str, ...], tuple[frozenset[ResistTag], EventMessage | None]] = {}
-        # open state block, if any
-        self.block_id: str | None = None
-        self.block_events: list[Event] = []
-        self.block_combine: Formula | None = None
-        self.block_line = 0
+        # Only "\n" ends a line, and a "\r" before it is space to `split`.
+        texts = source.split("\n")
+        if "#" in source:
+            texts = [text.partition("#")[0] if "#" in text else text for text in texts]
+        # (number, text without comment, words) of each line that has words
+        self.lines = filter(itemgetter(2), zip(count(1), texts, map(str.split, texts)))
 
     def read(self) -> ProtocolModel:
-        """The model; any error on a line becomes a ParseError naming the line."""
+        """The model; any error on a line becomes a ParseError naming the line.
+        A state block's lines are read by `key_state`, from the same `lines`."""
         handlers = self.HANDLERS
         try:
-            for self.lineno, raw in enumerate(self.source.splitlines(), start=1):
-                text = raw.partition("#")[0]
-                words = text.split()
-                if not words:
-                    continue
-                key = words[0]
-                if self.block_id is not None and key not in _BLOCK_KEYWORDS:
-                    raise ParseError(f"unexpected {key!r} inside state block")
-                handler = handlers.get(key)
+            for self.lineno, text, words in self.lines:
+                handler = handlers.get(words[0])
                 if handler is None:
-                    raise ParseError(f"unknown keyword {key!r}")
+                    raise ParseError(f"unknown keyword {words[0]!r}")
                 handler(self, text, words)
         except (ParseError, ValidationError) as exc:
             raise ParseError(str(exc), line=self.lineno) from None
-        if self.block_id is not None:
-            raise ParseError(f"state block {self.block_id!r} is never closed", line=self.block_line)
         if self.protocol is None:
             raise ParseError("missing protocol declaration", line=1)
         if self.initial is None or self.terminal is None:
@@ -107,7 +101,7 @@ class _ModelReader:
         if isinstance(subject, GuardedTransition):
             return self.transition_lines[self.transitions.index(subject)]
         keyword, name = subject
-        for lineno, raw in enumerate(self.source.splitlines(), start=1):
+        for lineno, raw in enumerate(self.source.split("\n"), start=1):
             words = raw.partition("#")[0].split()[:2]
             if words == [keyword, name] or keyword == "state" and words == ["alias", name]:
                 return lineno
@@ -126,19 +120,38 @@ class _ModelReader:
         inline_empty = len(words) == 4 and words[2] == "{" and words[3] == "}"
         if not inline_empty and (len(words) != 3 or words[2] != "{"):
             raise ParseError("expected: state <id> {")
-        if not (words[1].isascii() and words[1].isidentifier()):  # a keyword fails at its '}'
-            check_name(words[1], "state id")
+        state_id = words[1]
+        if not (state_id.isascii() and state_id.isidentifier()):  # a keyword fails at its '}'
+            check_name(state_id, "state id")
         if inline_empty:
-            self.add_state(StateNode(words[1], (), None))
-            return
-        self.block_id = words[1]
-        self.block_events = []
-        self.block_combine = None
-        self.block_line = self.lineno
+            return self.add_state(StateNode(state_id, (), None))
+        opened, events, combine = self.lineno, [], None
+        for self.lineno, text, words in self.lines:
+            key = words[0]
+            if key == "event":
+                events.append(self.event(words))
+            elif key == "combine":
+                if combine is not None:
+                    raise ParseError("duplicate combine line")
+                combine = self.combine(text, words, events)
+            elif key != "}":
+                raise ParseError(f"unexpected {key!r} inside state block")
+            elif len(words) != 1:
+                raise ParseError("unexpected '}'")
+            else:
+                if combine is None and events:
+                    if len(events) > 1:
+                        raise ParseError(f"state {state_id!r} needs a combine line")
+                    combine = Atom(events[0].name)
+                return self.add_state(StateNode(state_id, tuple(events), combine))
+        self.lineno = opened
+        raise ParseError(f"state block {state_id!r} is never closed")
 
-    def key_event(self, text, words):
-        if self.block_id is None:
-            raise ParseError("event outside a state block")
+    def key_outside(self, text, words):
+        """An `event`, `combine` or `}` line outside a state block."""
+        raise ParseError("unexpected '}'" if words[0] == "}" else f"{words[0]} outside a state block")
+
+    def event(self, words) -> Event:
         if len(words) < 2:
             raise ParseError("expected: event <name> [resists ...] [payload ...]")
         shape = tuple(words[2:])
@@ -161,33 +174,17 @@ class _ModelReader:
                     raise ParseError(f"unknown resist tag {w!r}")
             resists = frozenset(_RESIST_VALUES[w] for w in tags)
             parsed = self.event_shapes[shape] = (resists, EventMessage(tuple(payload)) if payload else None)
-        self.block_events.append(Event(words[1], *parsed))
+        return Event(words[1], *parsed)
 
-    def key_combine(self, text, words):
-        if self.block_id is None:
-            raise ParseError("combine outside a state block")
-        if self.block_combine is not None:
-            raise ParseError("duplicate combine line")
+    def combine(self, text, words, events) -> Formula:
         if len(words) >= 2 and words[1] == "expr":
             try:
-                self.block_combine = parse_formula(_tail(text, 2))
-                event_leaves(self.block_combine)
+                tree = parse_formula(_tail(text, 2))
+                event_leaves(tree)
             except (ParseError, ValidationError) as exc:
                 raise ParseError(f"bad combine expression: {exc}") from None
-            return
-        self.block_combine = build_event_tree(self.block_events, words[1:])
-
-    def key_close(self, text, words):
-        if self.block_id is None or len(words) != 1:
-            raise ParseError("unexpected '}'")
-        events = tuple(self.block_events)
-        combine = self.block_combine
-        if combine is None and len(events) == 1:
-            combine = Atom(events[0].name)
-        if combine is None and len(events) > 1:
-            raise ParseError(f"state {self.block_id!r} needs a combine line")
-        self.add_state(StateNode(self.block_id, events, combine))
-        self.block_id = None
+            return tree
+        return build_event_tree(events, words[1:])
 
     def add_state(self, state: StateNode):
         if state.id in self.by_id:
@@ -246,9 +243,9 @@ class _ModelReader:
     HANDLERS = {
         "protocol": key_protocol,
         "state": key_state,
-        "event": key_event,
-        "combine": key_combine,
-        "}": key_close,
+        "event": key_outside,
+        "combine": key_outside,
+        "}": key_outside,
         "alias": key_alias,
         "transition": key_transition,
         "initial": key_end,

@@ -399,3 +399,23 @@ def test_reduce_output_is_byte_exact(golden, capsys):
     code, out, err = run(capsys, "reduce", "--term", REDUCE_GOLDENS[golden], "--steps", "2")
     assert (code, err) == (0, "")
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("model, code", [("tls13", 0), ("no-such-model", 2)])
+def test_the_collector_waits_while_an_analysis_runs(model, code, capsys, monkeypatch):
+    # and is left as the analysis found it, on an error too
+    import gc
+
+    import lpict.cli
+
+    during = []
+    resolve = lpict.cli._resolve_model
+    monkeypatch.setattr(lpict.cli, "_resolve_model", lambda spec: during.append(gc.isenabled()) or resolve(spec))
+    for enabled in (True, False):
+        gc.enable() if enabled else gc.disable()
+        try:
+            assert run(capsys, "analyze", "--model", model, "--dual")[0] == code
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+    assert during == [False, False]

@@ -265,6 +265,17 @@ READER_ERRORS = [
     ),
     ("state-unreachable", MINIMAL + "state C {\n  event c\n}\n", "state 'C' is unreachable from 'A'", 16),
     ("alias-unreachable", MINIMAL + "alias C = B\n", "state 'C' is unreachable from 'A'", 16),
+    # Only "\n" ends a line: other characters that str.splitlines breaks at
+    # are space inside one, and a "\r" is space before its "\n".
+    ("form-feed-line", MINIMAL + "\f\nprototype extra\n", "unknown keyword 'prototype'", 17),
+    ("next-line-in-event", _edit("  event go resists replay", "  event go\x85resists teleport"), "unknown resist tag 'teleport'", 4),
+    (
+        "line-separator-in-guard",
+        _edit("transition A -> B", "transition A -> B when go\u2028& ghost"),
+        "guard of A->B references unknown atom 'ghost'",
+        11,
+    ),
+    ("crlf-lone-cr", MINIMAL.replace("\n", "\r\n") + "# saved\ron a Mac\r\nprototype extra\r\n", "unknown keyword 'prototype'", 17),
 ]
 
 
