@@ -104,12 +104,13 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    if args.steps < 0:
+        raise LpictError(f"--steps must be 0 or more, got {args.steps}")
     term = parse_process(args.term)
     if (nested := nested_replication(term)) is not None:
         raise LpictError(f"nested replication {pretty_print(nested)!r}: the inner one is not unfolded")
     text = pretty_print(term)
-    steps = max(args.steps, 0)
-    for step in range(steps):
+    for step in range(args.steps):
         successors = sorted(((tag, pretty_print(s), s) for tag, s in reduce_step(term)), key=lambda t: t[:2])
         sys.stdout.write(f"step {step}: {text}\n")
         if not successors:
@@ -118,7 +119,7 @@ def _cmd_reduce(args) -> int:
         for tag, succ_text, _ in successors:
             sys.stdout.write(f"  [{tag}] {succ_text}\n")
         _, text, term = successors[0]
-    sys.stdout.write(f"step {steps}: {text}\n")
+    sys.stdout.write(f"step {args.steps}: {text}\n")
     return 0
 
 

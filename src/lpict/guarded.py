@@ -15,7 +15,7 @@ from .errors import BranchingPathError, ValidationError
 from .logic.formulas import KEYWORDS, Atom, Cached, Formula, atoms, frozen_record
 from .logic.search import search_forward_chain
 from .logic.semantics import semantic_entails
-from .trees import leaf_names
+from .trees import event_leaves
 
 
 class ResistTag(Enum):
@@ -91,10 +91,10 @@ class StateNode:
             raise ValidationError(f"state {self.id!r} has events but no event tree")
         else:
             try:
-                leaves = leaf_names(self.combine)
+                leaves = event_leaves(self.combine)
             except ValidationError as exc:
                 raise ValidationError(f"event tree of state {self.id!r}: {exc}") from None
-            if leaves != names:
+            if {(leaf if type(leaf) is Atom else leaf.operand).name for leaf in leaves} != names:
                 raise ValidationError(f"event tree of state {self.id!r} does not match its events")
 
 

@@ -135,15 +135,9 @@ def _check_line(line: ProofLine, lines, premises, refuted: Formula | None) -> st
     return f"unknown rule {rule!r}"
 
 
-def justification(line: ProofLine) -> str:
-    # `_value_` is where Enum stores a member's value; `value` is a property
-    # and a table prints one rule per line
-    text, refs = line.rule._value_, line.refs
-    return f"{text} {','.join(map(str, refs))}" if refs else text
-
-
 def render_proof_table(proof: Proof) -> str:
-    """Two-column layout: numbered formulas on the left, justifications right."""
+    """Two-column layout: numbered formulas on the left, each line's rule and
+    the lines it cites on the right."""
     lines = proof.lines
     if not lines:
         return "(empty proof)"
@@ -152,9 +146,10 @@ def render_proof_table(proof: Proof) -> str:
     col = max(map(len, formulas)) + 2
     rows = []
     for line, text in zip(lines, formulas):
+        # `_value_` is where Enum stores a member's value; `value` is a property.
         just, refs = line.rule._value_, line.refs  # most lines cite two or none: a join is slow
         if refs:
-            just = f"{just} {refs[0]},{refs[1]}" if len(refs) == 2 else justification(line)
+            just = f"{just} {refs[0]},{refs[1]}" if len(refs) == 2 else f"{just} {','.join(map(str, refs))}"
         rows.append(f"{f'{line.index}.'.rjust(num_width)} {text.ljust(col)}{just}")
     return "\n".join(rows)
 

@@ -40,16 +40,15 @@ def reduce_step(p: Process) -> frozenset[tuple[str, Process]]:
 
     # Each replication adds two copies of its body to the level as ordinary
     # components: a reaction involves at most two components, so two copies
-    # find every reaction. Copy k > 0 owns its binders and components; the
-    # level's own are owned by 0.
-    binder_owner, owner, copies = dict.fromkeys(binders, 0), [0] * len(comps), 0
+    # find every reaction. Copy k > 0 owns its components; the level's own are
+    # owned by 0.
+    owner, copies = [0] * len(comps), 0
     for c in tuple(comps):
         if isinstance(c, Bang):
             for _ in range(2):
                 copies += 1
                 cb, cc = hoisted(c.body)
                 binders += cb
-                binder_owner.update(dict.fromkeys(cb, copies))
                 comps += cc
                 owner += [copies] * len(cc)
 
@@ -82,11 +81,13 @@ def reduce_step(p: Process) -> frozenset[tuple[str, Process]]:
     def emit(tag: str, replacements: dict[int, Process]) -> None:
         # Replacements map component indices to their continuations. The copies
         # the reaction did not touch are dropped, as the replication absorbs them.
+        # A touched group keeps its binders whole: those of a dropped copy occur
+        # in no kept component, so they fall in no group of the successor.
         keep = {0} | {owner[i] for i in replacements}
         touched = {group_of[i] for i in replacements}.union(*[gs for k, gs in copy_groups.items() if k not in keep])
         new_binders, new_comps = [], []
         for g in touched:
-            new_binders += [b for b in groups[g][1] if binder_owner[b] in keep]
+            new_binders += groups[g][1]
             for i in groups[g][2]:
                 if i in replacements:
                     cb, cc = hoisted(normalize(replacements[i]))

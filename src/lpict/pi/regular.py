@@ -59,16 +59,6 @@ def nullable(r: RegularExpr) -> bool:
     raise TypeError(f"not a regular expression: {r!r}")
 
 
-def symbols_of(r: RegularExpr) -> frozenset[str]:
-    if isinstance(r, Symbol):
-        return frozenset({r.name})
-    if isinstance(r, (Empty, Epsilon)):
-        return frozenset()
-    if isinstance(r, Star):
-        return symbols_of(r.body)
-    return symbols_of(r.left) | symbols_of(r.right)
-
-
 def language(r: RegularExpr, max_len: int) -> frozenset[Word]:
     """All words of the language with length at most max_len, by enumeration."""
     if isinstance(r, Empty):

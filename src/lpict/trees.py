@@ -60,28 +60,16 @@ def leaf_atom(leaf) -> Atom:
 def event_leaves(tree: Formula) -> list[Formula]:
     """Leaves in left-to-right order; a negated atom is one leaf. Raises
     ValidationError at a node outside the event fragment."""
-    out = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if type(node) in _AND_OR:
-            stack += (node.right, node.left)
-        else:
-            leaf_atom(node)
-            out.append(node)
-    return out
-
-
-def leaf_names(tree: Formula) -> set[str]:
-    """The names of the leaves' atoms; ValidationError outside the event fragment."""
-    names, stack = set(), [tree]
+    out, stack = [], [tree]
     while stack:
         node = stack.pop()
         while type(node) in _AND_OR:  # a left spine in a loop
             stack.append(node.right)
             node = node.left
-        names.add(node.name if type(node) is Atom else leaf_atom(node).name)
-    return names
+        if type(node) is not Atom:
+            leaf_atom(node)
+        out.append(node)
+    return out
 
 
 def eval_event_tree(tree: Formula, valuation) -> bool:

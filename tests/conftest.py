@@ -1,8 +1,9 @@
-"""Shared fixtures: seeded random generators for terms, formulas and chains."""
+"""Shared fixtures: seeded random generators for terms, formulas and chains, and a low recursion limit."""
 
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -97,3 +98,13 @@ def random_fragment_formula(rng: random.Random, atom_names):
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260810)
+
+
+@pytest.fixture
+def low_recursion_limit():
+    """A recursion limit of 200, so a walk that recurses per node fails on
+    a deep input while a loop does not."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    yield
+    sys.setrecursionlimit(limit)

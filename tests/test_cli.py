@@ -109,6 +109,18 @@ def test_reduce_steps(capsys):
     assert "(stuck)" in out
 
 
+@pytest.mark.parametrize("steps", ["-1", "-3"])
+def test_reduce_rejects_a_negative_step_count(capsys, steps):
+    code, out, err = run(capsys, "reduce", "--term", "a.0 | a<>.0", "--steps", steps)
+    assert code == 2 and out == ""
+    assert err == f"error: --steps must be 0 or more, got {steps}\n"
+
+
+def test_reduce_zero_steps_prints_the_term(capsys):
+    code, out, _ = run(capsys, "reduce", "--term", "a.0 | a<>.0", "--steps", "0")
+    assert code == 0 and out == "step 0: a.0 | a<>.0\n"
+
+
 def test_reduce_replication_reacts_with_itself(capsys):
     # the receive of one copy of the body hears the send of another
     code, out, _ = run(capsys, "reduce", "--term", "!(a(x).x<>.0 + a<b>.0) | b.c<>.0", "--steps", "1")

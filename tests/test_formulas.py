@@ -1,5 +1,4 @@
 import pickle
-import sys
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -217,14 +216,6 @@ def test_atom_budget():
 
 def test_atoms():
     assert atoms(parse_formula("p -> q & !r | false")) == {"p", "q", "r"}
-
-
-@pytest.fixture
-def low_recursion_limit():
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(200)
-    yield
-    sys.setrecursionlimit(limit)
 
 
 def _chain(build, n, last="a"):

@@ -13,7 +13,7 @@ from lpict.guarded import (
     check_precondition,
 )
 from lpict.lexing import IDENTIFIER
-from lpict.logic.formulas import And, Atom, Implies, Not
+from lpict.logic.formulas import And, Atom, Implies, Not, Or
 from lpict.logic.semantics import all_valuations
 from lpict.trees import build_event_tree
 
@@ -109,6 +109,11 @@ def test_event_tree_must_be_an_event_formula_over_its_events(tree, message):
     with pytest.raises(ValidationError, match=message) as exc:
         StateNode("S1", (Event("e1"), Event("e2")), tree)
     assert str(exc.value).startswith("event tree of state 'S1'")
+
+
+def test_a_negated_leaf_stands_for_its_event():
+    tree = Or(Not(Atom("e1")), And(Atom("e2"), Not(Atom("e2"))))
+    assert StateNode("S1", (Event("e1"), Event("e2")), tree).combine is tree
 
 
 def test_non_terminal_needs_events():

@@ -13,7 +13,6 @@ from lpict.pi.regular import (
     arden_solve,
     language,
     nullable,
-    symbols_of,
 )
 
 
@@ -64,11 +63,6 @@ def test_nullable():
 def test_language_enumeration_truncates():
     expr = Star(Symbol("a"))
     assert language(expr, 2) == {(), ("a",), ("a", "a")}
-
-
-def test_symbols_of():
-    expr = Union_(Concat(Symbol("a"), Symbol("b")), Star(Symbol("c")))
-    assert symbols_of(expr) == {"a", "b", "c"}
 
 
 def random_regex(rng, depth, alphabet=("a", "b", "c")):

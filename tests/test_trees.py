@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from lpict.errors import ValidationError
@@ -21,7 +23,6 @@ from lpict.trees import (
     eval_event_leaves,
     eval_event_tree,
     event_leaves,
-    leaf_names,
 )
 
 
@@ -80,7 +81,6 @@ def test_negated_leaf():
 def test_leaves_in_order_with_negated_and_repeated_leaves():
     tree = parse_formula("(a & !b) | (b & (!a | a))")
     assert event_leaves(tree) == [Atom("a"), Not(Atom("b")), Atom("b"), Not(Atom("a")), Atom("a")]
-    assert leaf_names(tree) == {"a", "b"}
     value, bits = eval_event_leaves(tree, {"a": True, "b": False})
     assert value is True and bits == (True, True, False, False, True)
 
@@ -95,9 +95,40 @@ def test_nodes_outside_the_fragment_rejected(tree):
     with pytest.raises(ValidationError, match="allow only atoms"):
         event_leaves(Or(Atom("x"), tree))
     with pytest.raises(ValidationError, match="allow only atoms"):
-        leaf_names(Or(tree, Atom("x")))
+        event_leaves(Or(tree, Atom("x")))
     with pytest.raises(ValidationError):
         eval_event_tree(And(tree, Atom("x")), {"a": True, "b": True, "x": True})
+
+
+def _random_event_text(rng, depth):
+    # an atom or a negated atom, or two such texts joined by & or |,
+    # parenthesized at random so that the parser nests either side
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(["", "!"]) + rng.choice("abc")
+    text = f"{_random_event_text(rng, depth - 1)} {rng.choice('&|')} {_random_event_text(rng, depth - 1)}"
+    return f"({text})" if rng.random() < 0.5 else text
+
+
+def _in_order(node):
+    if isinstance(node, (And, Or)):
+        return _in_order(node.left) + _in_order(node.right)
+    return [node]
+
+
+def test_leaves_of_random_trees_in_order():
+    rng = random.Random(2407)
+    for _ in range(300):
+        tree = parse_formula(_random_event_text(rng, rng.randrange(0, 6)))
+        assert event_leaves(tree) == _in_order(tree)
+
+
+def test_leaves_of_a_right_nested_tree_do_not_recurse(low_recursion_limit):
+    n = 100_000
+    leaves = [Atom(f"e{i}") if i % 3 else Not(Atom(f"e{i}")) for i in range(n)]
+    tree = leaves[-1]
+    for i in range(n - 2, -1, -1):
+        tree = (And if i % 2 else Or)(leaves[i], tree)
+    assert event_leaves(tree) == leaves
 
 
 def test_event_leaf_is_an_atom():
@@ -109,7 +140,6 @@ def test_deep_trees_do_not_recurse():
     names = [f"e{i}" for i in range(n)]
     tree = build_event_tree(names, ["and"] * (n - 1))
     assert len(event_leaves(tree)) == n
-    assert leaf_names(tree) == set(names)
     valuation = dict.fromkeys(names, True)
     value, bits = eval_event_leaves(tree, valuation)
     assert value is True and len(bits) == n
