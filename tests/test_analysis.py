@@ -482,3 +482,127 @@ def test_long_dual_reports_keep_their_bytes(n, planted, format, tmp_path, capsys
     assert run_cli(["analyze", "--model", str(path), "--dual", "--format", format]) == (1 if planted else 0)
     out = re.sub(r'(duration: |"duration_ms": )[0-9.eE+-]+', r"\g<1>0", capsys.readouterr().out)
     assert hashlib.sha256(out.encode()).hexdigest() == DUAL_REPORT_SHA256[n, planted, format]
+
+
+def shaped_chain_text(n, variant):
+    """Model text of an n-state chain that uses every shape the reader knows:
+    one event without `combine`, `combine and`, `combine or`, `combine or and`,
+    `combine expr` with `!`, `alias`, payloads, actions and `when` guards that
+    hold. One state near the middle differs by variant: "planted" gives an
+    `and` state an event that does not resist mitm, and "blocked" gives an `or`
+    state such an event and its transition a guard that the ideal run fails
+    and the non-ideal run passes."""
+    mid = n // 2 + ((2 if variant == "blocked" else 1) - n // 2) % 6
+    lines = ['protocol "Shapes"', ""]
+    for i in range(1, n + 1):
+        kind = i % 6 if i < n else 0
+        if kind == 5:
+            lines.append(f"alias C{i} = C{i - 3}")
+            continue
+        weak = "resists replay" if variant == "blocked" and i == mid else "resists mitm replay"
+        if variant == "planted" and i == mid:
+            weak = "resists replay integrity"
+        lines.append(f"state C{i} {{")
+        if kind == 0:
+            lines.append(f"  event e{i}a {weak}")
+        elif kind == 1:
+            lines.append(f"  event e{i}a {weak} payload k{i} nonce")
+            lines.append(f"  event e{i}b resists mitm replay integrity")
+            lines.append("  combine and")
+        elif kind == 2:
+            lines.append(f"  event e{i}a {weak}")
+            lines.append(f"  event e{i}b resists confidentiality mitm replay payload k{i}")
+            lines.append("  combine or")
+        elif kind == 3:
+            lines += [f"  event e{i}{c} resists mitm replay" for c in "bc"]
+            lines.append(f"  event e{i}a {weak}")
+            lines.append(f"  combine expr e{i}a & (e{i}b | !e{i}c)  # a tree by formula")
+        else:
+            lines += [f"  event e{i}{c} resists mitm replay" for c in "ab"]
+            lines.append(f"  event e{i}c {weak}")
+            lines.append("  combine or and")
+        lines.append("}")
+    for i in range(1, n):
+        source = f"C{i}"
+        line = f"transition {source} -> C{i + 1}"
+        if i % 4 == 0:
+            line += f" action m{i}"
+        if variant == "blocked" and i == mid:
+            line += f" when {source} & !e{i}a"
+        elif i % 6 == 1:
+            line += f" when e{i}b & {source} | false"
+        lines.append(line)
+    lines += ["initial C1", f"terminal C{n}", "environment ideal", "environment nonideal attackers mitm replay"]
+    return "\n".join(lines) + "\n"
+
+
+# SHA-256 of `analyze --dual` on shaped_chain_text(n, variant), with the
+# duration zeroed, taken before the reader, the walks and the proofs were
+# made cheaper per state.
+SHAPED_REPORT_SHA256 = {
+    (12, "blocked", "json"): "9d04591878d2936276a67cf4116cfc8d414c60f643cd96ad547fe60900e893cf",
+    (12, "blocked", "text"): "c5e101d3485bb46e2fb75b32d7ab76b93339d0fc107ca4eb7d81b17419f3dd6c",
+    (12, "planted", "json"): "a94c6e9cd3b8b4d49261374fffe45b895b18b2b8a6aaed36ef7dd54d650f0af1",
+    (12, "planted", "text"): "4fe70ac27e62a5bf47188aa90315b210636f55c0f0b622ef81bbfc1d2fe70efa",
+    (12, "secure", "json"): "7c2728f0a64246f76a35a109a92d713ef3b2f31c952dd9746e0d596b21e4783d",
+    (12, "secure", "text"): "9a29c302d93432996aabce37187e537e92090bbd88f9334d80651aeef8ccd0a6",
+    (100, "blocked", "json"): "82b39c3b93320620986d02bbf581b8120553ad6b930418ea1a747fbbbbbeaf17",
+    (100, "blocked", "text"): "180d10f213ceeea6e9d0c87d53eb46863c9af739b49508a659407d9700a2393f",
+    (100, "planted", "json"): "f313269814a781e9270baa933c116e32f5302e902a1e64beb8f8bce2cb45a645",
+    (100, "planted", "text"): "54bd0877c217ee1e5e19af31c2ebad4188ecc1feb25061f6450a33879b6821eb",
+    (100, "secure", "json"): "8682db87ade34774ce99f9205a12c7b1ebaf0711516e35322106b898f857ac6c",
+    (100, "secure", "text"): "c041e389224399495b532c4ce59e53968676dc3893ca57477499c7eafc23a1c1",
+}
+
+
+@pytest.mark.parametrize("n, variant, format", sorted(SHAPED_REPORT_SHA256))
+def test_shaped_dual_reports_keep_their_bytes(n, variant, format, tmp_path, capsys):
+    import hashlib
+    import re
+
+    from lpict.cli import run_cli
+
+    path = tmp_path / "shapes.model"
+    path.write_text(shaped_chain_text(n, variant), encoding="utf-8")
+    assert run_cli(["analyze", "--model", str(path), "--dual", "--format", format]) == (0 if variant == "secure" else 1)
+    out = re.sub(r'(duration: |"duration_ms": )[0-9.eE+-]+', r"\g<1>0", capsys.readouterr().out)
+    assert hashlib.sha256(out.encode()).hexdigest() == SHAPED_REPORT_SHA256[n, variant, format]
+
+
+def _profiled_calls(argv):
+    """`call` and `c_call` profile events, which count Python-level calls, of
+    one `run_cli(argv)` with its output discarded."""
+    import contextlib
+    import io
+    import sys
+
+    from lpict.cli import run_cli
+
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" or event == "c_call":
+            count += 1
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            run_cli(argv)
+        finally:
+            sys.setprofile(None)
+    return count
+
+
+def test_a_dual_analysis_costs_the_same_calls_per_state(tmp_path):
+    # linear in the chain's length, shown by counting calls rather than by timing
+    calls = {}
+    for n in (100, 400, 1600):
+        path = tmp_path / f"chain{n}.model"
+        path.write_text(shaped_chain_text(n, "planted"), encoding="utf-8")
+        argv = ["analyze", "--model", str(path), "--dual", "--format", "json"]
+        if n == 100:
+            _profiled_calls(argv)  # one-time costs, such as compiled patterns
+        calls[n] = _profiled_calls(argv)
+    short, long = (calls[400] - calls[100]) / 300, (calls[1600] - calls[400]) / 1200
+    assert abs(long - short) <= 0.05 * short, (short, long)
