@@ -19,6 +19,7 @@ position of two traces of equal length, which is their equality.
 from __future__ import annotations
 
 import itertools
+from operator import lt
 from typing import Sequence
 
 from .errors import ValidationError
@@ -49,7 +50,10 @@ class TraceSymbol:
     event_values: tuple[bool, ...]
 
     def token(self) -> str:
-        return f"{self.state}:{''.join(['1' if v else '0' for v in self.event_values])}"
+        bits = ""  # a loop: a comprehension costs more than a state's few events
+        for v in self.event_values:
+            bits += "1" if v else "0"
+        return f"{self.state}:{bits}"
 
 
 @frozen_record
@@ -117,12 +121,12 @@ def partial_order_check(trace: Sequence, lts: GuardedLTS) -> bool:
     chain that is strictly increasing chain position, so consecutive pairs
     decide it. Raises BranchingPathError when the transitions are not a
     chain, ValidationError for a state that is not on it."""
-    ids = [sym.state if isinstance(sym, TraceSymbol) else sym for sym in trace]
     position = {state.id: i for i, state in enumerate(lts.chain)}
-    for sid in ids:
-        if sid not in position:
-            raise ValidationError(f"trace mentions state {sid!r}, which is not on the chain")
-    return all(position[a] < position[b] for a, b in zip(ids, ids[1:]))
+    try:
+        order = [position[sym.state if type(sym) is TraceSymbol else sym] for sym in trace]
+    except KeyError as exc:
+        raise ValidationError(f"trace mentions state {exc.args[0]!r}, which is not on the chain") from None
+    return all(map(lt, order, order[1:]))
 
 
 def entailment_sequent(lts: GuardedLTS) -> Sequent:
@@ -167,18 +171,19 @@ def _walk(lts: GuardedLTS, assignment, prior_values=None, prior_trace=()) -> tup
     facts = dict.fromkeys(itertools.chain.from_iterable(assignment.values()), False)
     facts.update(dict.fromkeys(assignment, False))
     trace: list[TraceSymbol] = []
+    outgoing = lts._outgoing.get  # the transitions out of a state, without a call per state
     for state, symbol in itertools.zip_longest(lts.chain, prior_trace):
         valuation = assignment[state.id]
         if symbol is None or prior_values[state.id] != valuation:
             # an event-less terminal passes trivially
-            values = eval_event_leaves(state.combine, valuation) if state.combine is not None else (True, ())
-            symbol = TraceSymbol(state.id, *values)
+            value, values = eval_event_leaves(state.combine, valuation) if state.combine is not None else (True, ())
+            symbol = TraceSymbol(state.id, value, values)
         trace.append(symbol)
         if not symbol.value:
             return tuple(trace), (state.id, _first_false_leaf(state.combine, valuation))
         facts.update(valuation)
         facts[state.id] = True
-        for t in lts.outgoing(state.id):
+        for t in outgoing(state.id, ()):
             f = t.guard.formula  # most guards are one atom, and the facts hold every atom
             if not (facts[f.name] if type(f) is Atom else eval_formula(f, facts)):
                 return tuple(trace), (t.source, t.action)

@@ -12,7 +12,8 @@ from enum import Enum
 from functools import cached_property
 
 from .errors import BranchingPathError, ValidationError
-from .logic.formulas import KEYWORDS, Atom, Cached, Formula, atoms, frozen_record
+from .lexing import MAX_NESTING
+from .logic.formulas import KEYWORDS, And, Atom, Cached, Formula, Or, atoms, frozen_record
 from .logic.search import search_forward_chain
 from .logic.semantics import semantic_entails
 from .trees import event_leaves
@@ -73,7 +74,8 @@ class Guard:
 @frozen_record
 class StateNode:
     """Its events have distinct names, and it has an event tree exactly when
-    it has events: a tree in the event fragment whose leaves are its events."""
+    it has events: a tree in the event fragment whose leaves are its events,
+    with and/or nodes nested at most `lexing.MAX_NESTING` deep on the right."""
 
     id: str
     events: tuple[Event, ...]
@@ -81,7 +83,9 @@ class StateNode:
 
     def __post_init__(self):
         check_name(self.id, "state id")
-        names = {e.name for e in self.events}
+        names = set()  # loops: a comprehension costs more than a state's few events
+        for e in self.events:
+            names.add(e.name)
         if len(names) != len(self.events):
             raise ValidationError(f"duplicate event name in state {self.id!r}")
         if not self.events:
@@ -94,8 +98,20 @@ class StateNode:
                 leaves = event_leaves(self.combine)
             except ValidationError as exc:
                 raise ValidationError(f"event tree of state {self.id!r}: {exc}") from None
-            if {(leaf if type(leaf) is Atom else leaf.operand).name for leaf in leaves} != names:
+            leaf_names = set()
+            for leaf in leaves:
+                leaf_names.add((leaf if type(leaf) is Atom else leaf.operand).name)
+            if leaf_names != names:
                 raise ValidationError(f"event tree of state {self.id!r} does not match its events")
+            if leaves[MAX_NESTING:]:  # walks recurse on and/or right operands, which fewer leaves nest less deep
+                nested = [(self.combine, 0)]  # and/or nodes, with the number of and/or right operands above them
+                while nested:
+                    node, depth = nested.pop()
+                    while type(node) is And or type(node) is Or:
+                        if depth > MAX_NESTING:
+                            raise ValidationError(f"event tree of state {self.id!r} nests more than {MAX_NESTING} deep on the right")
+                        nested.append((node.right, depth + 1))
+                        node = node.left
 
 
 @frozen_record
@@ -152,8 +168,8 @@ class GuardedLTS(Cached):
                 )
         outgoing = self._outgoing
         reached, frontier = {self.initial}, [self.initial]
-        while frontier:
-            for t in outgoing.get(frontier.pop(), ()):
+        for source in frontier:  # the frontier grows while it is walked
+            for t in outgoing.get(source, ()):
                 if t.target not in reached:
                     reached.add(t.target)
                     frontier.append(t.target)

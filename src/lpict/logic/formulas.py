@@ -259,9 +259,27 @@ _PREC = {Implies: 1, Or: 2, And: 3, Not: 4, Atom: 5, Falsum: 5}
 def format_formula(f: Formula) -> str:
     """The formula's text, made once per node and stored on it."""
     text = f._text
-    if text is None:
-        text = _make_text(f)
-        _set_text(f, text)
+    if text is not None:
+        return text
+    op = type(f)
+    prec = _PREC[op]
+    if op is Not:  # most operands are atoms, which need no parentheses and no call
+        operand = f.operand
+        text = "!" + (operand.name if type(operand) is Atom else _fmt(operand, prec))
+    elif op is Implies:  # right-associative: the left side needs the tighter context
+        left, right = f.left, f.right
+        text = (f"{left.name if type(left) is Atom else _fmt(left, prec + 1)} -> "
+                f"{right.name if type(right) is Atom else _fmt(right, prec)}")
+    else:
+        # a chain of one operator is left-deep: walk its left spine in a loop
+        rights, node = [], f
+        while type(node) is op:
+            rights.append(node.right)
+            node = node.left
+        parts = [_fmt(node, prec)]
+        parts += [_fmt(right, prec + 1) for right in reversed(rights)]
+        text = (" & " if op is And else " | ").join(parts)
+    _set_text(f, text)
     return text
 
 
@@ -270,21 +288,3 @@ def _fmt(f: Formula, parent: int) -> str:
         return f.name
     text = f._text or format_formula(f)
     return f"({text})" if _PREC[type(f)] < parent else text
-
-
-def _make_text(f: Formula) -> str:
-    op = type(f)
-    prec = _PREC[op]
-    if op is Not:
-        return f"!{_fmt(f.operand, prec)}"
-    if op is Implies:
-        # right-associative: left side needs the tighter context
-        return f"{_fmt(f.left, prec + 1)} -> {_fmt(f.right, prec)}"
-    # a chain of one operator is left-deep: walk its left spine in a loop
-    rights = []
-    while type(f) is op:
-        rights.append(f.right)
-        f = f.left
-    parts = [_fmt(f, prec)]
-    parts += [_fmt(right, prec + 1) for right in reversed(rights)]
-    return (" & " if op is And else " | ").join(parts)

@@ -63,24 +63,59 @@ def _invalid(index: int, reason: str) -> CheckResult:
 
 
 def check_proof(sequent: Sequent, proof: Proof) -> CheckResult:
+    """Valid when each line follows by its rule from the lines before it and
+    the last is the conclusion, or falsum in a refutation."""
     lines = proof.lines
     if not lines:
         return _invalid(0, "empty proof")
     conclusion = sequent.conclusion
-    refutation = isinstance(lines[-1].formula, Falsum) and not isinstance(conclusion, Falsum)
-    premises = set(sequent.premises)
+    refuted = conclusion if type(lines[-1].formula) is Falsum and type(conclusion) is not Falsum else None
+    # Search cites the premise objects themselves, so identity is tried before
+    # equality throughout, and the premise set is made only when it fails.
+    cited, premises = set(map(id, sequent.premises)), None
     for pos, line in enumerate(lines, start=1):
         if line.index != pos:
             return _invalid(line.index, f"line numbered {line.index}, expected {pos}")
-        for r in line.refs:
+        rule, formula, refs = line.rule, line.formula, line.refs
+        for r in refs:
             if r >= pos or r < 1:
                 return _invalid(pos, "references must point to earlier lines")
-        reason = _check_line(line, lines, premises, conclusion if refutation else None)
-        if reason is not None:
-            return _invalid(pos, reason)
+        if rule is _PREMISE or rule is _ASSUMPTION:
+            if id(formula) in cited or rule is _ASSUMPTION and refuted is not None and _negates(formula, refuted):
+                continue
+            premises = premises or set(sequent.premises)
+            if formula in premises:
+                continue
+            if rule is _PREMISE:
+                return _invalid(pos, "premise not among the sequent's premises")
+            reason = "assumption is neither a premise nor the negated conclusion"
+        elif rule is _COPY:
+            if len(refs) != 1:
+                return _invalid(pos, "copy takes one reference")
+            source = lines[refs[0] - 1].formula
+            if source is formula or source == formula:
+                continue
+            reason = "copy does not repeat the referenced line"
+        elif len(refs) != 2:
+            reason = f"{rule.value} takes two references"
+        else:
+            fi, fj = lines[refs[0] - 1].formula, lines[refs[1] - 1].formula
+            if rule is _IMPL_ELIM:
+                if type(fi) is Implies and (fi.left is fj or fi.left == fj) and (fi.right is formula or fi.right == formula):
+                    continue
+            elif rule is _MODUS_TOLLENS:
+                if type(fi) is Implies and _negates(fj, fi.right) and _negates(formula, fi.left):
+                    continue
+            elif rule is _NEG_ELIM:
+                if _negates(fi, fj) and type(formula) is Falsum:
+                    continue
+            else:
+                return _invalid(pos, f"unknown rule {rule!r}")
+            reason = f"rule-shape mismatch for {rule.value}"
+        return _invalid(pos, reason)
 
     last = lines[-1].formula
-    expected = FALSUM if refutation else conclusion
+    expected = conclusion if refuted is None else FALSUM
     if last != expected:
         return _invalid(
             lines[-1].index,
@@ -90,49 +125,8 @@ def check_proof(sequent: Sequent, proof: Proof) -> CheckResult:
 
 
 def _negates(f: Formula, g: Formula) -> bool:
-    """f is !g. Identity is tried before equality throughout: a proof found
-    by search reuses the formula objects of its premises."""
-    return isinstance(f, Not) and (f.operand is g or f.operand == g)
-
-
-def _check_line(line: ProofLine, lines, premises, refuted: Formula | None) -> str | None:
-    """Why the line does not follow from the lines before it, or None when it
-    does. In a refutation of `refuted`, its negation may be assumed."""
-    rule, formula, refs = line.rule, line.formula, line.refs
-    if rule is _PREMISE:
-        return None if formula in premises else "premise not among the sequent's premises"
-    if rule is _ASSUMPTION:
-        if (refuted is not None and _negates(formula, refuted)) or formula in premises:
-            return None
-        return "assumption is neither a premise nor the negated conclusion"
-    if rule is _COPY:
-        if len(refs) != 1:
-            return "copy takes one reference"
-        source = lines[refs[0] - 1].formula
-        if source is formula or source == formula:
-            return None
-        return "copy does not repeat the referenced line"
-    if len(refs) != 2:
-        return f"{rule.value} takes two references"
-    fi = lines[refs[0] - 1].formula
-    fj = lines[refs[1] - 1].formula
-    if rule is _IMPL_ELIM:
-        if (
-            isinstance(fi, Implies)
-            and (fi.left is fj or fi.left == fj)
-            and (fi.right is formula or fi.right == formula)
-        ):
-            return None
-        return "rule-shape mismatch for ->e"
-    if rule is _MODUS_TOLLENS:
-        if isinstance(fi, Implies) and _negates(fj, fi.right) and _negates(formula, fi.left):
-            return None
-        return "rule-shape mismatch for MT"
-    if rule is _NEG_ELIM:
-        if _negates(fi, fj) and isinstance(formula, Falsum):
-            return None
-        return "rule-shape mismatch for !e"
-    return f"unknown rule {rule!r}"
+    """f is !g."""
+    return type(f) is Not and (f.operand is g or f.operand == g)
 
 
 def render_proof_table(proof: Proof) -> str:
@@ -168,5 +162,5 @@ def proof_records(proof: Proof) -> list[dict]:
 
 
 def render_sequent(sequent: Sequent) -> str:
-    left = ", ".join(format_formula(p) for p in sequent.premises)
+    left = ", ".join([format_formula(p) for p in sequent.premises])
     return f"{left} |- {format_formula(sequent.conclusion)}"

@@ -30,7 +30,7 @@ def _chain_to(premises: tuple[Formula, ...], goal: Formula) -> list[Implies] | N
         return []
     edges: dict[Formula, list[Implies]] = {}
     for p in back:
-        if isinstance(p, Implies):
+        if type(p) is Implies:
             edges.setdefault(p.left, []).append(p)
     to_goal = edges.setdefault(goal, [])  # a fact is the goal when this is its entry
     queue = deque(out for p in back if (out := edges.get(p)))

@@ -80,10 +80,12 @@ def apply_environment(model: ProtocolModel, env: EnvironmentConfig) -> dict[str,
     if env not in model.environments:
         raise ValidationError(f"environment {env.kind!r} does not belong to model {model.name!r}")
     broken = {CAPABILITY_COUNTERS[cap] for cap in env.attackers}
-    return {
-        state.id: {e.name: broken <= e.resists for e in state.events}
-        for state in model.lts.states
-    }
+    assignment: dict[str, dict[str, bool]] = {}
+    for state in model.lts.states:  # loops: a comprehension per state costs more than its few events
+        values = assignment[state.id] = {}
+        for e in state.events:
+            values[e.name] = broken <= e.resists
+    return assignment
 
 
 def capabilities(attackers) -> frozenset[AttackerCapability]:

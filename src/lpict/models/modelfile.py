@@ -117,23 +117,32 @@ class _ModelReader:
         self.protocol = m.group(1)
 
     def key_state(self, text, words):
-        inline_empty = len(words) == 4 and words[2] == "{" and words[3] == "}"
-        if not inline_empty and (len(words) != 3 or words[2] != "{"):
+        if words[2:] != ["{"] and words[2:] != ["{", "}"]:
             raise ParseError("expected: state <id> {")
         state_id = words[1]
         if not (state_id.isascii() and state_id.isidentifier()):  # a keyword fails at its '}'
             check_name(state_id, "state id")
-        if inline_empty:
+        if len(words) == 4:  # state <id> { }
             return self.add_state(StateNode(state_id, (), None))
-        opened, events, combine = self.lineno, [], None
+        opened, events, combine, shapes = self.lineno, [], None, self.event_shapes
         for self.lineno, text, words in self.lines:
             key = words[0]
-            if key == "event":
-                events.append(self.event(words))
+            if key == "event" and len(words) > 1:  # the words after the name are read once per distinct text
+                shape = tuple(words[2:])
+                events.append(Event(words[1], *(shapes.get(shape) or self.event_shape(shape))))
             elif key == "combine":
                 if combine is not None:
                     raise ParseError("duplicate combine line")
-                combine = self.combine(text, words, events)
+                if len(words) == 1 or words[1] != "expr":
+                    combine = build_event_tree(events, words[1:])
+                    continue
+                try:  # a tree in the event fragment
+                    combine = parse_formula(_tail(text, 2))
+                    event_leaves(combine)
+                except (ParseError, ValidationError) as exc:
+                    raise ParseError(f"bad combine expression: {exc}") from None
+            elif key == "event":
+                raise ParseError("expected: event <name> [resists ...] [payload ...]")
             elif key != "}":
                 raise ParseError(f"unexpected {key!r} inside state block")
             elif len(words) != 1:
@@ -151,40 +160,26 @@ class _ModelReader:
         """An `event`, `combine` or `}` line outside a state block."""
         raise ParseError("unexpected '}'" if words[0] == "}" else f"{words[0]} outside a state block")
 
-    def event(self, words) -> Event:
-        if len(words) < 2:
-            raise ParseError("expected: event <name> [resists ...] [payload ...]")
-        shape = tuple(words[2:])
-        parsed = self.event_shapes.get(shape)
-        if parsed is None:
-            tags: list[str] = []
-            payload: list[str] = []
-            into = None
-            for w in shape:
-                if w == "resists":
-                    into = tags
-                elif w == "payload":
-                    into = payload
-                elif into is None:
-                    raise ParseError(f"unexpected token {w!r} in event declaration")
-                else:
-                    into.append(w)
-            for w in tags:
-                if w not in _RESIST_VALUES:
-                    raise ParseError(f"unknown resist tag {w!r}")
-            resists = frozenset(_RESIST_VALUES[w] for w in tags)
-            parsed = self.event_shapes[shape] = (resists, EventMessage(tuple(payload)) if payload else None)
-        return Event(words[1], *parsed)
-
-    def combine(self, text, words, events) -> Formula:
-        if len(words) >= 2 and words[1] == "expr":
-            try:
-                tree = parse_formula(_tail(text, 2))
-                event_leaves(tree)
-            except (ParseError, ValidationError) as exc:
-                raise ParseError(f"bad combine expression: {exc}") from None
-            return tree
-        return build_event_tree(events, words[1:])
+    def event_shape(self, shape: tuple[str, ...]) -> tuple[frozenset[ResistTag], EventMessage | None]:
+        """The tags and payload that the words after an event's name give."""
+        tags: list[str] = []
+        payload: list[str] = []
+        into = None
+        for w in shape:
+            if w == "resists":
+                into = tags
+            elif w == "payload":
+                into = payload
+            elif into is None:
+                raise ParseError(f"unexpected token {w!r} in event declaration")
+            else:
+                into.append(w)
+        for w in tags:
+            if w not in _RESIST_VALUES:
+                raise ParseError(f"unknown resist tag {w!r}")
+        resists = frozenset(_RESIST_VALUES[w] for w in tags)
+        parsed = self.event_shapes[shape] = (resists, EventMessage(tuple(payload)) if payload else None)
+        return parsed
 
     def add_state(self, state: StateNode):
         if state.id in self.by_id:

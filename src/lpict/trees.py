@@ -87,27 +87,23 @@ def eval_event_leaves(tree: Formula, valuation) -> tuple[bool, tuple[bool, ...]]
     while type(tree) in _AND_OR:
         spine.append(tree)
         tree = tree.left
-    value = _leaf_value(tree, valuation, values)
-    while spine:
-        node = spine.pop()
-        right = node.right
-        if type(right) in _AND_OR:
-            right_value, right_values = eval_event_leaves(right, valuation)
-            values += right_values
+    node, operand = None, tree  # the leftmost leaf, then each spine node's right operand
+    while True:
+        if type(operand) in _AND_OR:
+            operand_value, operand_values = eval_event_leaves(operand, valuation)
+            values += operand_values
         else:
-            right_value = _leaf_value(right, valuation, values)
-        value = (value and right_value) if type(node) is And else (value or right_value)
-    return value, tuple(values)
-
-
-def _leaf_value(leaf, valuation, values: list[bool]) -> bool:
-    atom = leaf if type(leaf) is Atom else leaf_atom(leaf)
-    try:
-        value = bool(valuation[atom.name]) != (atom is not leaf)
-    except KeyError:
-        raise MissingAtomError(f"valuation does not assign atom {atom.name!r}") from None
-    values.append(value)
-    return value
+            atom = operand if type(operand) is Atom else leaf_atom(operand)
+            try:
+                operand_value = bool(valuation[atom.name]) != (atom is not operand)
+            except KeyError:
+                raise MissingAtomError(f"valuation does not assign atom {atom.name!r}") from None
+            values.append(operand_value)
+        value = operand_value if node is None else (value and operand_value) if type(node) is And else (value or operand_value)
+        if not spine:
+            return value, tuple(values)
+        node = spine.pop()
+        operand = node.right
 
 
 def bfs_traverse(tree) -> list:

@@ -327,3 +327,47 @@ def test_guard_atoms_resolve_whatever_the_guard_shape(guard, loose):
     else:
         with pytest.raises(ValidationError, match=f"unknown atom '{loose}'"):
             build_guarded_lts(states, transitions, "S1", "S2")
+
+
+def right_nested(names, op=And):
+    """n1 op (n2 op (... op nk)), built through the library."""
+    tree = Atom(names[-1])
+    for name in reversed(names[:-1]):
+        tree = op(Atom(name), tree)
+    return tree
+
+
+def test_a_state_rejects_a_tree_nested_deep_on_the_right():
+    # The walks of a tree recurse once per and/or node that is a right operand,
+    # so a state refuses such nesting deeper than the parsers accept. Checked
+    # at the default recursion limit.
+    from lpict.lexing import MAX_NESTING
+    from lpict.logic.formulas import eval_formula, format_formula
+    from lpict.trees import eval_event_tree
+
+    names = [f"e{i}" for i in range(5000)]
+    with pytest.raises(ValidationError) as exc:
+        StateNode("S", tuple(map(Event, names)), right_nested(names))
+    assert str(exc.value) == f"event tree of state 'S' nests more than {MAX_NESTING} deep on the right"
+    # k events nested on the right put the last and/or node k - 2 deep
+    deepest = names[: MAX_NESTING + 2]
+    state = StateNode("S", tuple(map(Event, deepest)), right_nested(deepest, Or))
+    valuation = dict.fromkeys(deepest, False)
+    assert eval_event_tree(state.combine, valuation) is eval_formula(state.combine, valuation) is False
+    assert format_formula(state.combine) == " | (".join(deepest[:-1]) + f" | {deepest[-1]}" + ")" * MAX_NESTING
+    too_deep = names[: MAX_NESTING + 3]
+    with pytest.raises(ValidationError, match="deep on the right"):
+        StateNode("S", tuple(map(Event, too_deep)), right_nested(too_deep))
+    # depth counts right operands along any path, not only the right spine
+    zigzag = Atom(names[0])
+    for i, name in enumerate(names[1 : MAX_NESTING + 3], start=1):
+        zigzag = And(Atom(name), Or(zigzag, Atom(f"x{i}"))) if i % 2 else And(Atom(name), zigzag)
+    leaves = sorted({a for a in format_formula(zigzag).replace("(", " ").replace(")", " ").split() if a not in "&|"})
+    with pytest.raises(ValidationError, match="deep on the right"):
+        StateNode("S", tuple(map(Event, leaves)), zigzag)
+
+
+def test_a_state_accepts_a_long_left_deep_tree():
+    names = [f"e{i}" for i in range(5000)]
+    state = StateNode("S", tuple(map(Event, names)), build_event_tree(names, ["and", "or"] * 2499 + ["and"]))
+    assert len(state.events) == 5000
