@@ -163,9 +163,7 @@ class GuardedLTS(Cached):
             f = t.guard.formula  # the usual guard is one atom, which needs no `atoms` walk
             loose = None if type(f) is Atom and f.name in resolvable else atoms(f) - resolvable
             if loose:
-                raise ValidationError(
-                    f"guard of {t.source}->{t.target} references unknown atom {sorted(loose)[0]!r}", t
-                )
+                raise ValidationError(f"guard of {t.source}->{t.target} references unknown atom {sorted(loose)[0]!r}", t)
         outgoing = self._outgoing
         reached, frontier = {self.initial}, [self.initial]
         for source in frontier:  # the frontier grows while it is walked

@@ -103,8 +103,9 @@ def check_proof(sequent: Sequent, proof: Proof) -> CheckResult:
             if rule is _IMPL_ELIM:
                 if type(fi) is Implies and (fi.left is fj or fi.left == fj) and (fi.right is formula or fi.right == formula):
                     continue
-            elif rule is _MODUS_TOLLENS:
-                if type(fi) is Implies and _negates(fj, fi.right) and _negates(formula, fi.left):
+            elif rule is _MODUS_TOLLENS:  # fj is !fi.right and the line !fi.left, tested in place
+                if type(fi) is Implies and type(fj) is Not and type(formula) is Not and (fj.operand is fi.right or
+                        fj.operand == fi.right) and (formula.operand is fi.left or formula.operand == fi.left):
                     continue
             elif rule is _NEG_ELIM:
                 if _negates(fi, fj) and type(formula) is Falsum:
@@ -117,10 +118,7 @@ def check_proof(sequent: Sequent, proof: Proof) -> CheckResult:
     last = lines[-1].formula
     expected = conclusion if refuted is None else FALSUM
     if last != expected:
-        return _invalid(
-            lines[-1].index,
-            f"last line is {format_formula(last)}, expected {format_formula(expected)}",
-        )
+        return _invalid(lines[-1].index, f"last line is {format_formula(last)}, expected {format_formula(expected)}")
     return CheckResult(True)
 
 

@@ -34,7 +34,9 @@ class StateTreeNode:
 def build_event_tree(events, operators) -> Formula:
     """Left-deep operator tree ((e1 op1 e2) op2 e3)...; leaf order follows
     event order. `events` may be names or objects with a `.name`."""
-    names = [e if isinstance(e, str) else e.name for e in events]
+    names = []  # a loop: a comprehension costs more than a state's few events
+    for e in events:
+        names.append(e if isinstance(e, str) else e.name)
     operators = tuple(operators)
     tree = Atom(names[0]) if names else None
     for i, op in enumerate(operators, start=1):
