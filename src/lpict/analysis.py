@@ -123,7 +123,7 @@ def partial_order_check(trace: Sequence, lts: GuardedLTS) -> bool:
     chain, ValidationError for a state that is not on it."""
     position = {state.id: i for i, state in enumerate(lts.chain)}
     try:
-        order = [position[sym.state if type(sym) is TraceSymbol else sym] for sym in trace]
+        order = [position[sym.state if isinstance(sym, TraceSymbol) else sym] for sym in trace]
     except KeyError as exc:
         raise ValidationError(f"trace mentions state {exc.args[0]!r}, which is not on the chain") from None
     return all(map(lt, order, order[1:]))
