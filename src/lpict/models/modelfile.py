@@ -117,12 +117,13 @@ class _ModelReader:
         self.protocol = m.group(1)
 
     def key_state(self, text, words):
-        if words[2:] != ["{"] and words[2:] != ["{", "}"]:
+        inline_empty = len(words) == 4 and words[2] == "{" and words[3] == "}"
+        if not inline_empty and (len(words) != 3 or words[2] != "{"):
             raise ParseError("expected: state <id> {")
         state_id = words[1]
         if not (state_id.isascii() and state_id.isidentifier()):  # a keyword fails at its '}'
             check_name(state_id, "state id")
-        if len(words) == 4:  # state <id> { }
+        if inline_empty:
             return self.add_state(StateNode(state_id, (), None))
         opened, events, combine, shapes = self.lineno, [], None, self.event_shapes
         for self.lineno, text, words in self.lines:
