@@ -257,7 +257,8 @@ _PREC = {Implies: 1, Or: 2, And: 3, Not: 4, Atom: 5, Falsum: 5}
 
 
 def format_formula(f: Formula) -> str:
-    """The formula's text, made once per node and stored on it."""
+    """The formula's text, made once and stored on the node asked for. The
+    left spine of a chain of & and | is walked in a loop, not by recursion."""
     text = f._text
     if text is not None:
         return text
@@ -271,14 +272,20 @@ def format_formula(f: Formula) -> str:
         text = (f"{left.name if type(left) is Atom else _fmt(left, prec + 1)} -> "
                 f"{right.name if type(right) is Atom else _fmt(right, prec)}")
     else:
-        # a chain of one operator is left-deep: walk its left spine in a loop
-        rights, node = [], f
-        while type(node) is op:
-            rights.append(node.right)
+        # down the left spine of & and | nodes without a text, then up: an |
+        # below an & closes a parenthesis that opens at the very start
+        spine, node = [], f
+        while type(node) in _AND_OR and node._text is None:
+            spine.append(node)
             node = node.left
-        parts = [_fmt(node, prec)]
-        parts += [_fmt(right, prec + 1) for right in reversed(rights)]
-        text = (" & " if op is And else " | ").join(parts)
+        parts, opens, below = [_fmt(node, _PREC[type(spine[-1])])], 0, None
+        for above in reversed(spine):
+            if type(above) is And and type(below) is Or:
+                parts.append(")")
+                opens += 1
+            parts.append((" & " if type(above) is And else " | ") + _fmt(above.right, _PREC[type(above)] + 1))
+            below = above
+        text = "(" * opens + "".join(parts)
     _set_text(f, text)
     return text
 

@@ -126,7 +126,6 @@ def cross_validate(premises, conclusion: Formula) -> CrossCheck:
             raise FragmentError(f"formula outside the implication-chain fragment: {f!r}")
     semantic = semantic_entails(premises, conclusion)
     proofs = search_both(premises, conclusion)
-    if proofs is not None:
-        sq = Sequent(premises, conclusion)
-        assert all(check_proof(sq, proof).valid for proof in proofs)
-    return CrossCheck(semantic, proofs is not None, semantic == (proofs is not None))
+    sq = Sequent(premises, conclusion)
+    provable = proofs is not None and all(check_proof(sq, proof).valid for proof in proofs)  # found, and both check
+    return CrossCheck(semantic, provable, semantic == provable)

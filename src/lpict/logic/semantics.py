@@ -1,4 +1,9 @@
-"""Semantic entailment by exhaustive valuation enumeration."""
+"""Semantic entailment by exhaustive valuation enumeration.
+
+`ATOM_BUDGET` counts every atom of the sequent. A premise that is an atom or
+a negated atom fixes that atom's value (the one-literal rule of Davis and
+Putnam), so the table runs over the atoms that no literal premise fixes.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ from itertools import product
 from typing import Iterable, Iterator
 
 from ..errors import AtomBudgetError
-from .formulas import Formula, atoms, eval_formula
+from .formulas import Atom, Formula, Not, atoms, eval_formula
 
 ATOM_BUDGET = 20
 
@@ -25,7 +30,15 @@ def semantic_entails(premises: Iterable[Formula], conclusion: Formula) -> bool:
         names |= atoms(p)
     if len(names) > ATOM_BUDGET:
         raise AtomBudgetError(f"{len(names)} atoms exceed the budget of {ATOM_BUDGET}")
-    for v in all_valuations(names):
-        if all(eval_formula(p, v) for p in premises) and not eval_formula(conclusion, v):
+    fixed, rest = {}, []  # the value each literal premise gives its atom; the other premises
+    for p in premises:
+        atom = p.operand if type(p) is Not else p
+        if type(atom) is not Atom:
+            rest.append(p)
+        elif fixed.setdefault(atom.name, atom is p) is not (atom is p):
+            return True  # a literal and its negation: no valuation satisfies the premises
+    for v in all_valuations(names - fixed.keys()):
+        v.update(fixed)
+        if all(eval_formula(p, v) for p in rest) and not eval_formula(conclusion, v):
             return False
     return True

@@ -1,4 +1,5 @@
-"""Shared fixtures: seeded random generators for terms, formulas and chains, and a low recursion limit."""
+"""Shared fixtures: seeded random generators for terms, formulas and chains, a
+low recursion limit, and a count of the Python-level calls of one call."""
 
 from __future__ import annotations
 
@@ -93,6 +94,26 @@ def random_fragment_formula(rng: random.Random, atom_names):
     left = rng.choice(atoms) if rng.random() < 0.7 else Not(rng.choice(atoms))
     right = rng.choice(atoms) if rng.random() < 0.7 else Not(rng.choice(atoms))
     return Implies(left, right)
+
+
+def profiled_calls(fn, *args) -> int:
+    """`call` and `c_call` profile events of one `fn(*args)`. They count
+    Python-level calls, which repeat exactly from run to run where times do
+    not; a test compares the marginal counts of two sizes, which hold across
+    Python versions whose absolute counts differ."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" or event == "c_call":
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return count
 
 
 @pytest.fixture

@@ -24,6 +24,8 @@ from lpict.models import (
 )
 from lpict.trees import StateTreeNode, bfs_traverse
 
+from conftest import profiled_calls
+
 
 def simple_state(sid, event):
     return StateNode(sid, (Event(event),), Atom(event))
@@ -570,28 +572,14 @@ def test_shaped_dual_reports_keep_their_bytes(n, variant, format, tmp_path, caps
 
 
 def _profiled_calls(argv):
-    """`call` and `c_call` profile events, which count Python-level calls, of
-    one `run_cli(argv)` with its output discarded."""
+    """The profiled calls of one `run_cli(argv)` with its output discarded."""
     import contextlib
     import io
-    import sys
 
     from lpict.cli import run_cli
 
-    count = 0
-
-    def profile(frame, event, arg):
-        nonlocal count
-        if event == "call" or event == "c_call":
-            count += 1
-
     with contextlib.redirect_stdout(io.StringIO()):
-        sys.setprofile(profile)
-        try:
-            run_cli(argv)
-        finally:
-            sys.setprofile(None)
-    return count
+        return profiled_calls(run_cli, argv)
 
 
 def test_a_dual_analysis_costs_the_same_calls_per_state(tmp_path):

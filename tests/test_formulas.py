@@ -4,6 +4,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from lpict.errors import AtomBudgetError, ParseError
+from lpict.guarded import Event, StateNode
 from lpict.lexing import MAX_NESTING
 from lpict.logic.formulas import (
     FALSUM,
@@ -20,6 +21,7 @@ from lpict.logic.formulas import (
     parse_formula,
 )
 from lpict.logic.semantics import all_valuations, semantic_entails
+from lpict.trees import build_event_tree
 
 from conftest import random_fragment_formula
 
@@ -147,6 +149,42 @@ def test_format_long_chains_does_not_recurse():
         " & ".join(["(a | b)"] * 1500),
     ):
         assert format_formula(parse_formula(source)) == source
+
+
+def test_format_an_alternating_left_spine_does_not_recurse():
+    # at the default recursion limit: every node of the spine changes the
+    # operator, and each | left of an & opens a parenthesis at the start
+    names = [f"e{i}" for i in range(5000)]
+    operators = ["and", "or"] * 2499 + ["and"]
+    tree = build_event_tree(names, operators)
+    StateNode("S", tuple(Event(n) for n in names), tree)  # a valid state
+    expected, below = names[0], None
+    for op, name in zip(operators, names[1:]):
+        if op == "and" and below == "or":
+            expected = f"({expected})"
+        expected += (" & " if op == "and" else " | ") + name
+        below = op
+    assert format_formula(tree) == expected
+
+
+def test_format_parse_roundtrip_on_mixed_left_spines():
+    # spines that change operator, under !, -> and each other; a subformula
+    # whose text is stored already ends a spine's walk
+    import random
+
+    r = random.Random(31)
+
+    def spine(depth):
+        f = random_formula(r, depth)
+        for _ in range(r.randrange(1, 6)):
+            f = r.choice((And, Or))(f, spine(depth - 1) if depth > 0 and r.random() < 0.3 else random_formula(r, 1))
+        return r.choice((lambda f: f, Not, lambda f: Implies(f, Atom("p")), lambda f: Implies(Atom("q"), f)))(f)
+
+    for _ in range(500):
+        f = spine(r.randrange(0, 4))
+        if r.random() < 0.3 and not isinstance(f, (Atom, Falsum)):
+            format_formula(f.operand if isinstance(f, Not) else f.left)
+        assert parse_formula(format_formula(f)) == f
 
 
 def test_eval_short_circuits_along_a_chain():

@@ -4,7 +4,7 @@ import pytest
 
 from lpict.errors import FragmentError
 from lpict.logic.formulas import And, Atom, Implies, Not
-from lpict.logic.proofs import Proof, ProofLine, Rule, Sequent, check_proof
+from lpict.logic.proofs import CheckResult, Proof, ProofLine, Rule, Sequent, check_proof
 from lpict.logic.search import (
     cross_validate,
     in_chain_fragment,
@@ -145,6 +145,17 @@ def test_cross_validate_examples():
     premises, goal = chain(6)
     record = cross_validate(premises, goal)
     assert (record.semantic, record.provable, record.agree) == (True, True, True)
+    record = cross_validate((Atom("p"),), Atom("q"))
+    assert (record.semantic, record.provable, record.agree) == (False, False, True)
+
+
+def test_cross_validate_counts_a_found_proof_only_when_it_checks(monkeypatch):
+    # a proof that search found but that fails its check is no proof, also
+    # under python -O, where an assert would not run
+    monkeypatch.setattr("lpict.logic.search.check_proof", lambda sequent, proof: CheckResult(False, 1, "rejected"))
+    premises, goal = chain(3)
+    record = cross_validate(premises, goal)
+    assert (record.semantic, record.provable, record.agree) == (True, False, False)
     record = cross_validate((Atom("p"),), Atom("q"))
     assert (record.semantic, record.provable, record.agree) == (False, False, True)
 
