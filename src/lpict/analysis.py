@@ -147,14 +147,17 @@ def entailment_sequent(lts: GuardedLTS) -> Sequent:
 def entailment_judgment(lts: GuardedLTS) -> EntailmentResult:
     """Encode the transitions as implications and derive the terminal state
     twice, forward and by contradiction, from one search of the implication
-    path. Holds when both proofs check, and not when the search finds none."""
-    sequent = entailment_sequent(lts)
-    proofs = search_both(sequent.premises, sequent.conclusion)
-    if proofs is None:
-        return EntailmentResult(sequent, None, None, False)
-    forward, contradiction = proofs
-    holds = check_proof(sequent, forward).valid and check_proof(sequent, contradiction).valid
-    return EntailmentResult(sequent, forward, contradiction, holds)
+    path. Holds when both proofs check, and not when the search finds none.
+    The judgment depends on the system alone: the first call keeps it on
+    `lts`, and later calls return it."""
+    result = lts.__dict__.get("_entailment")
+    if result is None:
+        sequent = entailment_sequent(lts)
+        proofs = search_both(sequent.premises, sequent.conclusion)
+        forward, contradiction = proofs or (None, None)
+        holds = proofs is not None and check_proof(sequent, forward).valid and check_proof(sequent, contradiction).valid
+        result = lts.__dict__["_entailment"] = EntailmentResult(sequent, forward, contradiction, holds)
+    return result
 
 
 def _walk(lts: GuardedLTS, assignment, prior_values=None, prior_trace=()) -> tuple[tuple[TraceSymbol, ...], tuple | None]:
@@ -190,13 +193,26 @@ def _walk(lts: GuardedLTS, assignment, prior_values=None, prior_trace=()) -> tup
     return tuple(trace), None
 
 
-def _judge(lts: GuardedLTS, trace, failing, entailment: EntailmentResult | None, matching=None, ideal=None) -> AnalysisOutcome:
+def _judge(lts: GuardedLTS, trace, failing, entailment: EntailmentResult | None, matching=None, ordered=None) -> AnalysisOutcome:
     if failing is not None:
         return AnalysisOutcome(FLAWED, trace, failing, Judgments(False, False, matching), None)
-    ordered = ideal.judgments.partial_order if matching else partial_order_check(trace, lts)  # matching: the ideal trace
+    ordered = partial_order_check(trace, lts) if ordered is None else ordered  # given: judged on an earlier walk
     judgments = Judgments(ordered, entailment.holds, matching)
     verdict = SECURE if judgments.partial_order and judgments.entailment else FLAWED
     return AnalysisOutcome(verdict, trace, None, judgments, entailment)
+
+
+def _ideal_run(model: ProtocolModel) -> tuple:
+    """The ideal environment's event values, trace, failing pair and partial order: they depend on
+    the system alone, so the first analysis keeps them on `model.lts` for all later ones."""
+    env = model.environment(IDEAL)
+    run = model.lts.__dict__.get("_ideal_run")
+    if run is None:
+        values = apply_environment(model, env)
+        trace, failing = _walk(model.lts, values)
+        ordered = failing is None and partial_order_check(trace, model.lts)
+        run = model.lts.__dict__["_ideal_run"] = values, trace, failing, ordered
+    return run
 
 
 def analyze_protocol(model: ProtocolModel, env) -> AnalysisOutcome:
@@ -205,8 +221,11 @@ def analyze_protocol(model: ProtocolModel, env) -> AnalysisOutcome:
     The two judgments are only established when every state's event tree
     and every transition guard on the way evaluate true; a run stopped at a
     false tree or guard reports them as not holding."""
-    trace, failing = _walk(model.lts, apply_environment(model, env))
-    return _judge(model.lts, trace, failing, None if failing else entailment_judgment(model.lts))
+    if env.kind == IDEAL and env in model.environments:  # apply_environment refuses a foreign one
+        _, trace, failing, ordered = _ideal_run(model)
+    else:
+        (trace, failing), ordered = _walk(model.lts, apply_environment(model, env)), None
+    return _judge(model.lts, trace, failing, None if failing else entailment_judgment(model.lts), ordered=ordered)
 
 
 def dual_environment_verdict(model: ProtocolModel) -> DualVerdict:
@@ -217,15 +236,14 @@ def dual_environment_verdict(model: ProtocolModel) -> DualVerdict:
     is secure and the non-ideal trace matches it in full. Equal traces mean
     the non-ideal walk reached the terminal state too, so its judgments are
     the ideal walk's."""
-    ideal_values = apply_environment(model, model.environment(IDEAL))
-    ideal_trace, ideal_failing = _walk(model.lts, ideal_values)
+    ideal_values, ideal_trace, ideal_failing, ordered = _ideal_run(model)
     values = apply_environment(model, model.environment(NONIDEAL))
     if values == ideal_values:  # equal event values make equal walks
         trace, failing = ideal_trace, ideal_failing
     else:
         trace, failing = _walk(model.lts, values, ideal_values, ideal_trace)
     entailment = entailment_judgment(model.lts) if ideal_failing is None or failing is None else None
-    ideal = _judge(model.lts, ideal_trace, ideal_failing, entailment)
+    ideal = _judge(model.lts, ideal_trace, ideal_failing, entailment, ordered=ordered)
     matched = trace == ideal_trace
-    nonideal = _judge(model.lts, trace, failing, entailment, matched, ideal)
+    nonideal = _judge(model.lts, trace, failing, entailment, matched, ordered if matched else None)
     return DualVerdict(ideal, nonideal, matched, ideal.secure and matched)

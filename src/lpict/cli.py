@@ -21,11 +21,11 @@ from pathlib import Path
 from .analysis import analyze_protocol, dual_environment_verdict, entailment_judgment
 from .errors import LpictError
 from .kmp import kmp_match
-from .logic.proofs import check_proof, proof_records, render_proof_table, render_sequent
+from .logic.proofs import check_proof, proof_records
 from .models import BUILTIN_MODELS, load_model, with_attackers
 from .pi.parser import parse_process, pretty_print
 from .pi.reduction import nested_replication, reduce_step
-from .report import build_dual_report, build_single_report, paint, render_report, yesno
+from .report import build_dual_report, build_single_report, paint, proof_text, render_report, yesno
 
 
 def _read_text(path: str, what: str) -> str:
@@ -80,25 +80,15 @@ def _cmd_prove(args) -> int:
     if proof is None:
         sys.stdout.write("no proof found\n")
         return 1
-    valid = check_proof(result.sequent, proof).valid
+    valid = result.holds or check_proof(result.sequent, proof).valid  # holds: both proofs checked valid
+    sequent, forward, contradiction = proof_text(model.lts, result)
     if args.format == "json":
-        sys.stdout.write(
-            json.dumps(
-                {
-                    "model": model.name,
-                    "style": args.style,
-                    "sequent": render_sequent(result.sequent),
-                    "valid": valid,
-                    "lines": proof_records(proof),
-                },
-                indent=2,
-            )
-            + "\n"
-        )
+        record = {"model": model.name, "style": args.style, "sequent": sequent, "valid": valid, "lines": proof_records(proof)}
+        sys.stdout.write(json.dumps(record, indent=2) + "\n")
     else:
-        sys.stdout.write(f"sequent: {render_sequent(result.sequent)}\n")
+        sys.stdout.write(f"sequent: {sequent}\n")
         sys.stdout.write(f"{args.style} proof ({len(proof)} lines):\n")
-        sys.stdout.write(render_proof_table(proof) + "\n")
+        sys.stdout.write((forward if args.style == "forward" else contradiction) + "\n")
         sys.stdout.write(f"valid: {paint(yesno(valid), valid, args.color)}\n")
     return 0 if valid else 1
 

@@ -13,7 +13,7 @@ from functools import cached_property
 
 from .errors import BranchingPathError, ValidationError
 from .lexing import MAX_NESTING
-from .logic.formulas import KEYWORDS, And, Atom, Cached, Formula, Or, atoms, frozen_record
+from .logic.formulas import KEYWORDS, And, Atom, Cached, Formula, Or, atoms, frozen_record, nesting
 from .logic.search import search_forward_chain
 from .logic.semantics import semantic_entails
 from .trees import event_leaves
@@ -68,7 +68,13 @@ class Event:
 
 @frozen_record
 class Guard:
+    """A formula whose text nests at most `lexing.MAX_NESTING` deep, as the parser reads it."""
+
     formula: Formula
+
+    def __post_init__(self):
+        if type(self.formula) is not Atom and nesting(self.formula) > MAX_NESTING:  # most guards are one atom
+            raise ValidationError(f"guard nests more than {MAX_NESTING} deep")
 
 
 @frozen_record

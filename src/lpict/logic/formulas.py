@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from operator import attrgetter
-from typing import Mapping, Union
+from typing import Mapping
 
 from ..errors import LpictError, ParseError
 from ..lexing import Cursor, token_pattern
@@ -142,7 +142,7 @@ _set_hash, _set_text = _Node._hash.__set__, _Node._text.__set__
 _set_name, _set_operand = Atom.name.__set__, Not.operand.__set__
 _set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 
-Formula = Union[Atom, Not, And, Or, Implies, Falsum]
+Formula = Atom | Not | And | Or | Implies | Falsum
 
 FALSUM = Falsum()
 
@@ -295,3 +295,19 @@ def _fmt(f: Formula, parent: int) -> str:
         return f.name
     text = f._text or format_formula(f)
     return f"({text})" if _PREC[type(f)] < parent else text
+
+
+def nesting(f: Formula) -> int:
+    """How deep the parser nests in the text of `f`: one level per `!`, per
+    right side of `->` and per parenthesis that `format_formula` writes."""
+    deepest, stack = 0, [(f, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest, op = max(deepest, depth), type(node)
+        if op is Not:
+            stack.append((node.operand, depth + 1 + (_PREC[type(node.operand)] < _PREC[Not])))
+        elif op is not Atom and op is not Falsum:  # the precedence each side is printed at, as in format_formula
+            left, right = (_PREC[op] + 1, _PREC[op]) if op is Implies else (_PREC[op], _PREC[op] + 1)
+            stack.append((node.left, depth + (_PREC[type(node.left)] < left)))
+            stack.append((node.right, depth + (op is Implies) + (_PREC[type(node.right)] < right)))
+    return deepest

@@ -3,8 +3,6 @@ X = S.X + T (least solution star(S).T, defined when epsilon is not in S)."""
 
 from __future__ import annotations
 
-from typing import Union
-
 from ..errors import ValidationError
 from ..logic.formulas import frozen_record
 
@@ -41,7 +39,7 @@ class Star:
     body: "RegularExpr"
 
 
-RegularExpr = Union[Empty, Epsilon, Symbol, Concat, Union_, Star]
+RegularExpr = Empty | Epsilon | Symbol | Concat | Union_ | Star
 
 Word = tuple[str, ...]
 

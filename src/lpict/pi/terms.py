@@ -9,7 +9,7 @@ step share their components, so each is hashed and printed once.
 
 from __future__ import annotations
 
-from typing import Mapping, Union
+from typing import Mapping
 
 from ..logic.formulas import Cached, frozen_record
 
@@ -41,7 +41,7 @@ class Send:
     args: tuple[Name, ...] = ()
 
 
-Prefix = Union[Tau, Receive, Send]
+Prefix = Tau | Receive | Send
 
 
 @frozen_record
@@ -96,7 +96,7 @@ class Bang(Cached):
     body: "Process"
 
 
-Process = Union[Nil, Sum, Par, Restrict, Bang]
+Process = Nil | Sum | Par | Restrict | Bang
 
 NIL = Nil()
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 
 from .analysis import AnalysisOutcome, DualVerdict, EntailmentResult
+from .guarded import GuardedLTS
 from .logic.proofs import render_proof_table, render_sequent
 from .models.core import EnvironmentConfig
 
@@ -31,24 +32,25 @@ def _env_report(env: EnvironmentConfig, outcome: AnalysisOutcome, tokens: list[s
     }
 
 
-def _proofs_report(entailment: EntailmentResult | None) -> dict | None:
-    if entailment is None or not entailment.holds:
-        return None
-    return {
-        "sequent": render_sequent(entailment.sequent),
-        "forward": render_proof_table(entailment.forward),
-        "contradiction": render_proof_table(entailment.contradiction),
-    }
+def proof_text(lts: GuardedLTS, entailment: EntailmentResult) -> tuple[str, str, str]:
+    """The sequent line and the forward and contradiction tables of a judgment
+    with both proofs, rendered once and kept on `lts`, the judged system."""
+    kept = lts.__dict__.get("_proof_text")
+    if kept is None or kept[0] is not entailment:
+        tables = map(render_proof_table, (entailment.forward, entailment.contradiction))
+        kept = lts.__dict__["_proof_text"] = (entailment, render_sequent(entailment.sequent), *tables)
+    return kept[1:]
 
 
 def _report(model, mode, environments, matched, secure, entailment, duration_ms) -> dict:
+    holds = entailment is not None and entailment.holds  # each report gets its own dict of the shared strings
     return {
         "model": model.name,
         "mode": mode,
         "environments": environments,
         "matched": matched,
         "secure": secure,
-        "proofs": _proofs_report(entailment),
+        "proofs": dict(zip(("sequent", "forward", "contradiction"), proof_text(model.lts, entailment))) if holds else None,
         "duration_ms": duration_ms,
     }
 

@@ -371,3 +371,42 @@ def test_a_state_accepts_a_long_left_deep_tree():
     names = [f"e{i}" for i in range(5000)]
     state = StateNode("S", tuple(map(Event, names)), build_event_tree(names, ["and", "or"] * 2499 + ["and"]))
     assert len(state.events) == 5000
+
+
+def test_a_guard_accepts_exactly_what_the_parser_reads():
+    # Printing and evaluating a guard recurse once per level, so a guard
+    # refuses a formula whose text the parser would refuse as nested too deep.
+    # Checked at the default recursion limit.
+    from lpict.errors import ParseError
+    from lpict.lexing import MAX_NESTING
+    from lpict.logic.formulas import eval_formula, format_formula, parse_formula
+
+    a, b = Atom("a"), Atom("b")
+    shapes = {
+        "!": lambda f: Not(f),
+        "-> on the left": lambda f: Implies(f, b),
+        "-> on the right": lambda f: Implies(b, f),
+        "& on the right": lambda f: And(b, f),
+        "| and & on the left": lambda f: Or(And(f, b), b),
+    }
+    for name, wrap in shapes.items():
+        formula = a
+        for _ in range(3000):
+            formula = wrap(formula)
+        with pytest.raises(ValidationError, match=f"guard nests more than {MAX_NESTING} deep"):
+            Guard(formula)
+        formula = a
+        for levels in range(1, 2 * MAX_NESTING + 2):
+            formula = wrap(formula)
+            text = format_formula(formula)
+            try:
+                parse_formula(text)
+            except ParseError:
+                with pytest.raises(ValidationError, match="guard nests more than"):
+                    Guard(formula)
+                break
+            guard = Guard(formula)
+            assert eval_formula(guard.formula, {"a": True, "b": True}) in (True, False)
+        else:
+            pytest.fail(f"the parser reads {name} at every depth")
+        assert levels > MAX_NESTING // 2, name

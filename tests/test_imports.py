@@ -3,6 +3,10 @@ package `__init__` that defines `__all__` exports exactly what it imports.
 """
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import lpict
@@ -55,3 +59,24 @@ def test_all_lists_exactly_the_imported_names():
                 assert set(exported) == _imported(tree), path
                 checked.append(path.parent.name)
     assert {"logic", "models", "pi"} <= set(checked)
+
+
+def test_a_fresh_import_frees_the_one_before():
+    # A `typing.Union` alias lives in typing's cache, and through it the
+    # classes it names and their module's dict: a re-import would pin them.
+    script = textwrap.dedent(
+        """
+        import gc, sys, weakref
+        import lpict
+        old = weakref.ref(sys.modules["lpict.logic.formulas"].Atom)
+        for name in [m for m in sys.modules if m == "lpict" or m.startswith("lpict.")]:
+            del sys.modules[name]
+        del lpict
+        import lpict
+        gc.collect()
+        print(old() is None)
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True).stdout
+    assert out == "True\n"

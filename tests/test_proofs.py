@@ -13,6 +13,8 @@ from lpict.logic.proofs import (
 )
 from lpict.logic.search import search_contradiction, search_forward_chain
 
+from conftest import profiled_calls
+
 
 def tls_atoms():
     return [Atom(f"S{i}") for i in range(1, 7)] + [Atom("S_end")]
@@ -176,3 +178,17 @@ def test_render_layout_across_number_widths(k):
             for n, f, j in zip(numbers, formulas, justifications)
         ]
         assert render_proof_table(proof).split("\n") == expected
+
+
+def test_check_proof_costs_the_same_calls_per_line():
+    # README: checking a proof is linear in its length. Forward proofs of
+    # 199, 1,699 and 3,199 lines, from chains of 99, 849 and 1,599 implications.
+    calls = {}
+    for k in (99, 849, 1599):
+        atoms = [Atom(f"a{i}") for i in range(k + 1)]
+        sequent = Sequent(tuple([atoms[0]] + [Implies(a, b) for a, b in zip(atoms, atoms[1:])]), atoms[-1])
+        proof = search_forward_chain(sequent.premises, sequent.conclusion)
+        assert len(proof) == 2 * k + 1 and check_proof(sequent, proof).valid
+        calls[len(proof)] = profiled_calls(check_proof, sequent, proof)
+    short, long = (calls[1699] - calls[199]) / 1500, (calls[3199] - calls[1699]) / 1500
+    assert abs(long - short) <= 0.05 * short, (short, long)

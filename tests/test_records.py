@@ -5,6 +5,7 @@ take exactly its fields and still run `__post_init__`."""
 
 import copy
 import dataclasses
+import functools
 import importlib
 import inspect
 import pickle
@@ -16,7 +17,7 @@ import lpict
 from lpict.analysis import dual_environment_verdict
 from lpict.errors import ValidationError
 from lpict.guarded import Event, EventMessage, Guard, GuardedLTS, GuardedTransition, ResistTag, StateNode
-from lpict.logic.formulas import Atom, _refuse
+from lpict.logic.formulas import Atom, Not, _refuse
 from lpict.logic.proofs import check_proof
 from lpict.logic.search import cross_validate
 from lpict.models import EnvironmentConfig, ProtocolModel, builtin_tls13
@@ -154,6 +155,7 @@ POST_INIT_REJECTS = {
     Event: (("9x",), ValidationError, "bad event name '9x'"),
     EventMessage: (((),), ValidationError, "an event message cannot be empty"),
     StateNode: (("S", (), Atom("e")), ValidationError, "event-less state 'S' cannot carry an event tree"),
+    Guard: ((functools.reduce(lambda f, _: Not(f), range(101), Atom("a")),), ValidationError, "guard nests more than 100 deep"),
     GuardedTransition: (("A", "a b", "B", Guard(Atom("A"))), ValidationError, "bad action 'a b'"),
     GuardedLTS: (((), (), "A", "A"), ValidationError, "initial state 'A' is not declared"),
     EnvironmentConfig: (("hostile",), ValidationError, "unknown environment kind 'hostile'"),

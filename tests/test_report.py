@@ -1,11 +1,25 @@
+import gc
+import itertools
 import json
+import weakref
 
 import pytest
 
 import lpict.analysis
+import lpict.cli
 from lpict.analysis import analyze_protocol, dual_environment_verdict
 from lpict.cli import run_cli
-from lpict.models import builtin_dh, builtin_tls13
+from lpict.errors import MissingEnvironmentError, ValidationError
+from lpict.models import (
+    AttackerCapability,
+    EnvironmentConfig,
+    ProtocolModel,
+    builtin_dh,
+    builtin_tls13,
+    bundled_model_text,
+    load_model,
+    with_attackers,
+)
 from lpict.report import build_dual_report, build_single_report, render_report
 
 
@@ -165,3 +179,76 @@ def test_dual_command_searches_once_and_checks_two_proofs(tmp_path, monkeypatch,
     capsys.readouterr()
     assert len(searches) == 1
     assert [len(proof) for proof in checks] == [2 * (n - 1) + 1, 2 * (n - 1) + 3]
+
+
+# Every set of attacker capabilities, by word: the 2^5 non-ideal environments.
+ATTACKER_SETS = [subset for r in range(6) for subset in itertools.combinations([c.value for c in AttackerCapability], r)]
+
+
+def test_every_attacker_set_reuses_one_ideal_run_and_judgment(monkeypatch, capsys):
+    # A built-in model keeps its judgment for the whole process: load it anew.
+    builtin_tls13.cache_clear()
+    calls = {"search": 0, "check": 0, "ideal": 0}
+
+    def counting(key, fn, counted=lambda *args: True):
+        def wrapper(*args):
+            calls[key] += counted(*args)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(lpict.analysis, "search_both", counting("search", lpict.analysis.search_both))
+    monkeypatch.setattr(lpict.analysis, "check_proof", counting("check", lpict.analysis.check_proof))
+    monkeypatch.setattr(lpict.cli, "check_proof", counting("check", lpict.cli.check_proof))
+    ideal = counting("ideal", lpict.analysis.apply_environment, lambda model, env: env.kind == "ideal")
+    monkeypatch.setattr(lpict.analysis, "apply_environment", ideal)
+    model = builtin_tls13()
+    for attackers in ATTACKER_SETS:
+        assert dual_environment_verdict(with_attackers(model, attackers)).ideal.secure
+    assert analyze_protocol(model, model.environment("ideal")).secure
+    assert calls == {"search": 1, "check": 2, "ideal": 1}
+    for style in ("forward", "contradiction"):
+        assert run_cli(["prove", "--model", "tls13", "--style", style]) == 0
+    assert "valid: yes" in capsys.readouterr().out
+    assert calls == {"search": 1, "check": 2, "ideal": 1}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_reports_from_a_kept_run_equal_those_of_a_fresh_model(fmt):
+    def reports(model):
+        env = model.environment("ideal")
+        return (build_dual_report(model, dual_environment_verdict(model)),
+                build_single_report(model, env, analyze_protocol(model, env)))
+
+    warm = builtin_tls13()
+    for report in reports(warm):  # a caller may change its report; the next one is whole
+        report["proofs"]["forward"] = ""
+    for attackers in ATTACKER_SETS:
+        kept = reports(with_attackers(warm, attackers))
+        fresh = reports(with_attackers(load_model(bundled_model_text("tls13")), attackers))
+        assert [render_report(r, fmt) for r in kept] == [render_report(r, fmt) for r in fresh]
+
+
+def test_a_kept_run_still_checks_the_environment():
+    model = builtin_tls13()
+    dual_environment_verdict(model)
+    nonideal_only = ProtocolModel(model.name, model.lts, (model.environment("nonideal"),))
+    with pytest.raises(ValidationError, match="does not belong"):
+        analyze_protocol(nonideal_only, EnvironmentConfig("ideal"))
+    with pytest.raises(MissingEnvironmentError):
+        dual_environment_verdict(nonideal_only)
+
+
+def test_a_model_read_from_a_file_dies_with_its_command(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "tls13.model"
+    path.write_text(bundled_model_text("tls13"), encoding="utf-8")
+    systems, load = [], lpict.cli.load_model
+    monkeypatch.setattr(lpict.cli, "load_model", lambda text: systems.append(load(text)) or systems[-1])
+    assert run_cli(["analyze", "--model", str(path), "--dual"]) == 0
+    capsys.readouterr()
+    lts = systems.pop().lts
+    assert {"_entailment", "_ideal_run", "_proof_text"} <= lts.__dict__.keys()
+    system = weakref.ref(lts)
+    del lts
+    gc.collect()
+    assert system() is None
