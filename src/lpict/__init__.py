@@ -4,7 +4,7 @@ The package combines a small process calculus (parsing, structural
 congruence, reduction), a propositional proof kernel (truth tables,
 natural-deduction checking and search), guarded transition systems whose
 states carry corresponding events, a chain analysis framework that walks
-state/event binary trees and matches ideal against non-ideal traces, and
+a transition chain and matches ideal against non-ideal traces, and
 executable models of the TLS 1.3 handshake and Diffie-Hellman exchange.
 """
 

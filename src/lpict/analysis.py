@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .errors import ValidationError
 from .guarded import GuardedLTS
-from .logic.formulas import And, Atom, Implies, Or, eval_formula, frozen_record
+from .logic.formulas import And, Atom, Cached, Implies, Or, eval_formula, frozen_record
 from .logic.proofs import Proof, Sequent, check_proof
 from .logic.search import search_both
 from .models.core import IDEAL, NONIDEAL, ProtocolModel, apply_environment
@@ -64,7 +64,7 @@ class Judgments:
 
 
 @frozen_record
-class EntailmentResult:
+class EntailmentResult(Cached):
     sequent: Sequent
     forward: Proof | None
     contradiction: Proof | None
@@ -193,25 +193,24 @@ def _walk(lts: GuardedLTS, assignment, prior_values=None, prior_trace=()) -> tup
     return tuple(trace), None
 
 
-def _judge(lts: GuardedLTS, trace, failing, entailment: EntailmentResult | None, matching=None, ordered=None) -> AnalysisOutcome:
+def _judge(lts: GuardedLTS, trace, failing, matching=None) -> AnalysisOutcome:
+    """A walk's outcome: flawed at its failing pair, else judged by its trace's order and the system's entailment."""
     if failing is not None:
         return AnalysisOutcome(FLAWED, trace, failing, Judgments(False, False, matching), None)
-    ordered = partial_order_check(trace, lts) if ordered is None else ordered  # given: judged on an earlier walk
-    judgments = Judgments(ordered, entailment.holds, matching)
+    entailment = entailment_judgment(lts)
+    judgments = Judgments(partial_order_check(trace, lts), entailment.holds, matching)
     verdict = SECURE if judgments.partial_order and judgments.entailment else FLAWED
     return AnalysisOutcome(verdict, trace, None, judgments, entailment)
 
 
-def _ideal_run(model: ProtocolModel) -> tuple:
-    """The ideal environment's event values, trace, failing pair and partial order: they depend on
-    the system alone, so the first analysis keeps them on `model.lts` for all later ones."""
+def _ideal_run(model: ProtocolModel) -> tuple[dict, AnalysisOutcome]:
+    """The ideal environment's event values and outcome: they depend on the
+    system alone, so the first analysis keeps them on `model.lts` for all later ones."""
     env = model.environment(IDEAL)
     run = model.lts.__dict__.get("_ideal_run")
     if run is None:
         values = apply_environment(model, env)
-        trace, failing = _walk(model.lts, values)
-        ordered = failing is None and partial_order_check(trace, model.lts)
-        run = model.lts.__dict__["_ideal_run"] = values, trace, failing, ordered
+        run = model.lts.__dict__["_ideal_run"] = values, _judge(model.lts, *_walk(model.lts, values))
     return run
 
 
@@ -222,28 +221,21 @@ def analyze_protocol(model: ProtocolModel, env) -> AnalysisOutcome:
     and every transition guard on the way evaluate true; a run stopped at a
     false tree or guard reports them as not holding."""
     if env.kind == IDEAL and env in model.environments:  # apply_environment refuses a foreign one
-        _, trace, failing, ordered = _ideal_run(model)
-    else:
-        (trace, failing), ordered = _walk(model.lts, apply_environment(model, env)), None
-    return _judge(model.lts, trace, failing, None if failing else entailment_judgment(model.lts), ordered=ordered)
+        return _ideal_run(model)[1]
+    return _judge(model.lts, *_walk(model.lts, apply_environment(model, env)))
 
 
 def dual_environment_verdict(model: ProtocolModel) -> DualVerdict:
     """Analyse under both environments and match the traces.
 
-    Entailment does not depend on the environment, so it is judged once, and
-    only if some walk reaches the terminal state. Secure means: the ideal run
-    is secure and the non-ideal trace matches it in full. Equal traces mean
-    the non-ideal walk reached the terminal state too, so its judgments are
-    the ideal walk's."""
-    ideal_values, ideal_trace, ideal_failing, ordered = _ideal_run(model)
+    Secure means: the ideal run is secure and the non-ideal trace matches it
+    in full. The non-ideal walk takes the ideal walk's symbol for each state
+    whose event values are the ideal ones."""
+    ideal_values, ideal = _ideal_run(model)
     values = apply_environment(model, model.environment(NONIDEAL))
     if values == ideal_values:  # equal event values make equal walks
-        trace, failing = ideal_trace, ideal_failing
+        trace, failing = ideal.trace, ideal.failing
     else:
-        trace, failing = _walk(model.lts, values, ideal_values, ideal_trace)
-    entailment = entailment_judgment(model.lts) if ideal_failing is None or failing is None else None
-    ideal = _judge(model.lts, ideal_trace, ideal_failing, entailment, ordered=ordered)
-    matched = trace == ideal_trace
-    nonideal = _judge(model.lts, trace, failing, entailment, matched, ordered if matched else None)
-    return DualVerdict(ideal, nonideal, matched, ideal.secure and matched)
+        trace, failing = _walk(model.lts, values, ideal_values, ideal.trace)
+    matched = trace == ideal.trace
+    return DualVerdict(ideal, _judge(model.lts, trace, failing, matched), matched, ideal.secure and matched)

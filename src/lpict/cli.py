@@ -21,7 +21,7 @@ from pathlib import Path
 from .analysis import analyze_protocol, dual_environment_verdict, entailment_judgment
 from .errors import LpictError
 from .kmp import kmp_match
-from .logic.proofs import check_proof, proof_records
+from .logic.proofs import check_proof, proof_records  # noqa: F401 (check_proof: bench/tracing.py wraps it here)
 from .models import BUILTIN_MODELS, load_model, with_attackers
 from .pi.parser import parse_process, pretty_print
 from .pi.reduction import nested_replication, reduce_step
@@ -80,8 +80,8 @@ def _cmd_prove(args) -> int:
     if proof is None:
         sys.stdout.write("no proof found\n")
         return 1
-    valid = result.holds or check_proof(result.sequent, proof).valid  # holds: both proofs checked valid
-    sequent, forward, contradiction = proof_text(model.lts, result)
+    valid = result.holds  # the judgment checked both proofs
+    sequent, forward, contradiction = proof_text(result)
     if args.format == "json":
         record = {"model": model.name, "style": args.style, "sequent": sequent, "valid": valid, "lines": proof_records(proof)}
         sys.stdout.write(json.dumps(record, indent=2) + "\n")

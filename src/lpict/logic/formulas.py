@@ -47,8 +47,8 @@ def frozen_record(cls):
 
 class Cached:
     """The base of a record that keeps what it computes once in a `__dict__`
-    beside its slots: its hash, stored on first use, a π term's text and
-    names, stored by `pretty_print` and `free_names`, and any cached property. A pickle holds only the
+    beside its slots: its hash, stored on first use, a π term's text and names,
+    a judgment's proof text, and any cached property. A pickle holds only the
     fields, as string hashes vary by process; `replace` starts a new record."""
 
     def __hash__(self):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 
 from .analysis import AnalysisOutcome, DualVerdict, EntailmentResult
-from .guarded import GuardedLTS
 from .logic.proofs import render_proof_table, render_sequent
 from .models.core import EnvironmentConfig
 
@@ -32,14 +31,14 @@ def _env_report(env: EnvironmentConfig, outcome: AnalysisOutcome, tokens: list[s
     }
 
 
-def proof_text(lts: GuardedLTS, entailment: EntailmentResult) -> tuple[str, str, str]:
+def proof_text(entailment: EntailmentResult) -> tuple[str, str, str]:
     """The sequent line and the forward and contradiction tables of a judgment
-    with both proofs, rendered once and kept on `lts`, the judged system."""
-    kept = lts.__dict__.get("_proof_text")
-    if kept is None or kept[0] is not entailment:
+    with both proofs, rendered once and kept on the judgment."""
+    text = entailment.__dict__.get("_text")
+    if text is None:
         tables = map(render_proof_table, (entailment.forward, entailment.contradiction))
-        kept = lts.__dict__["_proof_text"] = (entailment, render_sequent(entailment.sequent), *tables)
-    return kept[1:]
+        text = entailment.__dict__["_text"] = (render_sequent(entailment.sequent), *tables)
+    return text
 
 
 def _report(model, mode, environments, matched, secure, entailment, duration_ms) -> dict:
@@ -50,7 +49,7 @@ def _report(model, mode, environments, matched, secure, entailment, duration_ms)
         "environments": environments,
         "matched": matched,
         "secure": secure,
-        "proofs": dict(zip(("sequent", "forward", "contradiction"), proof_text(model.lts, entailment))) if holds else None,
+        "proofs": dict(zip(("sequent", "forward", "contradiction"), proof_text(entailment))) if holds else None,
         "duration_ms": duration_ms,
     }
 

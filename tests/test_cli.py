@@ -1,9 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lpict
 from lpict.cli import run_cli
 from lpict.models import builtin_dh, builtin_tls13, bundled_model_text, render_model
 from lpict.pi.congruence import structurally_congruent
@@ -431,3 +435,25 @@ def test_the_collector_waits_while_an_analysis_runs(model, code, capsys, monkeyp
         finally:
             gc.enable()
     assert during == [False, False]
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    # String hashes, and so the order of sets of names, vary by process: each
+    # command runs in fresh interpreters under two seeds. The duration of an
+    # analysis is the one figure that may differ.
+    restricted = " | ".join(["new k x<k>.k(v).0"] * 4 + [f"x(y).y<b{i}>.0" for i in range(4)])
+    commands = [
+        ["analyze", "--model", "tls13", "--dual", "--format", "json"],
+        ["prove", "--model", "dh", "--style", "contradiction"],
+        ["reduce", "--term", restricted, "--steps", "2"],
+    ]
+    src = str(Path(lpict.__file__).parent.parent)
+    for argv in commands:
+        outs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+            done = subprocess.run([sys.executable, "-c", "from lpict.cli import main; main()", *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert done.returncode == 0 and done.stderr == "", done.stderr
+            outs.append(re.sub(r'"duration_ms": [0-9.eE+-]+', '"duration_ms": 0', done.stdout))
+        assert outs[0] == outs[1], argv

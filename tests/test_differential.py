@@ -13,11 +13,15 @@ import random
 from pathlib import Path
 
 from lpict.analysis import analyze_protocol, dual_environment_verdict
-from lpict.models import apply_environment, load_model, render_model
+from lpict.models import apply_environment, load_model, render_model, with_attackers
 
 ORACLE = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
 TAGS = ("replay", "mitm", "confidentiality", "integrity", "identity_auth", "forward_secrecy")
 EVENTS = [f"e{i}" for i in range(9)]
+# The resistance tag that counters each attacker capability, as README's
+# environment paragraph gives it, and every set of capabilities.
+COUNTER = {"replay": "replay", "mitm": "mitm", "eavesdrop": "confidentiality", "tamper": "integrity", "impersonate": "identity_auth"}
+ATTACKER_SETS = [set(subset) for r in range(6) for subset in itertools.combinations(COUNTER, r)]
 
 
 def load_oracle():
@@ -160,3 +164,40 @@ def test_generator_reaches_every_shape():
     words = set(itertools.chain.from_iterable(t.split() for t in texts))
     assert {"alias", "expr", "when", "action", "and", "or", "{", "}"} <= words
     assert any("!" in t for t in texts) and any("attackers" not in t for t in texts)
+
+
+def closed_form_disagreements(model):
+    """The attacker sets under which the dual verdict differs from its closed
+    form: secure exactly when the ideal run is secure and every event of every
+    chain state carries the counter tag of every capability in the set."""
+    ideal_secure = analyze_protocol(model, model.environment("ideal")).secure
+    tags = [{tag.value for tag in event.resists} for state in model.lts.chain for event in state.events]
+    found = []
+    for attackers in ATTACKER_SETS:
+        countered = all({COUNTER[a] for a in attackers} <= resists for resists in tags)
+        if dual_environment_verdict(with_attackers(model, attackers)).secure != (ideal_secure and countered):
+            found.append(attackers)
+    return found
+
+
+def test_dual_verdict_is_its_closed_form_on_random_models():
+    rng = random.Random(12345)
+    secure = 0
+    for _ in range(1000):
+        text = random_model(rng)[0]
+        model = load_model(text)
+        assert closed_form_disagreements(model) == [], text
+        secure += dual_environment_verdict(with_attackers(model, ())).secure
+    assert 0 < secure < 1000  # both verdicts occur
+
+
+def test_dual_verdict_is_its_closed_form_on_every_two_state_model():
+    # one event per state, resisting each subset of the five countering tags
+    subsets = [tags for r in range(6) for tags in itertools.combinations(COUNTER.values(), r)]
+    for first, second in itertools.product(subsets, repeat=2):
+        lines = ['protocol "Two"']
+        for sid, event, tags in (("S1", "a", first), ("S2", "b", second)):
+            lines += [f"state {sid} {{", f"  event {event}" + (" resists " + " ".join(tags) if tags else ""), "}"]
+        lines += ["transition S1 -> S2", "initial S1", "terminal S2", "environment ideal", "environment nonideal"]
+        model = load_model("\n".join(lines) + "\n")
+        assert closed_form_disagreements(model) == [], (first, second)

@@ -20,6 +20,7 @@ TRACED_ONLY = {
     ("analysis.py", "kmp_match"),
     ("analysis.py", "search_contradiction"),
     ("analysis.py", "search_forward_chain"),
+    ("cli.py", "check_proof"),
     ("pi/reduction.py", "standard_form"),
 }
 

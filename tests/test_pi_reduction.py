@@ -1,9 +1,15 @@
+import contextlib
+import io
+import sys
+
+from lpict.cli import run_cli
+from lpict.pi import parser
 from lpict.pi.congruence import standard_form, structurally_congruent
 from lpict.pi.parser import parse_process, pretty_print
 from lpict.pi.reduction import REACT, REACT_POLYADIC, TAU, nested_replication, reduce_step
 from lpict.pi.terms import Bang, Par, Restrict, Sum, free_names, substitute
 
-from conftest import random_term
+from conftest import profiled_calls, random_term
 
 P = parse_process
 
@@ -214,3 +220,62 @@ def test_nested_replication_is_the_first_in_print_order(rng):
         else:
             assert got is None
     assert found >= 20
+
+
+def _senders_and_receivers(n):
+    """n distinct senders and n equal receivers: a term with n successors."""
+    return " | ".join([f"x<m{i}>.0" for i in range(n)] + ["x(y).y<c>.0"] * n)
+
+
+def _marginals(counts):
+    """The count added per unit of size between each two neighbouring sizes."""
+    sizes = sorted(counts)
+    return [(counts[b] - counts[a]) / (b - a) for a, b in zip(sizes, sizes[1:])]
+
+
+def test_reduce_step_pairs_in_classes_plus_reactions():
+    # README: the sends are indexed by channel and arity, so pairing costs the
+    # classes plus the reactions, not the square of the classes.
+    def one_reaction(n):  # 2n + 2 classes, one reaction
+        return P(" | ".join(["x<>.0", "x.0"] + [f"a{i}<>.0" for i in range(n)] + [f"b{i}.0" for i in range(n)]))
+
+    reduce_step(P(_senders_and_receivers(4)))  # one-time costs
+    per_successor, lone = {}, {}
+    for n in (8, 16, 32, 64):
+        assert len(reduce_step(P(_senders_and_receivers(n)))) == n and len(reduce_step(one_reaction(n))) == 1
+        per_successor[n] = profiled_calls(reduce_step, P(_senders_and_receivers(n))) / n
+        lone[n] = profiled_calls(reduce_step, one_reaction(n))
+    # each successor has 2n - 1 components, so its calls grow by a constant per added pair
+    for marginals in (_marginals(per_successor), _marginals(lone)):
+        assert max(marginals) <= 1.05 * min(marginals), marginals
+
+
+def _texts_made(argv):
+    """The `pretty_print` calls of one `run_cli(argv)` that make a text; the
+    others return the text the term stored."""
+    made = 0
+
+    def profile(frame, event, arg):
+        nonlocal made
+        made += event == "call" and frame.f_code is parser._make_text.__code__
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            assert run_cli(argv) == 0
+        finally:
+            sys.setprofile(None)
+    return made
+
+
+def test_reduce_prints_each_component_of_a_step_once():
+    # README: `lpict reduce` prints a successor by joining the stored texts of
+    # the components it shares with its siblings. On n senders and n receivers
+    # the n successors have 2n - 1 components each, but the texts a step makes
+    # grow with the components they do not share: a constant per added pair.
+    made = {}
+    for n in (8, 16, 32):
+        term = _senders_and_receivers(n)
+        made[n] = _texts_made(["reduce", "--term", term, "--steps", "1"]) - _texts_made(["reduce", "--term", term, "--steps", "0"])
+    marginals = _marginals(made)
+    assert max(marginals) <= 1.05 * min(marginals), (made, marginals)

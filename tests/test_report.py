@@ -129,25 +129,25 @@ def test_machine_and_human_forms_carry_same_facts():
 
 
 def test_entailment_judged_once_per_dual_command(monkeypatch, capsys):
-    calls = []
-    judge = lpict.analysis.entailment_judgment
-
-    def counting(lts):
-        calls.append(lts)
-        return judge(lts)
-
-    monkeypatch.setattr(lpict.analysis, "entailment_judgment", counting)
+    # A built-in model keeps its judgment for the whole process: load it anew,
+    # and count the search that the judgment makes, not the memoized lookup.
+    builtin_tls13.cache_clear()
+    calls, search = [], lpict.analysis.search_both
+    monkeypatch.setattr(lpict.analysis, "search_both", lambda premises, goal: calls.append(goal) or search(premises, goal))
     assert run_cli(["analyze", "--model", "tls13", "--dual"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+    builtin_tls13.cache_clear()
     model = builtin_tls13()
     env = model.environment("ideal")
     verdict = dual_environment_verdict(model)
     outcome = analyze_protocol(model, env)
-    calls.clear()
+    assert len(calls) == 2
+    kept = set(model.lts.__dict__)
     render_report(build_dual_report(model, verdict), "text")
     render_report(build_single_report(model, env, outcome), "json")
-    assert calls == []
+    assert len(calls) == 2
+    assert set(model.lts.__dict__) == kept  # the proof text is kept on the judgment, not the system
 
 
 def test_dual_command_searches_once_and_checks_two_proofs(tmp_path, monkeypatch, capsys):
@@ -247,8 +247,9 @@ def test_a_model_read_from_a_file_dies_with_its_command(tmp_path, monkeypatch, c
     assert run_cli(["analyze", "--model", str(path), "--dual"]) == 0
     capsys.readouterr()
     lts = systems.pop().lts
-    assert {"_entailment", "_ideal_run", "_proof_text"} <= lts.__dict__.keys()
-    system = weakref.ref(lts)
+    assert {"_entailment", "_ideal_run"} <= lts.__dict__.keys()
+    assert "_text" in lts.__dict__["_entailment"].__dict__
+    system, judgment = weakref.ref(lts), weakref.ref(lts.__dict__["_entailment"])
     del lts
     gc.collect()
-    assert system() is None
+    assert system() is None and judgment() is None
