@@ -103,7 +103,6 @@ def build_state_tree(lts: GuardedLTS) -> StateTreeNode:
     node: StateTreeNode | None = None
     for state in reversed(lts.chain):
         node = StateTreeNode(state.id, state.combine, node)
-    assert node is not None
     return node
 
 

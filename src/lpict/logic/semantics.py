@@ -1,9 +1,8 @@
-"""Semantic entailment by exhaustive valuation enumeration.
-
-`ATOM_BUDGET` counts every atom of the sequent. A premise that is an atom or
-a negated atom fixes that atom's value (the one-literal rule of Davis and
-Putnam), so the table runs over the atoms that no literal premise fixes.
-"""
+"""Semantic entailment by refutation: the conclusion's negation joins the
+premises, and a table of every valuation finds no model of them. A premise
+that is an atom or a negated atom fixes that atom (the one-literal rule of
+Davis and Putnam), a literal conclusion too, and the table runs over the
+atoms that no literal fixes. `ATOM_BUDGET` counts every atom of the sequent."""
 
 from __future__ import annotations
 
@@ -23,9 +22,9 @@ def all_valuations(names: Iterable[str]) -> Iterator[dict[str, bool]]:
 
 
 def semantic_entails(premises: Iterable[Formula], conclusion: Formula) -> bool:
-    """True iff every valuation satisfying all premises satisfies the conclusion."""
-    premises = tuple(premises)
-    names: set[str] = set(atoms(conclusion))
+    """True iff no valuation satisfies all premises and the conclusion's negation."""
+    premises = (*premises, conclusion.operand if type(conclusion) is Not else Not(conclusion))
+    names: set[str] = set()
     for p in premises:
         names |= atoms(p)
     if len(names) > ATOM_BUDGET:
@@ -39,6 +38,6 @@ def semantic_entails(premises: Iterable[Formula], conclusion: Formula) -> bool:
             return True  # a literal and its negation: no valuation satisfies the premises
     for v in all_valuations(names - fixed.keys()):
         v.update(fixed)
-        if all(eval_formula(p, v) for p in rest) and not eval_formula(conclusion, v):
+        if all(eval_formula(p, v) for p in rest):
             return False
     return True

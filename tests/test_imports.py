@@ -1,5 +1,6 @@
-"""Every name a module of lpict imports is used in that module, and a
-package `__init__` that defines `__all__` exports exactly what it imports.
+"""Every name a module of lpict imports is used in that module, a package
+`__init__` that defines `__all__` exports exactly what it imports, and no
+module holds an `assert` statement.
 """
 
 import ast
@@ -60,6 +61,17 @@ def test_all_lists_exactly_the_imported_names():
                 assert set(exported) == _imported(tree), path
                 checked.append(path.parent.name)
     assert {"logic", "models", "pi"} <= set(checked)
+
+
+def test_no_module_asserts():
+    # `python -O` strips assert statements, so a check that must hold raises
+    found = [
+        f"{path.relative_to(SRC).as_posix()}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_a_fresh_import_frees_the_one_before():

@@ -1,5 +1,5 @@
-"""Truth tables: the one-literal rule against a plain enumerator, the atom
-budget, and the cost per valuation enumerated."""
+"""Truth tables: refutation and the one-literal rule against a plain
+enumerator, the atom budget, and the cost per valuation enumerated."""
 
 import random
 from itertools import product
@@ -108,22 +108,62 @@ def horn_sequent(facts, free):
     return (*fs, *rules), xs[-1]
 
 
-def test_the_truth_table_runs_over_the_free_atoms_at_a_constant_cost_per_valuation(monkeypatch):
-    enumerated = []
+@pytest.fixture
+def enumerated(monkeypatch):
+    """One count per later `all_valuations` call: the valuations it yielded."""
+    counts = []
     real = semantics.all_valuations
 
     def counted(names):
+        counts.append(0)
         for v in real(names):
-            enumerated[-1] += 1
+            counts[-1] += 1
             yield v
 
     monkeypatch.setattr(semantics, "all_valuations", counted)
-    calls = {}
+    return counts
+
+
+def test_the_truth_table_runs_over_the_free_atoms_at_a_constant_cost_per_valuation(enumerated):
+    calls, counts = {}, {}
     for free in (8, 10, 12):
         premises, goal = horn_sequent(4, free)
-        enumerated.append(0)
         calls[free] = profiled_calls(semantic_entails, premises, goal)
-        assert enumerated[-1] == 2**free  # of 2**(free + 4) valuations of every atom
+        counts[free] = sum(enumerated)
+        assert counts[free] == 2 ** (free - 1)  # the negated goal fixes its atom; of 2**(free + 4) of every atom
         assert semantic_entails(premises, goal) is True
-    short, long = (calls[10] - calls[8]) / (2**10 - 2**8), (calls[12] - calls[10]) / (2**12 - 2**10)
+        enumerated.clear()
+    short = (calls[10] - calls[8]) / (counts[10] - counts[8])
+    long = (calls[12] - calls[10]) / (counts[12] - counts[10])
     assert abs(long - short) <= 0.05 * short, (short, long)
+
+
+def test_the_negated_conclusion_fixes_a_literal_goal_and_only_a_literal_goal(enumerated):
+    premises, goal = horn_sequent(4, 10)
+    fact, x = premises[2], Atom("x03")
+
+    def decided(premises, conclusion):
+        enumerated.clear()
+        answer = semantic_entails(premises, conclusion)
+        assert answer is entails_by_enumeration(premises, conclusion), conclusion
+        return answer, sum(enumerated)
+
+    assert decided(premises, Not(x)) == (False, 2**9)  # the one model, every atom true, comes last
+    assert decided(premises, And(x, goal)) == (True, 2**10)  # not a literal: the table is not cut
+    assert decided(premises, fact) == (True, 0)  # its negation contradicts the fact
+    assert decided(premises, Not(Not(fact))) == (True, 0)
+    assert decided(premises, Not(fact)) == (False, 2**10)  # the fact fixes its atom the other way
+    assert decided((*premises, Implies(goal, FALSUM)), Not(fact)) == (True, 2**10)  # the others have no model
+
+
+def test_literal_and_negated_conclusions_agree_with_a_plain_enumerator():
+    r = random.Random(29)
+    answers = set()
+    for _ in range(1500):
+        premises, phi = random_sequent(r)
+        atom = Atom(f"p{r.randrange(0, 10)}")
+        conclusion = r.choice((atom, Not(atom), Not(Not(phi)), Not(phi)))
+        answer = semantic_entails(premises, conclusion)
+        assert answer is entails_by_enumeration(premises, conclusion), (premises, conclusion)
+        answers.add(answer)
+    assert answers == {True, False}
