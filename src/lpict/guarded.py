@@ -13,10 +13,10 @@ from functools import cached_property
 
 from .errors import BranchingPathError, ValidationError
 from .lexing import MAX_NESTING
-from .logic.formulas import KEYWORDS, And, Atom, Cached, Formula, Or, atoms, frozen_record, nesting
+from .logic.formulas import KEYWORDS, Atom, Cached, Formula, atoms, frozen_record, nesting
 from .logic.search import search_forward_chain
 from .logic.semantics import semantic_entails
-from .trees import event_leaves
+from .trees import combine_operators, event_leaves
 
 
 class ResistTag(Enum):
@@ -79,9 +79,9 @@ class Guard:
 
 @frozen_record
 class StateNode:
-    """Its events have distinct names, and it has an event tree exactly when
-    it has events: a tree in the event fragment whose leaves are its events,
-    with and/or nodes nested at most `lexing.MAX_NESTING` deep on the right."""
+    """Its events have distinct names; it has an event tree, in the event
+    fragment with its events as leaves, exactly when it has events. The tree
+    is a `combine` line's, or its text nests at most `lexing.MAX_NESTING` deep."""
 
     id: str
     events: tuple[Event, ...]
@@ -109,15 +109,9 @@ class StateNode:
                 leaf_names.add((leaf if type(leaf) is Atom else leaf.operand).name)
             if leaf_names != names:
                 raise ValidationError(f"event tree of state {self.id!r} does not match its events")
-            if leaves[MAX_NESTING:]:  # walks recurse on and/or right operands, which fewer leaves nest less deep
-                nested = [(self.combine, 0)]  # and/or nodes, with the number of and/or right operands above them
-                while nested:
-                    node, depth = nested.pop()
-                    while type(node) is And or type(node) is Or:
-                        if depth > MAX_NESTING:
-                            raise ValidationError(f"event tree of state {self.id!r} nests more than {MAX_NESTING} deep on the right")
-                        nested.append((node.right, depth + 1))
-                        node = node.left
+            deep = leaves[MAX_NESTING:] and nesting(self.combine) > MAX_NESTING  # fewer leaves nest less deep
+            if deep and combine_operators(self.combine, self.events) is None:
+                raise ValidationError(f"event tree of state {self.id!r} nests more than {MAX_NESTING} deep")
 
 
 @frozen_record

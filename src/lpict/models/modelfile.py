@@ -39,8 +39,8 @@ from ..guarded import (
     build_guarded_lts,
     check_name,
 )
-from ..logic.formulas import And, Atom, Formula, Or, format_formula, parse_formula
-from ..trees import build_event_tree, event_leaves
+from ..logic.formulas import Atom, Formula, format_formula, parse_formula
+from ..trees import build_event_tree, combine_operators, event_leaves
 from .core import IDEAL, NONIDEAL, EnvironmentConfig, ProtocolModel, capabilities
 
 _PROTOCOL_RE = re.compile(r'\s*protocol\s+"([^"]+)"\s*$')
@@ -255,17 +255,6 @@ def load_model(source: str) -> ProtocolModel:
     return _ModelReader(source).read()
 
 
-def _left_deep_ops(tree: Formula | None, names: list[str]) -> list[str] | None:
-    """The `combine` operators that build `tree` over `names`, if any do."""
-    ops: list[str] = []
-    node = tree
-    while isinstance(node, (And, Or)):
-        ops.append("and" if isinstance(node, And) else "or")
-        node = node.left
-    ops.reverse()
-    return ops if len(ops) == len(names) - 1 and build_event_tree(names, ops) == tree else None
-
-
 def _render_state(state: StateNode, seen: dict) -> list[str]:
     key = (state.events, state.combine)
     if key in seen:
@@ -279,12 +268,11 @@ def _render_state(state: StateNode, seen: dict) -> list[str]:
         if e.payload is not None:
             parts.append("payload " + " ".join(e.payload.items))
         lines.append(" ".join(parts))
-    if state.events and state.combine != Atom(state.events[0].name):
-        ops = _left_deep_ops(state.combine, [e.name for e in state.events])
-        if ops is not None:
-            lines.append("  combine " + " ".join(ops))
-        else:
-            lines.append("  combine expr " + format_formula(state.combine))
+    ops = combine_operators(state.combine, state.events) if state.events else []
+    if ops is None:
+        lines.append("  combine expr " + format_formula(state.combine))
+    elif ops:
+        lines.append("  combine " + " ".join(ops))
     lines.append("}")
     return lines
 

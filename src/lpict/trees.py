@@ -51,6 +51,19 @@ def build_event_tree(events, operators) -> Formula:
     return tree
 
 
+def combine_operators(tree: Formula, events) -> list[str] | None:
+    """The inverse of `build_event_tree`: the operators of the `combine` line
+    that builds `tree` over `events`, or None when no such line does."""
+    names = [e if isinstance(e, str) else e.name for e in events]
+    ops, node = [], tree
+    for name in reversed(names[1:]):  # the left spine, from the root down
+        if type(node) not in _AND_OR or node.right != Atom(name):
+            return None
+        ops.append("and" if type(node) is And else "or")
+        node = node.left
+    return ops[::-1] if names and node == Atom(names[0]) else None
+
+
 def leaf_atom(leaf) -> Atom:
     """The atom of a leaf; ValidationError for a node outside the fragment."""
     atom = leaf.operand if type(leaf) is Not else leaf

@@ -338,9 +338,10 @@ def right_nested(names, op=And):
 
 
 def test_a_state_rejects_a_tree_nested_deep_on_the_right():
-    # The walks of a tree recurse once per and/or node that is a right operand,
-    # so a state refuses such nesting deeper than the parsers accept. Checked
-    # at the default recursion limit.
+    # A tree that no `combine` line builds is written as `combine expr`, so a
+    # state refuses one whose text nests deeper than the parsers read. The
+    # walks of a tree recurse only where its text nests. Checked at the
+    # default recursion limit.
     from lpict.lexing import MAX_NESTING
     from lpict.logic.formulas import eval_formula, format_formula
     from lpict.trees import eval_event_tree
@@ -348,7 +349,7 @@ def test_a_state_rejects_a_tree_nested_deep_on_the_right():
     names = [f"e{i}" for i in range(5000)]
     with pytest.raises(ValidationError) as exc:
         StateNode("S", tuple(map(Event, names)), right_nested(names))
-    assert str(exc.value) == f"event tree of state 'S' nests more than {MAX_NESTING} deep on the right"
+    assert str(exc.value) == f"event tree of state 'S' nests more than {MAX_NESTING} deep"
     # k events nested on the right put the last and/or node k - 2 deep
     deepest = names[: MAX_NESTING + 2]
     state = StateNode("S", tuple(map(Event, deepest)), right_nested(deepest, Or))
@@ -356,15 +357,64 @@ def test_a_state_rejects_a_tree_nested_deep_on_the_right():
     assert eval_event_tree(state.combine, valuation) is eval_formula(state.combine, valuation) is False
     assert format_formula(state.combine) == " | (".join(deepest[:-1]) + f" | {deepest[-1]}" + ")" * MAX_NESTING
     too_deep = names[: MAX_NESTING + 3]
-    with pytest.raises(ValidationError, match="deep on the right"):
+    with pytest.raises(ValidationError, match=f"^event tree of state 'S' nests more than {MAX_NESTING} deep$"):
         StateNode("S", tuple(map(Event, too_deep)), right_nested(too_deep))
     # depth counts right operands along any path, not only the right spine
     zigzag = Atom(names[0])
     for i, name in enumerate(names[1 : MAX_NESTING + 3], start=1):
         zigzag = And(Atom(name), Or(zigzag, Atom(f"x{i}"))) if i % 2 else And(Atom(name), zigzag)
     leaves = sorted({a for a in format_formula(zigzag).replace("(", " ").replace(")", " ").split() if a not in "&|"})
-    with pytest.raises(ValidationError, match="deep on the right"):
+    with pytest.raises(ValidationError, match=f"^event tree of state 'S' nests more than {MAX_NESTING} deep$"):
         StateNode("S", tuple(map(Event, leaves)), zigzag)
+
+
+def test_an_alternating_left_spine_is_refused_only_where_no_combine_line_builds_it():
+    # A left-deep tree alternating | and & nests one level per & over |. Over
+    # its events it is a `combine` line's tree and written as one; with a
+    # negated first leaf it is not, and its text nests past what the parsers read.
+    from lpict.errors import ParseError
+    from lpict.lexing import MAX_NESTING
+    from lpict.logic.formulas import format_formula, parse_formula
+    from lpict.models import EnvironmentConfig, ProtocolModel, load_model, render_model
+
+    names = [f"e{i}" for i in range(240)]
+    events = tuple(map(Event, names))
+    for ops in (["and", "or"] * 119 + ["and"], ["or", "and"] * 119 + ["or"]):
+        tree = build_event_tree(names, ops)
+        negated = Not(Atom(names[0]))
+        for op, name in zip(ops, names[1:]):
+            negated = (And if op == "and" else Or)(negated, Atom(name))
+        with pytest.raises(ParseError, match="nested more than"):
+            parse_formula(format_formula(negated))
+        with pytest.raises(ValidationError) as exc:
+            StateNode("S", events, negated)
+        assert str(exc.value) == f"event tree of state 'S' nests more than {MAX_NESTING} deep"
+        states = [StateNode("S", events, tree), StateNode("T", (), None)]
+        lts = build_guarded_lts(states, [GuardedTransition("S", "go", "T", Guard(Atom("S")))], "S", "T")
+        model = ProtocolModel("P", lts, (EnvironmentConfig("ideal"),))
+        text = render_model(model)
+        assert "  combine " + " ".join(ops) + "\n" in text
+        assert load_model(text) == model
+        assert render_model(load_model(text)) == text
+
+
+def test_a_state_of_at_most_max_nesting_leaves_skips_the_depth_check(monkeypatch):
+    import lpict.guarded
+    from lpict.lexing import MAX_NESTING
+    from lpict.logic.formulas import nesting
+    from lpict.trees import combine_operators
+
+    calls = []
+    monkeypatch.setattr(lpict.guarded, "nesting", lambda f: calls.append("nesting") or nesting(f))
+    monkeypatch.setattr(lpict.guarded, "combine_operators", lambda t, e: calls.append("operators") or combine_operators(t, e))
+    names = [f"e{i}" for i in range(MAX_NESTING)]
+    StateNode("S", tuple(map(Event, names)), right_nested(names))
+    StateNode("S", tuple(map(Event, names)), build_event_tree(names, ["and", "or"] * (MAX_NESTING // 2 - 1) + ["and"]))
+    assert calls == []
+    names = [f"e{i}" for i in range(MAX_NESTING + 3)]
+    with pytest.raises(ValidationError, match="nests more than"):
+        StateNode("S", tuple(map(Event, names)), right_nested(names))
+    assert calls == ["nesting", "operators"]
 
 
 def test_a_state_accepts_a_long_left_deep_tree():

@@ -5,7 +5,7 @@ import pytest
 from lpict.errors import ParseError, ValidationError
 from lpict.guarded import Event, EventMessage, Guard, GuardedTransition, ResistTag, StateNode, build_guarded_lts
 from lpict.lexing import MAX_NESTING
-from lpict.logic.formulas import Atom, parse_formula
+from lpict.logic.formulas import And, Atom, Not, Or, format_formula, parse_formula
 from lpict.models import (
     AttackerCapability,
     EnvironmentConfig,
@@ -427,6 +427,53 @@ def test_every_word_in_every_role_is_rejected_or_round_trips():
     for word in VALID_WORDS + ODD_WORDS:
         for role in ROLES:
             _assert_rejected_or_round_trips({role: word})
+
+
+def _random_event_tree(rng, n):
+    """A tree over the events e0 ... e(n-1): left-deep, alternating & and |,
+    right-nested or of random shape, its leaves in or out of event order,
+    and in half the trees about a fifth of the leaves negated."""
+    names = [f"e{i}" for i in range(n)]
+    rate = rng.choice([0, 0.2])
+    leaves = [Not(Atom(x)) if rng.random() < rate else Atom(x) for x in rng.choice([names, rng.sample(names, n)])]
+    shape = rng.choice(["left-deep", "alternating", "right-nested", "random"])
+    if shape == "right-nested":
+        tree = leaves[-1]
+        for leaf in reversed(leaves[:-1]):
+            tree = rng.choice([And, Or])(leaf, tree)
+        return tree
+    if shape == "random":
+        trees = leaves  # join neighbours at random until one tree is left
+        while len(trees) > 1:
+            i = rng.randrange(len(trees) - 1)
+            trees = trees[:i] + [rng.choice([And, Or])(trees[i], trees[i + 1])] + trees[i + 2 :]
+        return trees[0]
+    tree = leaves[0]
+    for i, leaf in enumerate(leaves[1:]):
+        tree = (And if i % 2 else Or)(tree, leaf) if shape == "alternating" else rng.choice([And, Or])(tree, leaf)
+    return tree
+
+
+def test_every_event_tree_is_rejected_or_round_trips(rng):
+    # A state refuses a tree it cannot write back: one that no `combine` line
+    # builds over its events and whose text nests deeper than the parser reads.
+    outcomes = {"refused": 0, "written as a combine line": 0, "written as an expression": 0}
+    for n in [MAX_NESTING, MAX_NESTING + 1, MAX_NESTING + 2] * 20 + [rng.randint(5, 400) for _ in range(240)]:
+        tree = _random_event_tree(rng, n)
+        events = tuple(Event(f"e{i}") for i in range(n))
+        try:
+            state = StateNode("S", events, tree)
+        except ValidationError as exc:
+            assert str(exc) == f"event tree of state 'S' nests more than {MAX_NESTING} deep"
+            outcomes["refused"] += 1
+            continue
+        lts = build_guarded_lts([state, StateNode("T", (), None)], [GuardedTransition("S", "go", "T", Guard(Atom("S")))], "S", "T")
+        model = ProtocolModel("P", lts, (EnvironmentConfig("ideal"),))
+        text = render_model(model)
+        assert load_model(text) == model, format_formula(tree)
+        assert render_model(load_model(text)) == text
+        outcomes["written as an expression" if "combine expr" in text else "written as a combine line"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_random_models_are_rejected_or_round_trip(rng):

@@ -20,6 +20,7 @@ from lpict.trees import (
     StateTreeNode,
     bfs_traverse,
     build_event_tree,
+    combine_operators,
     eval_event_leaves,
     eval_event_tree,
     event_leaves,
@@ -34,6 +35,28 @@ def test_build_left_deep():
 
 def test_build_single_leaf():
     assert build_event_tree(["e1"], []) == Atom("e1")
+
+
+def test_combine_operators_inverts_build_event_tree(rng):
+    for n in range(1, 8):
+        names = [f"e{i}" for i in range(n)]
+        ops = [rng.choice(["and", "or"]) for _ in range(n - 1)]
+        tree = build_event_tree(names, ops)
+        assert combine_operators(tree, names) == ops
+        assert combine_operators(tree, [EventLeaf(name) for name in names]) == ops
+    e1, e2, e3 = Atom("e1"), Atom("e2"), Atom("e3")
+    names = ["e1", "e2", "e3"]
+    for tree in [  # no `combine` line over e1, e2, e3 builds these
+        Or(And(Not(e1), e2), e3),
+        Or(And(e1, e2), Not(e3)),
+        Or(And(e2, e1), e3),
+        And(e1, Or(e2, e3)),
+        Or(e1, e2),
+        Or(Or(And(e1, e2), e3), e3),
+    ]:
+        assert combine_operators(tree, names) is None, tree
+    assert combine_operators(Not(e1), ["e1"]) is None
+    assert combine_operators(e1, []) is None
 
 
 def test_build_arity_mismatch():
