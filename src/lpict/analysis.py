@@ -19,13 +19,14 @@ position of two traces of equal length, which is their equality.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from operator import lt
 from typing import Sequence
 
 from .errors import ValidationError
 from .guarded import GuardedLTS
 from .logic.formulas import And, Atom, Cached, Implies, Or, eval_formula, frozen_record
-from .logic.proofs import Proof, Sequent, check_proof
+from .logic.proofs import Proof, Sequent, check_proof, render_proof_table, render_sequent
 from .logic.search import search_both
 from .models.core import IDEAL, NONIDEAL, ProtocolModel, apply_environment
 from .trees import StateTreeNode, bfs_traverse, eval_event_leaves, eval_event_tree, leaf_atom
@@ -69,6 +70,11 @@ class EntailmentResult(Cached):
     forward: Proof | None
     contradiction: Proof | None
     holds: bool
+
+    @cached_property
+    def text(self) -> tuple[str, str, str]:
+        """The sequent line and both tables of a judgment with both proofs, rendered once."""
+        return render_sequent(self.sequent), render_proof_table(self.forward), render_proof_table(self.contradiction)
 
 
 @frozen_record

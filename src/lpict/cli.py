@@ -25,7 +25,7 @@ from .logic.proofs import check_proof, proof_records  # noqa: F401 (check_proof:
 from .models import BUILTIN_MODELS, load_model, with_attackers
 from .pi.parser import parse_process, pretty_print
 from .pi.reduction import nested_replication, reduce_step
-from .report import build_dual_report, build_single_report, paint, proof_text, render_report, yesno
+from .report import build_dual_report, build_single_report, paint, proof_block, render_report, yesno
 
 
 def _read_text(path: str, what: str) -> str:
@@ -81,14 +81,13 @@ def _cmd_prove(args) -> int:
         sys.stdout.write("no proof found\n")
         return 1
     valid = result.holds  # the judgment checked both proofs
-    sequent, forward, contradiction = proof_text(result)
+    sequent, forward, contradiction = result.text
     if args.format == "json":
         record = {"model": model.name, "style": args.style, "sequent": sequent, "valid": valid, "lines": proof_records(proof)}
         sys.stdout.write(json.dumps(record, indent=2) + "\n")
     else:
         sys.stdout.write(f"sequent: {sequent}\n")
-        sys.stdout.write(f"{args.style} proof ({len(proof)} lines):\n")
-        sys.stdout.write((forward if args.style == "forward" else contradiction) + "\n")
+        sys.stdout.write(proof_block(args.style, forward if args.style == "forward" else contradiction) + "\n")
         sys.stdout.write(f"valid: {paint(yesno(valid), valid, args.color)}\n")
     return 0 if valid else 1
 
@@ -185,8 +184,8 @@ def run_cli(argv) -> int:
     except LpictError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except RecursionError:
-        sys.stderr.write("error: input is nested too deeply\n")
+    except RecursionError:  # a walk that recurses per node, whatever the input's nesting
+        sys.stderr.write("error: lpict reached Python's recursion limit\n")
         return 2
 
 

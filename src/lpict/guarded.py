@@ -2,8 +2,10 @@
 
 States carry named events composed by an event tree, a formula over the
 event names (see `trees`); transitions carry a propositional guard over event
-and state atoms. A transition's precondition holds when its guard and its
-source-state atom are derivable from the known facts.
+and state atoms. `check_precondition` lets a transition fire when its guard
+and its source-state atom are derivable from the given facts; the chain
+analysis (`analysis.analyze_protocol`) instead evaluates each guard over the
+run's facts, where the visited states hold and the others do not.
 """
 
 from __future__ import annotations

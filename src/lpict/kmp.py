@@ -6,6 +6,8 @@ from typing import Sequence
 
 from .errors import ValidationError
 
+_GAP = object()  # equal to no symbol
+
 
 def failure_function(pattern: Sequence) -> list[int]:
     """failure[i] = length of the longest proper border of pattern[:i+1]."""
@@ -24,21 +26,14 @@ def kmp_match(text: Sequence, pattern: Sequence, pos: int = 1) -> int | None:
     """Smallest 1-based index >= pos at which pattern occurs in text.
 
     Symbols compare with ==. The empty pattern matches at pos. Returns None
-    when there is no occurrence. pos must lie in [1, len(text)+1].
+    when there is no occurrence. pos must lie in [1, len(text)+1]. An occurrence
+    ends where the failure function of the pattern, a gap equal to no symbol
+    and the text from pos first reaches the pattern's length.
     """
     if not 1 <= pos <= len(text) + 1:
         raise ValidationError(f"pos {pos} outside [1, {len(text) + 1}]")
-    if not pattern:
-        return pos
-    if len(pattern) > len(text) - (pos - 1):
+    fail = failure_function([*pattern, _GAP, *text[pos - 1 :]])
+    try:
+        return pos + fail.index(len(pattern)) - 2 * len(pattern)
+    except ValueError:  # no occurrence
         return None
-    fail = failure_function(pattern)
-    k = 0
-    for i in range(pos - 1, len(text)):
-        while k > 0 and text[i] != pattern[k]:
-            k = fail[k - 1]
-        if text[i] == pattern[k]:
-            k += 1
-        if k == len(pattern):
-            return i - len(pattern) + 2
-    return None

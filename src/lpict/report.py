@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .analysis import AnalysisOutcome, DualVerdict, EntailmentResult
-from .logic.proofs import render_proof_table, render_sequent
+from .analysis import AnalysisOutcome, DualVerdict
 from .models.core import EnvironmentConfig
 
 
@@ -31,16 +30,6 @@ def _env_report(env: EnvironmentConfig, outcome: AnalysisOutcome, tokens: list[s
     }
 
 
-def proof_text(entailment: EntailmentResult) -> tuple[str, str, str]:
-    """The sequent line and the forward and contradiction tables of a judgment
-    with both proofs, rendered once and kept on the judgment."""
-    text = entailment.__dict__.get("_text")
-    if text is None:
-        tables = map(render_proof_table, (entailment.forward, entailment.contradiction))
-        text = entailment.__dict__["_text"] = (render_sequent(entailment.sequent), *tables)
-    return text
-
-
 def _report(model, mode, environments, matched, secure, entailment, duration_ms) -> dict:
     holds = entailment is not None and entailment.holds  # each report gets its own dict of the shared strings
     return {
@@ -49,7 +38,7 @@ def _report(model, mode, environments, matched, secure, entailment, duration_ms)
         "environments": environments,
         "matched": matched,
         "secure": secure,
-        "proofs": dict(zip(("sequent", "forward", "contradiction"), proof_text(entailment))) if holds else None,
+        "proofs": dict(zip(("sequent", "forward", "contradiction"), entailment.text)) if holds else None,
         "duration_ms": duration_ms,
     }
 
@@ -82,6 +71,11 @@ def paint(text: str, good: bool, color: bool) -> str:
     return f"\x1b[{32 if good else 31}m{text}\x1b[0m" if color else text
 
 
+def proof_block(style: str, table: str) -> str:
+    """A proof table under its heading, which names its style and counts its lines."""
+    return f"{style} proof ({len(table.splitlines())} lines):\n{table}"
+
+
 def render_report(report: dict, format: str = "text", color: bool = False) -> str:
     if format == "json":
         return json.dumps(report, indent=2) + "\n"
@@ -95,14 +89,8 @@ def render_report(report: dict, format: str = "text", color: bool = False) -> st
         out.append(header + "]")
         out.append("verdict: " + paint(env["verdict"], env["verdict"] == "secure", color))
         out.append("trace: " + (" ".join(env["trace"]) or "(empty)"))
-        judgments = env["judgments"]
-        judg = (
-            f"judgments: partial_order={yesno(judgments['partial_order'])}"
-            f" entailment={yesno(judgments['entailment'])}"
-        )
-        if judgments["matching"] is not None:
-            judg += f" matching={yesno(judgments['matching'])}"
-        out.append(judg)
+        judgments = " ".join(f"{name}={yesno(held)}" for name, held in env["judgments"].items() if held is not None)
+        out.append(f"judgments: {judgments}")  # a single run has no matching judgment
         if env["failing"] is not None:
             out.append(f"failing: state={env['failing']['state']} event={env['failing']['event']}")
     if report["matched"] is not None:
@@ -111,9 +99,7 @@ def render_report(report: dict, format: str = "text", color: bool = False) -> st
     proofs = report["proofs"]
     if proofs is not None:
         out.append(f"sequent: {proofs['sequent']}")
-        for style in ("forward", "contradiction"):
-            out.append(f"{style} proof ({len(proofs[style].splitlines())} lines):")
-            out.append(proofs[style])
+        out.extend(proof_block(style, proofs[style]) for style in ("forward", "contradiction"))
     if report["duration_ms"] is not None:
         out.append(f"duration: {report['duration_ms']:.1f} ms")
     return "\n".join(out) + "\n"

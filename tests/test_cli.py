@@ -179,6 +179,18 @@ def test_deep_nesting_is_exit_2(tmp_path, capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def test_a_recursion_error_exits_2_naming_the_recursion_limit(monkeypatch, capsys):
+    # a walk may recurse past the limit on a shallow input, so the message
+    # does not blame the input's nesting
+    def recurse(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(lpict.cli, "_cmd_models", recurse)
+    code, out, err = run(capsys, "models")
+    assert code == 2 and out == ""
+    assert err == "error: lpict reached Python's recursion limit\n"
+
+
 def test_false_guard_exits_1(tmp_path, capsys):
     # ClientHello holds in both runs, so the guard blocks the first transition
     path = tmp_path / "tls13-guarded.model"

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from lpict.analysis import TraceSymbol
 from lpict.errors import ValidationError
 from lpict.kmp import failure_function, kmp_match
 
@@ -54,3 +55,25 @@ def test_agrees_with_naive_oracle():
         pattern = [rng.randrange(sigma) for _ in range(rng.randrange(0, 8))]
         pos = rng.randrange(1, len(text) + 2)
         assert kmp_match(text, pattern, pos) == naive_match(text, pattern, pos)
+
+
+SYMBOLS = {
+    "trace symbols": [TraceSymbol("S1", True, (True,)), TraceSymbol("S1", False, (False,)), TraceSymbol("S2", True, ())],
+    "characters": "\x00#$ a",
+    "tokens": ["", "\x00", "S1:1", "None"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SYMBOLS))
+def test_the_gap_matches_no_symbol(kind):
+    # every text holds every symbol value, so a gap equal to any of them
+    # would let an occurrence run across it from the pattern into the text
+    symbols, rng = SYMBOLS[kind], random.Random(kind)
+    join = "".join if isinstance(symbols, str) else list
+    for _ in range(300):
+        text = [rng.choice(symbols) for _ in range(rng.randrange(0, 12))] + list(symbols)
+        rng.shuffle(text)
+        text = join(text)
+        pattern = join(rng.choice(symbols) for _ in range(rng.randrange(0, 5)))
+        for pos in range(1, len(text) + 2):
+            assert kmp_match(text, pattern, pos) == naive_match(text, pattern, pos)

@@ -248,7 +248,7 @@ def test_a_model_read_from_a_file_dies_with_its_command(tmp_path, monkeypatch, c
     capsys.readouterr()
     lts = systems.pop().lts
     assert {"_entailment", "_ideal_run"} <= lts.__dict__.keys()
-    assert "_text" in lts.__dict__["_entailment"].__dict__
+    assert "text" in lts.__dict__["_entailment"].__dict__
     system, judgment = weakref.ref(lts), weakref.ref(lts.__dict__["_entailment"])
     del lts
     gc.collect()
