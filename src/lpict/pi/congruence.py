@@ -99,7 +99,10 @@ def _canon_group(bs, cs, uses, env, depth):
     colour-refined by the keys of the components they occur in; a tied
     binder is individualized and the partition refined again, and the least
     certificate among the discrete leaves labels the group. A tied binder is
-    skipped when swapping it with an explored one is an automorphism."""
+    skipped when swapping it with an explored one is an automorphism. One
+    binder has one labelling, the search's only leaf, taken directly."""
+    if len(bs) == 1:
+        return (1, _certificate(bs, cs, env, depth))
     inner = depth + len(bs)
     occ = {b: [i for i, cb in enumerate(uses) if b in cb] for b in bs}
     base = {**env, **{b: ("b", depth + i) for i, b in enumerate(bs)}}
@@ -135,9 +138,7 @@ def _canon_group(bs, cs, uses, env, depth):
         for b in bs:
             cells.setdefault(colour[b], []).append(b)
         if len(cells) == len(bs):
-            order = sorted(bs, key=colour.__getitem__)
-            leaf = {**env, **{b: ("b", depth + i) for i, b in enumerate(order)}}
-            cert = tuple(sorted(_comp_key(c, leaf, inner) for c in cs))
+            cert = _certificate(sorted(bs, key=colour.__getitem__), cs, env, depth)
             if best is None or cert < best:
                 best = cert
             return
@@ -150,7 +151,15 @@ def _canon_group(bs, cs, uses, env, depth):
             search({b: 2 * colour[b] + (b != v) for b in bs})
 
     search({b: 0 for b in bs})
+    del search  # search refers to itself: releasing it lets reference counting free the labelling's state
     return (len(bs), best)
+
+
+def _certificate(order, cs, env, depth):
+    """The sorted keys of the components cs, with the binders numbered in
+    `order` from depth on: the certificate of one leaf of the search."""
+    leaf = {**env, **{b: ("b", depth + i) for i, b in enumerate(order)}}
+    return tuple(sorted(_comp_key(c, leaf, depth + len(order)) for c in cs))
 
 
 def _comp_key(c: Process, env: dict[str, tuple], depth: int):

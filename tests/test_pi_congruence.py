@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -14,6 +15,7 @@ from lpict.pi.parser import parse_process, pretty_print
 from lpict.pi.terms import NIL, Bang, Par, Restrict, free_names
 
 from conftest import FREE_NAMES, halves, random_term
+from test_pi_oracles import _wide_term
 
 cong = structurally_congruent
 P = parse_process
@@ -162,9 +164,14 @@ def _law_rewrites(term, rng):
 
 def test_random_walk_of_laws_stays_congruent(rng):
     # apply chains of law rewrites; every intermediate stays congruent with
-    # the origin, exercising transitivity through multi-step derivations
-    for _ in range(60):
-        origin = random_term(rng, rng.randrange(0, 4))
+    # the origin, exercising transitivity through multi-step derivations.
+    # Wide levels draw from ten binder names, so one-binder groups and
+    # searched groups meet in one level.
+    origins = itertools.chain(
+        (random_term(rng, rng.randrange(0, 4)) for _ in range(60)),
+        (_wide_term(rng, rng.randrange(2, 10)) for _ in range(20)),
+    )
+    for origin in origins:
         current = origin
         for _ in range(rng.randrange(1, 5)):
             current = rng.choice(_law_rewrites(current, rng))
