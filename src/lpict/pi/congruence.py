@@ -15,28 +15,8 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from operator import is_
 
-from .terms import NIL, Bang, Nil, Par, Process, Receive, Restrict, Send, Sum, Tau
-from .terms import all_names, free_names, fresh_name, substitute
-
-
-def level_parts(p: Process) -> tuple[tuple[str, ...], tuple[Process, ...]]:
-    """Split a term into its restriction prefix and the components of its
-    parallel level. A normalized level is flat and has no nil components."""
-    binders = []
-    while isinstance(p, Restrict):
-        binders.append(p.name)
-        p = p.body
-    if isinstance(p, Par):
-        return tuple(binders), p.components
-    return tuple(binders), () if isinstance(p, Nil) else (p,)
-
-
-def assemble(binders, comps) -> Process:
-    comps = tuple(comps)
-    body: Process = Par(*comps) if len(comps) > 1 else comps[0] if comps else NIL
-    for b in reversed(tuple(binders)):
-        body = Restrict(b, body)
-    return body
+from .terms import Bang, Nil, Par, Process, Receive, Restrict, Send, Sum, Tau
+from .terms import all_names, assemble, free_names, fresh_names, level_parts, substitute
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +45,7 @@ def level_groups(binders, comps, env: dict[str, tuple], depth: int):
     components. Components are linked when they share one of the binders;
     each connected group is labelled on its own and the groups come out
     ordered by key, as (key, binders, component indices)."""
-    bset = set(binders)
+    bset, index = set(binders), {b: i for i, b in enumerate(binders)}
     uses = [free_names(c) & bset for c in comps] if bset else [frozenset()] * len(comps)
     by_binder: dict[str, list[int]] = {b: [] for b in binders}
     for i, cb in enumerate(uses):
@@ -87,7 +67,7 @@ def level_groups(binders, comps, env: dict[str, tuple], depth: int):
                     members.append(j)
                     stack.extend(uses[j] - gb)
                     gb |= uses[j]
-        bs = [b for b in binders if b in gb]
+        bs = sorted(gb, key=index.__getitem__)
         cs = [comps[j] for j in members]
         groups.append((_canon_group(bs, cs, [uses[j] for j in members], env, depth), bs, members))
     return sorted(groups, key=lambda g: g[0])
@@ -212,18 +192,17 @@ def _norm_term(p: Process, used: set[str]) -> Process:
 def _prenex(p: Process, used: set[str]) -> tuple[list[str], list[Process]]:
     """Hoist the restrictions of p's parallel level, inner scopes first. One
     free-name pass over the level finds the components each binder holds. A
-    binder that holds none is dropped; one whose name is free in a component
-    it does not hold, or kept by another binder, takes a name not in `used`."""
+    binder that holds none is dropped; one whose name is free in a component it
+    does not hold, or kept by another binder, takes its next `fresh_names` not in `used`."""
     scopes, comps, stack = [], [], [p]
     while stack:
         q = stack.pop()
-        if isinstance(q, tuple):  # the end of a scope: (index, name, first)
-            scopes[q[0]] = (q[1], q[2], len(comps))
-        elif isinstance(q, Restrict):
-            stack += [(len(scopes), q.name, len(comps)), q.body]
-            scopes.append(None)
-        elif isinstance(q, Par):
-            stack += reversed(q.components)
+        if isinstance(q, tuple):  # the end of a level's scopes: (binders, first index, first component)
+            scopes[q[1] : q[1] + len(q[0])] = [(b, q[2], len(comps)) for b in q[0]]
+        elif isinstance(q, (Restrict, Par)):
+            bs, level = level_parts(q)
+            stack += [(bs, len(scopes), len(comps)), *reversed(level)]
+            scopes += bs
         elif isinstance(q, (Sum, Bang)):
             comps.append(_norm_term(q, used))
         elif not isinstance(q, Nil):
@@ -232,7 +211,7 @@ def _prenex(p: Process, used: set[str]) -> tuple[list[str], list[Process]]:
     for i, c in enumerate(comps if scopes else ()):
         for x in free_names(c):
             where.setdefault(x, []).append(i)
-    binders, taken = [None] * len(scopes), set()
+    binders, taken, probes = [None] * len(scopes), set(), {}
     for k in reversed(range(len(scopes))):
         name, start, end = scopes[k]
         free = where.get(name, [])
@@ -242,8 +221,8 @@ def _prenex(p: Process, used: set[str]) -> tuple[list[str], list[Process]]:
         if not holders:
             continue
         if free or name in taken:
-            nx = fresh_name(name, used)
-            used.add(nx)
+            probe = probes.setdefault(name, fresh_names(name))  # resumed, as `used` only grows
+            used.add(nx := next(n for n in probe if n not in used))
             for i in holders:
                 comps[i] = substitute(comps[i], {name: nx})
             name = nx

@@ -36,6 +36,7 @@ from .terms import (
     Send,
     Sum,
     Tau,
+    level_parts,
 )
 
 class _Parser(Cursor):
@@ -166,8 +167,10 @@ def pretty_print(p: Process) -> str:
 def _make_text(p: Process) -> str:
     if isinstance(p, Sum):
         return " + ".join(f"{_pp_prefix(pi)}.{_pp_term(cont)}" for pi, cont in p.branches)
-    if isinstance(p, Par):
-        return " | ".join(f"({pretty_print(c)})" if isinstance(c, Par) else pretty_print(c) for c in p.components)
-    if isinstance(p, Restrict):
-        return f"new {p.name} {_pp_term(p.body)}"
-    return f"!{_pp_term(p.body)}"
+    if isinstance(p, Bang):
+        return f"!{_pp_term(p.body)}"
+    binders, comps = level_parts(p)  # a level, in which a parallel component is a group
+    text = " | ".join(f"({pretty_print(c)})" if isinstance(c, Par) else pretty_print(c) for c in comps)
+    if binders:  # the components sit at term level, under `new`
+        text = f"({text})" if len(comps) > 1 else _pp_term(comps[0]) if comps else "0"
+    return "".join(f"new {b} " for b in binders) + text

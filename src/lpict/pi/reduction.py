@@ -14,8 +14,8 @@ are labelled again, and components the successors share are decoded once.
 
 from __future__ import annotations
 
-from .congruence import level_groups, level_parts, normalize, standard_form, standard_level
-from .terms import Bang, Par, Process, Receive, Restrict, Send, Sum, Tau, all_names, fresh_name, substitute
+from .congruence import level_groups, normalize, standard_form, standard_level
+from .terms import Bang, Process, Receive, Send, Sum, Tau, all_names, fresh_name, level_parts, substitute
 
 TAU = "TAU"
 REACT = "REACT"
@@ -136,7 +136,7 @@ def nested_replication(p: Process) -> Bang | None:
             if bang is not None:
                 return bang
             stack.append((q.body, q))
-        elif isinstance(q, (Restrict, Par)):  # the same level
-            stack += [(c, bang) for c in reversed(q.components if isinstance(q, Par) else (q.body,))]
         elif isinstance(q, Sum):
             stack += [(cont, None) for _, cont in reversed(q.branches)]
+        else:  # a level: its components are on the same level as it
+            stack += [(c, bang) for c in reversed(level_parts(q)[1])]

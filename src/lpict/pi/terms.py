@@ -3,12 +3,15 @@
 Terms are immutable. An operation that changes nothing may return the term it
 was given: `normalize` returns a normal term itself, and `substitute` a
 subterm it renames nothing in. A compound term stores its hash, its names and
-its printed text on first use (`Cached`), and the successors of one reduction
-step share their components, so each is hashed and printed once.
+its printed text on first use (`Cached`); a level, `(ν ã)(P1 | .. | Pn)`, which
+`level_parts` reads in a loop, stores its names and text once, on its outermost
+node. The successors of one reduction step share their components, so each is
+hashed and printed once.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Mapping
 
 from ..logic.formulas import Cached, frozen_record
@@ -101,6 +104,23 @@ Process = Nil | Sum | Par | Restrict | Bang
 NIL = Nil()
 
 
+def level_parts(p: Process) -> tuple[tuple[Name, ...], tuple[Process, ...]]:
+    """Split a term into its restriction prefix and the components of its
+    parallel level. A normalized level is flat and has no nil components."""
+    binders = []
+    while isinstance(p, Restrict):
+        binders.append(p.name)
+        p = p.body
+    return tuple(binders), p.components if isinstance(p, Par) else () if isinstance(p, Nil) else (p,)
+
+
+def assemble(binders, comps) -> Process:
+    body: Process = Par(*comps) if len(comps) > 1 else comps[0] if comps else NIL
+    for b in reversed(binders):
+        body = Restrict(b, body)
+    return body
+
+
 _NO_NAMES: tuple[frozenset[Name], frozenset[Name]] = (frozenset(), frozenset())
 
 
@@ -137,25 +157,23 @@ def _names(p: Process) -> tuple[frozenset[Name], frozenset[Name]]:
             free |= cont_free
             every |= cont_all
         names = frozenset(free), frozenset(free | every)
-    elif isinstance(p, Par):
-        parts = [_names(c) for c in p.components]
-        names = frozenset().union(*[f for f, _ in parts]), frozenset().union(*[a for _, a in parts])
-    elif isinstance(p, Restrict):
-        free_body, all_body = _names(p.body)
-        names = free_body - {p.name}, all_body if p.name in all_body else all_body | {p.name}
-    else:
+    elif isinstance(p, Bang):
         names = _names(p.body)
+    else:  # a level: its binders bind in every component, of which it may have none
+        binders, comps = level_parts(p)
+        frees, alls = zip(_NO_NAMES, *map(_names, comps))
+        names = frozenset().union(*frees).difference(binders), frozenset(binders).union(*alls)
     p.__dict__["_names"] = names
     return names
 
 
+def fresh_names(base: Name):
+    """base, base1, base2, ..: the names `fresh_name` tries in turn."""
+    return (f"{base}{i or ''}" for i in count())
+
+
 def fresh_name(base: Name, avoid) -> Name:
-    if base not in avoid:
-        return base
-    i = 1
-    while f"{base}{i}" in avoid:
-        i += 1
-    return f"{base}{i}"
+    return next(n for n in fresh_names(base) if n not in avoid)
 
 
 def substitute(p: Process, mapping: Mapping[Name, Name]) -> Process:

@@ -369,6 +369,38 @@ def test_reduce_wide_level_through_main(monkeypatch, capsys):
     assert out == f"step 0: {term}\n  (stuck)\n"
 
 
+@pytest.mark.parametrize("k", [1500, 5000])
+def test_reduce_wide_restricted_level_through_main(k, monkeypatch, capsys):
+    # the text nests 2 deep; normalizing hoists the k binders into one run of
+    # restrictions, which names and text read in a loop
+    code, out, err = run_main(monkeypatch, capsys, "reduce", "--term", " | ".join(["(new k a<k>.0)"] * k))
+    assert (code, err) == (0, "")
+    assert out == f"step 0: {' | '.join(['new k a<k>.0'] * k)}\n  (stuck)\n"
+
+
+def test_run_cli_keeps_no_state_between_calls(monkeypatch, capsys):
+    # each call parses into a namespace of its own: whichever subcommand runs
+    # first, no attribute or default of it shows in the other
+    import argparse
+
+    parse, namespaces = argparse.ArgumentParser.parse_args, []
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", lambda *a: namespaces.append(parse(*a)) or namespaces[-1])
+    calls = {"analyze": ["analyze", "--model", "dh", "--dual", "--format", "json"], "prove": ["prove", "--model", "dh"]}
+    seen = {name: [] for name in calls}
+    for order in (["analyze", "prove"], ["prove", "analyze"]):
+        for name in order:
+            code, out, err = run(capsys, *calls[name])
+            out = re.sub(r'"duration_ms": [0-9.eE+-]+', '"duration_ms": 0', out)
+            seen[name].append((code, out, err, vars(namespaces[-1])))
+    assert len({id(n) for n in namespaces}) == len(namespaces) == 4
+    assert seen["analyze"][0] == seen["analyze"][1] and seen["prove"][0] == seen["prove"][1]
+    analyze, prove = seen["analyze"][0][3], seen["prove"][0][3]
+    assert sorted(analyze) == ["attackers", "color", "command", "dual", "env", "format", "model", "run"]
+    assert sorted(prove) == ["color", "command", "format", "model", "run", "style"]
+    assert (analyze["format"], prove["format"], prove["style"]) == ("json", "text", "forward")
+    assert (seen["analyze"][0][0], seen["prove"][0][0]) == (1, 0)
+
+
 def test_reduce_wide_level_reacts_once(monkeypatch, capsys):
     # the senders are interchangeable, and so are the receivers, so the
     # 750 * 750 pairs give one successor

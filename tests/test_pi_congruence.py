@@ -6,13 +6,12 @@ import pytest
 
 from lpict.pi.congruence import (
     is_standard_form,
-    level_parts,
     normalize,
     standard_form,
     structurally_congruent,
 )
 from lpict.pi.parser import parse_process, pretty_print
-from lpict.pi.terms import NIL, Bang, Par, Restrict, free_names
+from lpict.pi.terms import NIL, Bang, Par, Restrict, free_names, level_parts
 
 from conftest import FREE_NAMES, halves, random_term
 from test_pi_oracles import _wide_term

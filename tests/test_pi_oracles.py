@@ -13,7 +13,7 @@ binders per level it must agree with congruence and standard forms.
 import itertools
 import random
 
-from lpict.pi.congruence import assemble, canonical_key, level_parts, normalize, standard_form, structurally_congruent
+from lpict.pi.congruence import canonical_key, normalize, standard_form, structurally_congruent
 from lpict.pi.parser import pretty_print
 from lpict.pi.reduction import REACT, REACT_POLYADIC, TAU, reduce_step
 from lpict.pi.terms import (
@@ -27,8 +27,10 @@ from lpict.pi.terms import (
     Sum,
     Tau,
     all_names,
+    assemble,
     free_names,
     fresh_name,
+    level_parts,
     substitute,
 )
 

@@ -11,6 +11,7 @@ from lpict.pi.reduction import reduce_step
 from lpict.pi.terms import NIL, Bang, Nil, Par, Receive, Restrict, Send, Sum, Tau
 
 from conftest import random_term
+from test_pi_oracles import _wide_term
 
 
 def test_parse_receive():
@@ -236,6 +237,35 @@ def test_a_term_prints_once_and_as_the_plain_printer_does(rng):
         other = changed(term)
         assert pretty_print(other) == plain_print(other)
         assert pretty_print(dataclasses.replace(term)) == expected
+
+
+def subterms(p):
+    """p and every term inside it, outermost first."""
+    found, stack = [], [p]
+    while stack:
+        q = stack.pop()
+        found.append(q)
+        if isinstance(q, Sum):
+            stack += [cont for _, cont in q.branches]
+        elif isinstance(q, Par):
+            stack += q.components
+        elif not isinstance(q, Nil):
+            stack.append(q.body)
+    return found
+
+
+def test_every_subterm_prints_as_the_plain_printer_does(rng):
+    # a level prints through `level_parts` and the plain printer node by node:
+    # they agree on every node of a run of restrictions, whether its outermost
+    # node prints first or, on a copy that stores nothing yet, its innermost
+    runs = 0
+    terms = [random_term(rng, rng.randrange(0, 7)) for _ in range(1000)]
+    for term in terms + [_wide_term(rng, rng.randrange(3, 10)) for _ in range(200)]:
+        copy = pickle.loads(pickle.dumps(term))
+        for sub in subterms(term) + subterms(copy)[::-1]:
+            assert pretty_print(sub) == plain_print(sub)
+            runs += isinstance(sub, Restrict) and isinstance(sub.body, Restrict)
+    assert runs >= 1000, runs  # 2,298 occur
 
 
 def test_successors_print_as_the_plain_printer_does():

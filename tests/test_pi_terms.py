@@ -3,7 +3,7 @@ import pickle
 
 import pytest
 
-from lpict.pi.congruence import canonical_key, normalize
+from lpict.pi.congruence import canonical_key, normalize, standard_form
 from lpict.pi.parser import parse_process, pretty_print
 from lpict.pi.terms import (
     NIL,
@@ -18,6 +18,7 @@ from lpict.pi.terms import (
     all_names,
     free_names,
     fresh_name,
+    level_parts,
     substitute,
 )
 
@@ -144,6 +145,33 @@ WIDE = " | ".join(["x<a>.0"] * 1500)
 def test_wide_level_does_not_recurse(holds):
     # one parallel level of 1500 components is one node, walked in a loop
     assert holds(parse_process(WIDE))
+
+
+RESTRICTED = " | ".join(["(new k a<k>.0)"] * 1500)
+
+
+def _level_text(binders, comps):
+    return "".join(f"new {b} " for b in binders) + "(" + " | ".join(comps) + ")"
+
+
+def test_a_run_of_restrictions_does_not_recurse(low_recursion_limit):
+    # normalizing hoists the 1500 binders into one run of nested restrictions,
+    # which names and text read as one level, in a loop
+    level = normalize(parse_process(RESTRICTED))
+    binders, comps = level_parts(level)
+    assert sorted(binders) == sorted(["k"] + [f"k{i}" for i in range(1, 1500)])
+    assert [pretty_print(c) for c in comps] == [f"a<{b}>.0" for b in binders]
+    assert all_names(level) == {"a", *binders} and free_names(level) == {"a"}
+    assert pretty_print(level) == _level_text(binders, [f"a<{b}>.0" for b in binders])
+    standard = standard_form(level)
+    names = [f"v{i}" for i in range(1500)]
+    assert level_parts(standard)[0] == tuple(names)
+    assert pretty_print(standard) == _level_text(names, [f"a<{b}>.0" for b in names])
+    assert all_names(standard) == {"a", *names}
+    # a level stores its names and text once, on its outermost node
+    inner = standard.body
+    assert "_names" in vars(standard) and "_text" in vars(standard)
+    assert "_names" not in vars(inner) and "_text" not in vars(inner)
 
 
 def test_stored_hashes_agree_and_stay_out_of_a_pickle():
